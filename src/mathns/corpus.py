@@ -405,14 +405,6 @@ class Corpus:
             counts.update(ident.key for ident in formula_ids)
         return counts
 
-    def identifier_map(self, doc_id: str) -> dict[str, Identifier]:
-        """Identifier objects of a document keyed by normalized key."""
-        found: dict[str, Identifier] = {}
-        for formula_ids in self.formula_identifiers.get(doc_id, []):
-            for ident in formula_ids:
-                found.setdefault(ident.key, ident)
-        return found
-
 
 def build_corpus(records: Iterable[dict], stops: StopLists | None = None) -> Corpus:
     """Parse records into a corpus, extracting formula identifiers."""

@@ -9,7 +9,10 @@ distance) plus in-sentence term frequency.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import textproc
@@ -77,6 +80,21 @@ class PreparedDocument:
                 out.append((pos, tok))
                 pos += 1
         return out
+
+    @cached_property
+    def ranking_table(self) -> tuple[list, dict[str, tuple[int, list[int]]]]:
+        """For ``rank_candidates``: the noun-like candidates as ``(pos, token,
+        tf)``, and per identifier key the sentence of its first occurrence
+        and its sorted positions."""
+        counts = [Counter(t.text for t in sentence) for sentence in self.sentences]
+        candidates, occurrences = [], {}
+        for pos, tok in self.flat_tokens():
+            s = tok.sentence_idx
+            if tok.tag == ID:
+                occurrences.setdefault(tok.text, (s, []))[1].append(pos)
+            if tok.tag in _DEF_TAGS:
+                candidates.append((pos, tok, counts[s][tok.text] / len(self.sentences[s])))
+        return candidates, occurrences
 
 
 def prepare_document(
@@ -242,29 +260,27 @@ def rank_candidates(
     sentence distance to the sentence of its first occurrence.  Sorted
     by descending score, ties broken by smaller distance, then earlier
     position.
+
+    Candidates, ``tf`` and occurrences come from ``doc.ranking_table``,
+    built once per document.  The nearest occurrence is one of the two
+    that bisection puts around the candidate, so ``delta`` is the same
+    minimum over all occurrences.
     """
     if params is None:
         params = RankerParams()
-    flat = doc.flat_tokens()
-    occurrences = [
-        (pos, tok) for pos, tok in flat if tok.tag == ID and tok.text == identifier_key
-    ]
-    if not occurrences:
+    candidates, occurrences = doc.ranking_table
+    if identifier_key not in occurrences:
         raise IdentifierNotInDocument(identifier_key)
-    occ_positions = [pos for pos, _ in occurrences]
-    first_sentence = occurrences[0][1].sentence_idx
+    first_sentence, occ_positions = occurrences[identifier_key]
     scored = []
-    for pos, tok in flat:
-        if tok.tag not in _DEF_TAGS:
-            continue
-        delta = min(abs(pos - q) for q in occ_positions)
+    for pos, tok, tf in candidates:
+        at = bisect_left(occ_positions, pos)
+        nearby = occ_positions[max(0, at - 1) : at + 1]
+        delta = min(abs(pos - nearby[0]), abs(pos - nearby[-1]))
         n_sent = abs(tok.sentence_idx - first_sentence)
-        sentence = doc.sentences[tok.sentence_idx]
-        tf = sum(1 for t in sentence if t.text == tok.text) / len(sentence)
-        score = ranker_score(delta, n_sent, tf, params)
-        scored.append((score, delta, pos, tok))
-    scored.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return [(tok, score) for score, _, _, tok in scored]
+        scored.append((-ranker_score(delta, n_sent, tf, params), delta, pos, tok))
+    scored.sort()  # positions are unique, so tokens are never compared
+    return [(tok, -neg_score) for neg_score, _, _, tok in scored]
 
 
 def extract_relations(
@@ -294,10 +310,7 @@ def extract_relations(
     else:
         if params is None:
             params = RankerParams()
-        keys = sorted(
-            {tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}
-        )
-        for key in keys:
+        for key in sorted(doc.ranking_table[1]):
             ident = doc.identifiers.get(key) or Identifier(base=key, display=key)
             for tok, score in rank_candidates(doc, key, params):
                 if score >= params.retain_threshold:
@@ -309,6 +322,7 @@ def extract_relations(
                             method=RANKER,
                         )
                     )
+        del doc.ranking_table  # needed only while this document is ranked
     best: dict[tuple[str, str], Relation] = {}
     for rel in raw:
         definition = rel.definition.strip()

@@ -22,16 +22,21 @@ from .stemming import Stemmer, definition_tokens, strip_plural
 OTHERS = "OTHERS"
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Plain dynamic-programming edit distance."""
+def levenshtein(a: str, b: str, cutoff: int | None = None) -> int:
+    """Edit distance; with a cutoff, ``min(distance, cutoff + 1)`` from the band
+    ``|i - j| <= cutoff``: cells outside it hold the cap, which is exact as a
+    cell's distance is at least ``|i - j|``, and a row all at the cap ends it."""
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
+    cap = (len(a) if cutoff is None else cutoff) + 1
+    previous = [min(j, cap) for j in range(len(b) + 1)]
     for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        current = [min(i, cap)] + [cap] * len(b)
+        for j in range(max(1, i - cap + 1), min(len(b), i + cap - 1) + 1):
+            cost = 0 if ca == b[j - 1] else 1
+            current[j] = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost, cap)
+        if min(current) == cap:
+            return cap
         previous = current
     return previous[-1]
 
@@ -43,24 +48,42 @@ def levenshtein_ratio(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / max(len(a), len(b))
 
 
+def _ratio_at_least(a: str, b: str, threshold: float) -> bool:
+    """``levenshtein_ratio(a, b) >= threshold``.  The length gap bounds the
+    distance from below, and is the distance when one string prefixes the
+    other; else the DP is cut off past the largest passing distance, which
+    is exact because ``1 - d / m`` is monotone in ``d``."""
+    m = max(len(a), len(b), 1)  # two empty strings pass as a ratio of 1.0
+    if 1.0 - abs(len(a) - len(b)) / m < threshold:
+        return False
+    if a.startswith(b) or b.startswith(a):
+        return True
+    cutoff = min(m, int(min(1.0, 1.0 - threshold) * m) + 1)
+    return 1.0 - levenshtein(a, b, cutoff) / m >= threshold
+
+
+def _token_set_pairs(a: str, b: str, ta: frozenset, tb: frozenset) -> list[tuple[str, str]]:
+    """String pairs whose best ratio is the token-set ratio; ``s0`` prefixes both others."""
+    if not ta and not tb:
+        return [(a.lower(), b.lower())]
+    inter = sorted(ta & tb)
+    s1 = " ".join(inter + sorted(ta - tb))
+    s2 = " ".join(inter + sorted(tb - ta))
+    if not inter:
+        return [(s1, s2)]
+    s0 = " ".join(inter)
+    return [(s0, s1), (s0, s2), (s1, s2)]
+
+
 def token_set_ratio(a: str, b: str, stemmer: Stemmer = strip_plural) -> float:
     """Fuzzy similarity over stemmed, token-sorted strings.
 
     Shared tokens are factored out so that a phrase fully contained in
     another ("variance" vs "population variance") scores 1.0.
     """
-    ta = set(definition_tokens(a, stemmer))
-    tb = set(definition_tokens(b, stemmer))
-    if not ta and not tb:
-        return levenshtein_ratio(a.lower(), b.lower())
-    inter = sorted(ta & tb)
-    s0 = " ".join(inter)
-    s1 = " ".join(inter + sorted(ta - tb))
-    s2 = " ".join(inter + sorted(tb - ta))
-    candidates = [levenshtein_ratio(s1, s2)]
-    if inter:
-        candidates.extend((levenshtein_ratio(s0, s1), levenshtein_ratio(s0, s2)))
-    return max(candidates)
+    ta = frozenset(definition_tokens(a, stemmer))
+    tb = frozenset(definition_tokens(b, stemmer))
+    return max(levenshtein_ratio(x, y) for x, y in _token_set_pairs(a, b, ta, tb))
 
 
 def merge_exact(pairs: Iterable[Relation]) -> dict[str, list[tuple[str, float]]]:
@@ -98,11 +121,21 @@ def merge_fuzzy(
     Definitions connect when their token-set ratio reaches the
     threshold (transitively); a group's score is the member sum and its
     label the highest-scoring member, ties lexicographic.
+
+    These are the groups of ``token_set_ratio`` over all pairs, found
+    with less work: each distinct definition is tokenized once; a pair
+    already in one group is skipped, as its union would be a no-op; and
+    ``_ratio_at_least`` decides the rest, in closed form when the length
+    gap rejects the pair or one string is a prefix of the other (which
+    covers token-set containment, ratio 1.0), else by a cut-off DP.
     """
     out: dict[str, list[DefinitionGroup]] = {}
+    tokens: dict[str, frozenset[str]] = {}
     for key, defs in merged.items():
         n = len(defs)
         parent = list(range(n))
+        for d in {d for d, _ in defs} - tokens.keys():
+            tokens[d] = frozenset(definition_tokens(d, stemmer))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -110,12 +143,15 @@ def merge_fuzzy(
                 x = parent[x]
             return x
 
-        for i in range(n):
+        for i, (a, _) in enumerate(defs):
             for j in range(i + 1, n):
-                if token_set_ratio(defs[i][0], defs[j][0], stemmer) >= ratio_threshold:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
+                b = defs[j][0]
+                ri, rj = find(i), find(j)
+                if ri != rj and any(
+                    _ratio_at_least(x, y, ratio_threshold)
+                    for x, y in _token_set_pairs(a, b, tokens[a], tokens[b])
+                ):
+                    parent[max(ri, rj)] = min(ri, rj)
         groups: dict[int, list[tuple[str, float]]] = {}
         for i in range(n):
             groups.setdefault(find(i), []).append(defs[i])

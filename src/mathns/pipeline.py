@@ -456,12 +456,12 @@ def stage_namespaces(config: PipelineConfig) -> None:
         assignment, doc_ids, labels, config.purity_threshold, config.min_cluster_size
     )
     doc_ids_arr = np.array(doc_ids)
+    docs_with_relations = {r.doc_id for r in relations}
     namespaces = []
     skipped = []
     for cluster_id in chosen:
         members = [str(d) for d in doc_ids_arr[assignment.labels == cluster_id]]
-        cluster_relations = [r for r in relations if r.doc_id in set(members)]
-        if not cluster_relations:
+        if docs_with_relations.isdisjoint(members):
             skipped.append(cluster_id)
             continue
         namespaces.append(

@@ -45,10 +45,6 @@ def cosine(a, b) -> float:
     return float(np.dot(x, y) / (nx * ny))
 
 
-def cosine_distance(a, b) -> float:
-    return 1.0 - cosine(a, b)
-
-
 def inner(a, b) -> float:
     return float(np.dot(_dense(a), _dense(b)))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mathns.corpus import build_corpus, default_stop_lists
+from mathns.corpus import build_corpus, default_stop_lists, load_corpus
 from mathns.errors import IdentifierNotInDocument
 from mathns.extraction import (
     NEAREST_NOUN,
@@ -20,7 +20,7 @@ from mathns.extraction import (
     rank_candidates,
     ranker_score,
 )
-from mathns.textproc import ID
+from mathns.textproc import ID, LINK, NN, NNS, NOUN_PHRASE
 
 STOPS = default_stop_lists()
 
@@ -198,3 +198,74 @@ class TestExtractRelations:
         doc = prepare_one("$E$ is energy.", doc_id="paper-1")
         rels = extract_relations(doc, PATTERN)
         assert all(r.doc_id == "paper-1" for r in rels)
+
+
+def oracle_rank_candidates(doc, identifier_key, params):
+    """All occurrences per candidate and a sentence rescan per tf."""
+    flat = doc.flat_tokens()
+    occurrences = [
+        (pos, tok) for pos, tok in flat if tok.tag == ID and tok.text == identifier_key
+    ]
+    if not occurrences:
+        raise IdentifierNotInDocument(identifier_key)
+    first_sentence = occurrences[0][1].sentence_idx
+    scored = []
+    for pos, tok in flat:
+        if tok.tag not in (NN, NNS, LINK, NOUN_PHRASE):
+            continue
+        delta = min(abs(pos - q) for q, _ in occurrences)
+        n_sent = abs(tok.sentence_idx - first_sentence)
+        sentence = doc.sentences[tok.sentence_idx]
+        tf = sum(1 for t in sentence if t.text == tok.text) / len(sentence)
+        scored.append((ranker_score(delta, n_sent, tf, params), delta, pos, tok))
+    scored.sort(key=lambda item: (-item[0], item[1], item[2]))
+    return [(tok, score) for score, _, _, tok in scored]
+
+
+class TestRankCandidatesOracle:
+    @pytest.fixture(scope="class")
+    def toy_docs(self, toy_corpus_path):
+        return prepare_corpus(load_corpus(toy_corpus_path))
+
+    @pytest.mark.parametrize("params", [RankerParams(), RankerParams(0.3, 2.0, 0.7, 1.5, 0.5)])
+    def test_every_toy_identifier_matches_oracle(self, toy_docs, params):
+        checked = 0
+        for doc in toy_docs:
+            keys = sorted({tok.text for _, tok in doc.flat_tokens() if tok.tag == ID})
+            for key in keys:
+                got = rank_candidates(doc, key, params)
+                want = oracle_rank_candidates(doc, key, params)
+                assert [t for t, _ in got] == [t for t, _ in want]
+                assert [s for _, s in got] == [s for _, s in want]  # exactly equal
+                checked += 1
+        assert checked > 100
+
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(
+                    ["the", "energy", "mass", "is", "of", "speed", "light", "field",
+                     "values", "$x$", "$E$", "$m$"]
+                ),
+                min_size=1,
+                max_size=12,
+            ).map(" ".join),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_repeated_identifiers_match_oracle(self, sentences):
+        # toy documents mostly name each identifier once; these repeat them
+        doc = prepare_one(". ".join(sentences) + ".")
+        params = RankerParams()
+        for key in {tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}:
+            assert rank_candidates(doc, key, params) == oracle_rank_candidates(doc, key, params)
+
+    def test_missing_identifier_still_raises(self, toy_docs):
+        with pytest.raises(IdentifierNotInDocument):
+            rank_candidates(toy_docs[0], "not-an-identifier")
+
+    def test_extract_relations_drops_the_table(self, toy_docs):
+        doc = toy_docs[1]
+        assert extract_relations(doc, RANKER)
+        assert "ranking_table" not in vars(doc)

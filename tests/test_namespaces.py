@@ -8,12 +8,12 @@ squashed entries) is pinned.
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathns.corpus import Identifier
+from mathns.corpus import Identifier, load_corpus
 from mathns.errors import EmptyScheme, NoRelationsInCluster
-from mathns.extraction import Relation
+from mathns.extraction import Relation, extract_relations, prepare_corpus
 from mathns.namespaces import (
     OTHERS,
     HierarchyScheme,
@@ -25,6 +25,7 @@ from mathns.namespaces import (
     squash_score,
     token_set_ratio,
 )
+from mathns.stemming import definition_tokens, strip_plural
 
 
 def rel(doc, base, definition, score, sub=None):
@@ -292,3 +293,157 @@ class TestMapToHierarchy:
         ns = self._logic_namespace()
         with pytest.raises(EmptyScheme):
             map_to_hierarchy(ns, HierarchyScheme([]), {})
+
+
+# Reference implementations: the textbook full-matrix edit distance and
+# the all-pairs fuzzy merge that the pruned kernels must reproduce.
+
+
+def oracle_levenshtein(a, b):
+    d = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) + 1):
+        d[i][0] = i
+    for j in range(len(b) + 1):
+        d[0][j] = j
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
+    return d[len(a)][len(b)]
+
+
+def oracle_ratio(a, b):
+    if not a and not b:
+        return 1.0
+    return 1.0 - oracle_levenshtein(a, b) / max(len(a), len(b))
+
+
+def oracle_token_set_ratio(a, b):
+    ta = set(definition_tokens(a, strip_plural))
+    tb = set(definition_tokens(b, strip_plural))
+    if not ta and not tb:
+        return oracle_ratio(a.lower(), b.lower())
+    inter = sorted(ta & tb)
+    s0 = " ".join(inter)
+    s1 = " ".join(inter + sorted(ta - tb))
+    s2 = " ".join(inter + sorted(tb - ta))
+    candidates = [oracle_ratio(s1, s2)]
+    if inter:
+        candidates.extend((oracle_ratio(s0, s1), oracle_ratio(s0, s2)))
+    return max(candidates)
+
+
+def oracle_merge_fuzzy(merged, ratio_threshold=0.85):
+    """All pairs through the token-set ratio, union-find by smallest index."""
+    out = {}
+    for key, defs in merged.items():
+        n = len(defs)
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i in range(n):
+            for j in range(i + 1, n):
+                if oracle_token_set_ratio(defs[i][0], defs[j][0]) >= ratio_threshold:
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[max(ri, rj)] = min(ri, rj)
+        groups = {}
+        for i in range(n):
+            groups.setdefault(find(i), []).append(defs[i])
+        built = []
+        for members in groups.values():
+            label = min(members, key=lambda kv: (-kv[1], kv[0]))[0]
+            built.append((label, tuple(d for d, _ in members), sum(s for _, s in members)))
+        built.sort(key=lambda g: (-g[2], g[0]))
+        out[key] = built
+    return out
+
+
+def as_tuples(grouped):
+    return {key: [(g.label, g.members, g.score) for g in gs] for key, gs in grouped.items()}
+
+
+WORDS = [
+    "mean", "means", "Mean", "variance", "population", "square", "error",
+    "errors", "rate", "the", "of", "a", "estimator", "maximum-likelihood",
+    "x1", "speed", "light", "analysis", "class", "classes",
+]
+THRESHOLDS = [0.0, 1 / 3, 0.5, 0.85, 0.9, 1.0]
+definitions = st.one_of(
+    st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join),
+    st.text(alphabet="ab -Aes", max_size=10),
+    st.text(max_size=8),
+)
+
+
+class TestPrunedKernels:
+    @given(st.text(alphabet="abc", max_size=12), st.text(alphabet="abc", max_size=12))
+    def test_levenshtein_matches_full_matrix(self, a, b):
+        assert levenshtein(a, b) == oracle_levenshtein(a, b)
+
+    @given(
+        st.text(alphabet="abc", max_size=12),
+        st.text(alphabet="abc", max_size=12),
+        st.integers(0, 14),
+    )
+    def test_cutoff_caps_the_distance(self, a, b, k):
+        assert levenshtein(a, b, k) == min(oracle_levenshtein(a, b), k + 1)
+
+    @settings(max_examples=300)
+    @given(definitions, definitions, st.sampled_from(THRESHOLDS))
+    def test_merge_decision_equals_token_set_ratio(self, a, b, t):
+        assert token_set_ratio(a, b) == oracle_token_set_ratio(a, b)
+        merged = len(merge_fuzzy({"z": [(a, 1.0), (b, 0.5)]}, t)["z"]) == 1
+        assert merged == (token_set_ratio(a, b) >= t)
+
+    @pytest.mark.parametrize("t", THRESHOLDS)
+    def test_merge_decision_at_every_distance(self, t):
+        # equal lengths and no common prefix, so only the cut-off DP decides;
+        # 1 - 0.9 rounds below 0.1, which a cutoff of floor((1 - t) * m) misses
+        for m in range(1, 13):
+            for d in range(1, m + 1):
+                a, b = "x" * m, "y" * d + "x" * (m - d)
+                merged = len(merge_fuzzy({"z": [(a, 1.0), (b, 0.5)]}, t)["z"]) == 1
+                assert merged == (oracle_token_set_ratio(a, b) >= t), (m, d)
+
+    def test_transitive_chain_joins_through_intermediates(self):
+        # alpha and gamma only meet through the containment chain
+        defs = [("alpha", 1.0), ("gamma", 0.9), ("beta gamma", 0.8), ("alpha beta", 0.7),
+                ("beta", 0.6), ("delta", 0.5)]
+        grouped = merge_fuzzy({"z": defs})
+        assert as_tuples(grouped) == oracle_merge_fuzzy({"z": defs})
+        assert [len(g.members) for g in grouped["z"]] == [5, 1]
+
+    @given(
+        st.lists(
+            st.tuples(definitions, st.floats(0.1, 1.0)),
+            max_size=10,
+            unique_by=lambda kv: kv[0],
+        ),
+        st.sampled_from(THRESHOLDS),
+    )
+    def test_generated_lists_match_all_pairs_oracle(self, defs, t):
+        merged = {"z": defs}
+        assert as_tuples(merge_fuzzy(merged, t)) == oracle_merge_fuzzy(merged, t)
+
+
+@pytest.fixture(scope="module")
+def toy_relations(toy_corpus_path):
+    corpus = load_corpus(toy_corpus_path)
+    relations = [r for doc in prepare_corpus(corpus) for r in extract_relations(doc)]
+    labels = {doc.doc_id: doc.category for doc in corpus.documents}
+    return relations, labels
+
+
+def test_toy_clusters_match_all_pairs_oracle(toy_relations):
+    relations, labels = toy_relations
+    clusters = {None: relations}  # the whole corpus, then each category
+    for r in relations:
+        clusters.setdefault(labels[r.doc_id], []).append(r)
+    for members in clusters.values():
+        merged = merge_exact(members)
+        assert as_tuples(merge_fuzzy(merged)) == oracle_merge_fuzzy(merged)
