@@ -282,10 +282,12 @@ def snn_dbscan(
     if eps >= K:
         raise EpsNotBelowK(f"eps={eps} must be below K={K}")
     graph = build_snn_graph(matrix, K, measure, union=union)
+    indptr, indices, data = graph.indptr, graph.indices, graph.data
 
     def region_query(p: int, threshold: float) -> list[int]:
-        row = graph.getrow(p)
-        return [int(q) for q, v in zip(row.indices, row.data) if v >= threshold and q != p]
+        s, e = indptr[p], indptr[p + 1]
+        cols = indices[s:e]
+        return cols[(data[s:e] >= threshold) & (cols != p)].tolist()
 
     n = graph.shape[0]
     return dbscan(region_query, n, eps, minpts)
@@ -322,20 +324,20 @@ def linkage_merges(X, linkage: str) -> list[tuple[int, int, float]]:
         value = float(d[i, j])
         merges.append((i, j, value))
         ni, nj = sizes[i], sizes[j]
-        for k in range(n):
-            if inactive[k] or k == i or k == j:
-                continue
-            dik, djk = d[i, k], d[j, k]
-            if linkage == SINGLE:
-                new = min(dik, djk)
-            elif linkage == COMPLETE:
-                new = max(dik, djk)
-            elif linkage == AVERAGE:
-                new = (ni * dik + nj * djk) / (ni + nj)
-            else:  # ward, on squared distances
-                nk = sizes[k]
-                new = ((ni + nk) * dik + (nj + nk) * djk - nk * d[i, j]) / (ni + nj + nk)
-            d[i, k] = d[k, i] = new
+        live = ~inactive
+        live[i] = live[j] = False
+        k = np.flatnonzero(live)
+        dik, djk = d[i, k], d[j, k]
+        if linkage == SINGLE:
+            new = np.minimum(dik, djk)
+        elif linkage == COMPLETE:
+            new = np.maximum(dik, djk)
+        elif linkage == AVERAGE:
+            new = (ni * dik + nj * djk) / (ni + nj)
+        else:  # ward, on squared distances
+            nk = sizes[k]
+            new = ((ni + nk) * dik + (nj + nk) * djk - nk * d[i, j]) / (ni + nj + nk)
+        d[i, k] = d[k, i] = new
         sizes[i] = ni + nj
         inactive[j] = True
         d[j, :] = np.inf

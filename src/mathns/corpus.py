@@ -110,9 +110,6 @@ class StopLists:
     def is_stopped_symbol(self, s: str) -> bool:
         return s.lower() in self.symbol_stop
 
-    def is_stopped_definition(self, s: str) -> bool:
-        return s.lower() in self.definition_stop
-
 
 def load_stop_list(path: str | Path) -> frozenset[str]:
     """Read a stop list file: UTF-8, one entry per line, ``#`` comments."""

@@ -341,21 +341,13 @@ def _run_clustering(config: PipelineConfig, X, factors, K: Optional[int]):
             union=bool(opts.get("snn_union", False)),
         )
     if algorithm == "dbscan":
-        measure = opts.get("measure", simindex.COSINE)
-        eps = float(opts.get("eps", 0.5))
-        minpts = int(opts.get("minpts", 3))
-        dense = X if isinstance(X, np.ndarray) else np.asarray(sp.csr_matrix(X).todense())
-
-        def region_query(p: int, threshold: float) -> list[int]:
-            sims = [
-                simindex.similarity(measure, dense[p], dense[q])
-                for q in range(dense.shape[0])
-            ]
-            if measure in simindex.DISTANCE_MEASURES:
-                return [q for q, s in enumerate(sims) if s <= threshold]
-            return [q for q, s in enumerate(sims) if s >= threshold]
-
-        return clustering.dbscan(region_query, dense.shape[0], eps, minpts)
+        # Jaccard counts nonzero entries here, as simindex.jaccard does.
+        csr = sp.csr_matrix(X, copy=True)
+        csr.eliminate_zeros()
+        index = simindex.SimilarityIndex(csr, opts.get("measure", simindex.COSINE))
+        return clustering.dbscan(
+            index.within, index.n_docs, float(opts.get("eps", 0.5)), int(opts.get("minpts", 3))
+        )
     if algorithm == "nmf_direct":
         if factors is None:
             raise ConfigError("nmf_direct clustering requires reduction kind 'nmf'")

@@ -1,9 +1,13 @@
-"""Similarity measures, inverted-index kNN and shared-nearest-neighbor.
+"""Similarity measures, blocked sparse-product kNN and shared-nearest-neighbor.
 
-The kNN search walks an inverted index over nonzero dimensions, so only
-documents sharing at least one dimension with the query are scored;
-together with precomputed row norms this still yields exact top-K
-results for every supported measure.
+One kernel scores a block of rows against every document:
+``csr[s:e] @ csc.T`` for the dot products, and the same product on the
+stored-entry pattern for Jaccard and for which pairs share a dimension.
+Blocks hold about ``BLOCK_CELLS`` dense cells, so memory stays bounded.
+kNN lists, DBSCAN region queries and the SNN graph (``N @ N.T`` of the
+kNN indicator) all come from it.  Ties keep the smaller index, and for a
+similarity every document sharing a stored dimension with the query
+outranks every one that does not, even at a score of 0 or below.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ MEASURES = (COSINE, INNER, JACCARD, EUCLIDEAN)
 
 # Measures where smaller is closer.
 DISTANCE_MEASURES = frozenset({EUCLIDEAN})
+
+# Dense cells per kernel block: 128 KB per float64 temporary.  At 600
+# documents, 512 KB blocks raised the process's peak RSS by 0.5 MB.
+BLOCK_CELLS = 1 << 14
 
 
 class ZeroVectorWarning(UserWarning):
@@ -96,11 +104,11 @@ class NeighborList:
 def _as_csr(matrix) -> sp.csr_matrix:
     if hasattr(matrix, "matrix"):
         matrix = matrix.matrix
-    return sp.csr_matrix(matrix)
+    return sp.csr_matrix(matrix, dtype=float)
 
 
 class SimilarityIndex:
-    """Inverted index over nonzero dimensions for exact kNN queries."""
+    """Exact kNN and threshold queries through one blocked sparse product."""
 
     def __init__(self, matrix, measure: str = COSINE):
         if measure not in MEASURES:
@@ -113,65 +121,80 @@ class SimilarityIndex:
         self.norms_sq = sq
         self.norms = np.sqrt(sq)
         self.nnz = np.diff(self.csr.indptr)
+        # Every stored entry (explicit zeros too) as 1, for shared-dimension counts.
+        self._pattern = self.csr.copy()
+        self._pattern.data[:] = 1.0
+        self._pattern_t = self._pattern.T.tocsr()
 
-    def _accumulate(self, i: int, binary: bool) -> dict[int, float]:
-        """Dot products (or shared-dim counts) against all sharers of i."""
-        start, end = self.csr.indptr[i], self.csr.indptr[i + 1]
-        acc: dict[int, float] = {}
-        for k in range(start, end):
-            j = self.csr.indices[k]
-            v = self.csr.data[k]
-            cs, ce = self.csc.indptr[j], self.csc.indptr[j + 1]
-            rows = self.csc.indices[cs:ce]
-            vals = self.csc.data[cs:ce]
-            for r, w in zip(rows, vals):
-                if r == i:
-                    continue
-                acc[r] = acc.get(r, 0.0) + (1.0 if binary else v * w)
-        return acc
+    def _block(self, s: int, e: int, sharers: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Scores of rows [s, e) against every document, and which pairs share
+        a stored dimension (None unless ``sharers``).
+
+        ``csr[s:e] @ csc.T`` adds ``v * w`` per row in csr storage order,
+        and a pair whose products sum to exactly 0 is not stored, so the
+        sharer mask comes from the pattern product, never from the values.
+        """
+        measure = self.measure
+        shared = None
+        if sharers or measure == JACCARD:
+            shared = (self._pattern[s:e] @ self._pattern_t).toarray()
+        if measure == JACCARD:
+            union = self.nnz[s:e, None] + self.nnz[None, :] - shared
+            scores = np.divide(shared, union, out=np.zeros_like(shared), where=union > 0)
+        else:
+            dots = (self.csr[s:e] @ self.csc.T).toarray()
+            if measure == COSINE:
+                denom = self.norms[s:e, None] * self.norms[None, :]
+                scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+            elif measure == EUCLIDEAN:
+                d2 = (self.norms_sq[s:e, None] + self.norms_sq[None, :]) - 2.0 * dots
+                # libm pow(x, 0.5), not np.sqrt: they differ in the last bit
+                # for about 0.1 % of inputs, and kNN distances are pow's.
+                scores = np.float_power(np.maximum(d2, 0.0), 0.5)
+            else:
+                scores = dots
+        return scores, None if shared is None else shared > 0
+
+    def _top(self, s: int, e: int, K: int) -> list[NeighborList]:
+        """Top-K lists of rows [s, e).
+
+        Similarities rank every sharer (even at score 0 or below) by
+        (-score, index), then non-sharers by index at score 0.0;
+        distances rank every document by (distance, index).
+        """
+        if K >= self.n_docs:
+            raise ValueError(f"K={K} must be below the document count {self.n_docs}")
+        distance = self.measure in DISTANCE_MEASURES
+        scores, shares = self._block(s, e, sharers=not distance)
+        if distance:
+            rank, key = np.zeros(scores.shape, dtype=np.int8), scores
+        else:
+            rank, key = (~shares).astype(np.int8), -scores
+        rank[np.arange(e - s), np.arange(s, e)] = 2  # never a document's own neighbor
+        # lexsort is stable, so equal (rank, key) keep index order.
+        order = np.lexsort((key, rank), axis=-1)[:, :K]
+        picked = np.take_along_axis(scores, order, axis=1)
+        return [
+            NeighborList(owner=s + r, neighbors=tuple(zip(order[r].tolist(), picked[r].tolist())))
+            for r in range(e - s)
+        ]
 
     def query(self, i: int, K: int) -> NeighborList:
         """Exact top-K neighbors of document i under the index measure."""
-        if K >= self.n_docs:
-            raise ValueError(f"K={K} must be below the document count {self.n_docs}")
-        measure = self.measure
-        if measure == EUCLIDEAN:
-            acc = self._accumulate(i, binary=False)
-            dist_sq = self.norms_sq[i] + self.norms_sq
-            entries = []
-            for r in range(self.n_docs):
-                if r == i:
-                    continue
-                d2 = dist_sq[r] - 2.0 * acc.get(r, 0.0)
-                entries.append((max(d2, 0.0) ** 0.5, r))
-            entries.sort()
-            chosen = [(r, d) for d, r in entries[:K]]
-            return NeighborList(owner=i, neighbors=tuple(chosen))
-        acc = self._accumulate(i, binary=measure == JACCARD)
-        scored = []
-        for r, dot in acc.items():
-            if measure == COSINE:
-                denom = self.norms[i] * self.norms[r]
-                score = dot / denom if denom > 0 else 0.0
-            elif measure == JACCARD:
-                union = self.nnz[i] + self.nnz[r] - dot
-                score = dot / union if union > 0 else 0.0
-            else:
-                score = dot
-            scored.append((-score, r))
-        scored.sort()
-        chosen = [(r, -neg) for neg, r in scored[:K]]
-        if len(chosen) < K:
-            have = {r for r, _ in chosen} | {i}
-            for r in range(self.n_docs):
-                if len(chosen) == K:
-                    break
-                if r not in have:
-                    chosen.append((r, 0.0))
-        return NeighborList(owner=i, neighbors=tuple(chosen))
+        return self._top(i, i + 1, K)[0]
 
     def all_neighbors(self, K: int) -> list[NeighborList]:
-        return [self.query(i, K) for i in range(self.n_docs)]
+        rows = max(1, BLOCK_CELLS // max(self.n_docs, 1))
+        blocks = (self._top(s, min(s + rows, self.n_docs), K) for s in range(0, self.n_docs, rows))
+        return [nl for block in blocks for nl in block]
+
+    def within(self, i: int, threshold: float) -> list[int]:
+        """Documents other than i scoring at least ``threshold`` (at most, for
+        a distance measure): a DBSCAN region query."""
+        scores = self._block(i, i + 1, sharers=False)[0][0]
+        hits = scores <= threshold if self.measure in DISTANCE_MEASURES else scores >= threshold
+        hits[i] = False
+        return np.flatnonzero(hits).tolist()
 
 
 def knn(matrix, i: int, K: int, measure: str = COSINE) -> NeighborList:
@@ -198,41 +221,20 @@ def build_snn_graph(
 ) -> sp.csr_matrix:
     """Pairwise SNN similarity over precomputed kNN lists.
 
-    Symmetric integer matrix with diagonal K by convention.  Built by
-    inverting the neighbor lists, so only pairs sharing at least one
-    neighbor are materialized.
+    Symmetric integer matrix ``N @ N.T``, where row p of the binary
+    indicator ``N`` marks the K neighbors of p; its diagonal is K, the
+    size of every list, and only pairs sharing a neighbor are stored.
+    ``union=True`` stores ``2K - intersection`` for every pair instead.
     """
     index = SimilarityIndex(matrix, measure)
     lists = index.all_neighbors(K)
     n = index.n_docs
-    if union:
-        dense = np.zeros((n, n), dtype=np.int32)
-        for p in range(n):
-            for q in range(n):
-                dense[p, q] = (
-                    K if p == q else snn_similarity(lists[p], lists[q], union=True)
-                )
-        return sp.csr_matrix(dense)
-    listers: dict[int, list[int]] = {}
-    for nl in lists:
-        for x in nl.ids():
-            listers.setdefault(x, []).append(nl.owner)
-    counts: dict[tuple[int, int], int] = {}
-    for owners in listers.values():
-        owners.sort()
-        for a_pos in range(len(owners)):
-            for b_pos in range(a_pos + 1, len(owners)):
-                pair = (owners[a_pos], owners[b_pos])
-                counts[pair] = counts.get(pair, 0) + 1
-    rows, cols, vals = [], [], []
-    for (p, q), c in counts.items():
-        rows.extend((p, q))
-        cols.extend((q, p))
-        vals.extend((c, c))
-    for p in range(n):
-        rows.append(p)
-        cols.append(p)
-        vals.append(K)
-    return sp.csr_matrix(
-        (np.array(vals, dtype=np.int32), (np.array(rows), np.array(cols))), shape=(n, n)
+    ids = np.array([j for nl in lists for j, _ in nl.neighbors], dtype=np.int32)
+    indicator = sp.csr_matrix(
+        (np.ones(n * K, dtype=np.int32), ids, np.arange(n + 1) * K), shape=(n, n)
     )
+    shared = indicator @ indicator.T
+    if union:
+        return sp.csr_matrix(2 * K - shared.toarray())
+    shared.sort_indices()
+    return shared

@@ -371,3 +371,67 @@ class TestAgglomerative:
             clusters[a] = clusters[a] + clusters[b]
             del clusters[b]
         assert got == expected
+
+
+def loop_linkage_merges(X, linkage: str) -> list[tuple[int, int, float]]:
+    """Lance-Williams with the per-k Python update loop that the
+    vectorised update replaced; kept as the exact reference."""
+    X = np.asarray(X.todense() if sp.issparse(X) else X, dtype=float)
+    n = X.shape[0]
+    diff = X[:, None, :] - X[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    if linkage == WARD:
+        d = d * d
+    np.fill_diagonal(d, np.inf)
+    inactive = np.zeros(n, dtype=bool)
+    sizes = np.ones(n)
+    merges = []
+    for _ in range(n - 1):
+        flat = np.argmin(d)
+        i, j = divmod(int(flat), n)
+        if i > j:
+            i, j = j, i
+        value = float(d[i, j])
+        merges.append((i, j, value))
+        ni, nj = sizes[i], sizes[j]
+        for k in range(n):
+            if inactive[k] or k == i or k == j:
+                continue
+            dik, djk = d[i, k], d[j, k]
+            if linkage == SINGLE:
+                new = min(dik, djk)
+            elif linkage == COMPLETE:
+                new = max(dik, djk)
+            elif linkage == AVERAGE:
+                new = (ni * dik + nj * djk) / (ni + nj)
+            else:
+                nk = sizes[k]
+                new = ((ni + nk) * dik + (nj + nk) * djk - nk * d[i, j]) / (ni + nj + nk)
+            d[i, k] = d[k, i] = new
+        sizes[i] = ni + nj
+        inactive[j] = True
+        d[j, :] = np.inf
+        d[:, j] = np.inf
+    return merges
+
+
+class TestLinkageMatchesLoop:
+    @pytest.mark.parametrize("linkage", [SINGLE, COMPLETE, AVERAGE, WARD])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_points(self, linkage, seed):
+        X = np.random.default_rng(seed).standard_normal((40, 5))
+        assert linkage_merges(X, linkage) == loop_linkage_merges(X, linkage)
+
+    @pytest.mark.parametrize("linkage", [SINGLE, COMPLETE, AVERAGE, WARD])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicate_points_tie(self, linkage, seed):
+        # integer grid with repeated rows: zero distances and equal merge heights
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 3, size=(12, 2)).astype(float)
+        X = np.vstack([base, base[rng.choice(12, size=8)]])
+        assert linkage_merges(X, linkage) == loop_linkage_merges(X, linkage)
+
+    @pytest.mark.parametrize("linkage", [SINGLE, WARD])
+    def test_sparse_input(self, linkage):
+        X = sp.random(30, 8, density=0.3, random_state=7, format="csr")
+        assert linkage_merges(X, linkage) == loop_linkage_merges(X, linkage)

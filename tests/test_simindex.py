@@ -1,4 +1,7 @@
-"""Similarity measures, inverted-index kNN and SNN similarity."""
+"""Similarity measures, blocked-kernel kNN and SNN similarity."""
+
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +9,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mathns import simindex
+from mathns.cluster import dbscan, snn_dbscan
+from mathns.decompose import lsa_embed
 from mathns.errors import LengthMismatch
+from mathns.pipeline import PipelineConfig, _run_clustering
 from mathns.simindex import (
     COSINE,
+    DISTANCE_MEASURES,
     EUCLIDEAN,
     INNER,
     JACCARD,
@@ -228,3 +236,272 @@ class TestSnnGraph:
         X = sp.random(15, 6, density=0.5, random_state=3, format="csr")
         A = build_snn_graph(X, 3, COSINE)
         assert (A != A.T).nnz == 0
+
+
+# ---------------------------------------------------------------------------
+# Loop references.  These are the per-query implementations that the
+# blocked sparse-product kernel replaced, kept verbatim as oracles: the
+# kernel must give the same neighbor ids, bit-for-bit the same scores,
+# the same graph and the same neighborhoods.
+
+
+def loop_query(index: SimilarityIndex, i: int, K: int) -> NeighborList:
+    """Dict walk over the inverted index, one query at a time."""
+
+    def accumulate(binary: bool) -> dict:
+        start, end = index.csr.indptr[i], index.csr.indptr[i + 1]
+        acc: dict = {}
+        for k in range(start, end):
+            j = index.csr.indices[k]
+            v = index.csr.data[k]
+            cs, ce = index.csc.indptr[j], index.csc.indptr[j + 1]
+            rows = index.csc.indices[cs:ce]
+            vals = index.csc.data[cs:ce]
+            for r, w in zip(rows, vals):
+                if r == i:
+                    continue
+                acc[r] = acc.get(r, 0.0) + (1.0 if binary else v * w)
+        return acc
+
+    if K >= index.n_docs:
+        raise ValueError(f"K={K} must be below the document count {index.n_docs}")
+    measure = index.measure
+    if measure == EUCLIDEAN:
+        acc = accumulate(binary=False)
+        dist_sq = index.norms_sq[i] + index.norms_sq
+        entries = []
+        for r in range(index.n_docs):
+            if r == i:
+                continue
+            d2 = dist_sq[r] - 2.0 * acc.get(r, 0.0)
+            entries.append((max(d2, 0.0) ** 0.5, r))
+        entries.sort()
+        chosen = [(r, d) for d, r in entries[:K]]
+        return NeighborList(owner=i, neighbors=tuple(chosen))
+    acc = accumulate(binary=measure == JACCARD)
+    scored = []
+    for r, dot in acc.items():
+        if measure == COSINE:
+            denom = index.norms[i] * index.norms[r]
+            score = dot / denom if denom > 0 else 0.0
+        elif measure == JACCARD:
+            union = index.nnz[i] + index.nnz[r] - dot
+            score = dot / union if union > 0 else 0.0
+        else:
+            score = dot
+        scored.append((-score, r))
+    scored.sort()
+    chosen = [(r, -neg) for neg, r in scored[:K]]
+    if len(chosen) < K:
+        have = {r for r, _ in chosen} | {i}
+        for r in range(index.n_docs):
+            if len(chosen) == K:
+                break
+            if r not in have:
+                chosen.append((r, 0.0))
+    return NeighborList(owner=i, neighbors=tuple(chosen))
+
+
+def loop_snn_graph(matrix, K: int, measure: str, union: bool = False) -> sp.csr_matrix:
+    """Dict pair-inversion (intersection) or dense pair loop (union)."""
+    index = SimilarityIndex(matrix, measure)
+    lists = [loop_query(index, i, K) for i in range(index.n_docs)]
+    n = index.n_docs
+    if union:
+        dense = np.zeros((n, n), dtype=np.int32)
+        for p in range(n):
+            for q in range(n):
+                dense[p, q] = (
+                    K if p == q else snn_similarity(lists[p], lists[q], union=True)
+                )
+        return sp.csr_matrix(dense)
+    listers: dict = {}
+    for nl in lists:
+        for x in nl.ids():
+            listers.setdefault(x, []).append(nl.owner)
+    counts: dict = {}
+    for owners in listers.values():
+        owners.sort()
+        for a_pos in range(len(owners)):
+            for b_pos in range(a_pos + 1, len(owners)):
+                pair = (owners[a_pos], owners[b_pos])
+                counts[pair] = counts.get(pair, 0) + 1
+    rows, cols, vals = [], [], []
+    for (p, q), c in counts.items():
+        rows.extend((p, q))
+        cols.extend((q, p))
+        vals.extend((c, c))
+    for p in range(n):
+        rows.append(p)
+        cols.append(p)
+        vals.append(K)
+    return sp.csr_matrix(
+        (np.array(vals, dtype=np.int32), (np.array(rows), np.array(cols))), shape=(n, n)
+    )
+
+
+def loop_region_query(dense: np.ndarray, measure: str, p: int, threshold: float) -> list:
+    """The plain-dbscan region query: n similarity calls on dense rows."""
+    sims = [similarity(measure, dense[p], dense[q]) for q in range(dense.shape[0])]
+    if measure in DISTANCE_MEASURES:
+        return [q for q, s in enumerate(sims) if s <= threshold]
+    return [q for q, s in enumerate(sims) if s >= threshold]
+
+
+def kernel_case(kind: str, seed: int, n: int = 24, d: int = 9):
+    """Matrices that stress the kernel's exactness rules."""
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":
+        return sp.random(n, d, density=0.3, random_state=seed, format="csr")
+    if kind == "integers":
+        # small integers: many exact ties, and signed products that sum to 0
+        values = rng.integers(-2, 3, size=(n, d)).astype(float)
+        values[rng.random((n, d)) < 0.5] = 0.0
+        return sp.csr_matrix(values)
+    if kind == "explicit_zeros":
+        X = sp.random(n, d, density=0.4, random_state=seed, format="csr")
+        X.data[rng.random(X.nnz) < 0.3] = 0.0  # stored, not eliminated
+        return X
+    if kind == "dense_svd":
+        terms = sp.random(n, 3 * d, density=0.3, random_state=seed, format="csr")
+        return lsa_embed(terms, 4, seed=seed)
+    if kind == "zero_rows":
+        values = np.asarray(sp.random(n, d, density=0.3, random_state=seed).todense())
+        values[rng.choice(n, size=n // 4, replace=False)] = 0.0
+        return sp.csr_matrix(values)
+    raise ValueError(kind)
+
+
+KERNEL_CASES = ("sparse", "integers", "explicit_zeros", "dense_svd", "zero_rows")
+MEASURE_LIST = (COSINE, INNER, JACCARD, EUCLIDEAN)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Three rows per kernel block for 24 documents: 8 blocks."""
+    monkeypatch.setattr(simindex, "BLOCK_CELLS", 3 * 24 + 2)
+
+
+class TestKernelMatchesLoops:
+    @pytest.mark.parametrize("measure", MEASURE_LIST)
+    @pytest.mark.parametrize("kind", KERNEL_CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_all_neighbors_and_query(self, measure, kind, seed, small_blocks):
+        X = kernel_case(kind, seed)
+        index = SimilarityIndex(X, measure)
+        n = index.n_docs
+        for K in (1, 5, n - 1):
+            expected = [loop_query(index, i, K) for i in range(n)]
+            assert index.all_neighbors(K) == expected
+            assert [index.query(i, K) for i in range(n)] == expected
+
+    def test_block_split_at_default_size(self):
+        X = sp.random(300, 30, density=0.2, random_state=5, format="csr")
+        assert 300 % (simindex.BLOCK_CELLS // 300) != 0
+        for measure in (COSINE, EUCLIDEAN):
+            index = SimilarityIndex(X, measure)
+            expected = [loop_query(index, i, 10) for i in range(300)]
+            assert index.all_neighbors(10) == expected
+
+    def test_explicit_zero_outranks_non_sharer(self):
+        # row 1 shares dim 0 with row 0 only through a stored zero
+        X = sp.csr_matrix(
+            (np.array([1.0, 0.0, 1.0]), np.array([0, 0, 1]), np.array([0, 1, 2, 3])), shape=(3, 2)
+        )
+        for measure in (COSINE, INNER):
+            index = SimilarityIndex(X, measure)
+            assert index.query(0, 2).neighbors == ((1, 0.0), (2, 0.0))
+            assert index.query(0, 2) == loop_query(index, 0, 2)
+
+    def test_negative_sharer_outranks_non_sharer(self):
+        X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        index = SimilarityIndex(X, COSINE)
+        assert index.query(0, 2).neighbors == ((1, -1.0), (2, 0.0))
+
+    def test_integer_input(self):
+        X = sp.csr_matrix(np.array([[1, 0, 2], [1, 1, 0], [0, 1, 2], [3, 0, 0]]))
+        for measure in MEASURE_LIST:
+            index = SimilarityIndex(X, measure)
+            assert index.all_neighbors(3) == [loop_query(index, i, 3) for i in range(4)]
+
+    def test_k_not_below_n(self):
+        index = SimilarityIndex(np.eye(3), COSINE)
+        with pytest.raises(ValueError):
+            index.all_neighbors(3)
+
+
+class TestSnnGraphMatchesLoops:
+    @pytest.mark.parametrize("union", [False, True])
+    @pytest.mark.parametrize("measure", MEASURE_LIST)
+    @pytest.mark.parametrize("kind", KERNEL_CASES)
+    def test_graph(self, union, measure, kind, small_blocks):
+        X = kernel_case(kind, 11)
+        for K in (1, 4, 23):
+            got = build_snn_graph(X, K, measure, union=union)
+            expected = loop_snn_graph(X, K, measure, union=union)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            np.testing.assert_array_equal(got.indptr, expected.indptr)
+            np.testing.assert_array_equal(got.indices, expected.indices)
+            np.testing.assert_array_equal(got.data, expected.data)
+
+    @pytest.mark.parametrize("union", [False, True])
+    def test_snn_dbscan_labels(self, union):
+        X = kernel_case("sparse", 4, n=40)
+        graph = loop_snn_graph(X, 6, COSINE, union=union)
+        eps = 2
+
+        def getrow_query(p, threshold):
+            row = graph.getrow(p)
+            return [int(q) for q, v in zip(row.indices, row.data) if v >= threshold and q != p]
+
+        expected = dbscan(getrow_query, 40, eps, 3)
+        got = snn_dbscan(X, K=6, eps=eps, minpts=3, union=union)
+        np.testing.assert_array_equal(got.labels, expected.labels)
+        assert got.K == expected.K
+
+
+# thresholds that the integer case hits exactly, and some that it does not
+REGION_EPS = {
+    COSINE: (0.0, 0.5, 0.37),
+    INNER: (1.0, 2.0, 0.5),
+    JACCARD: (0.25, 0.5, 0.3),
+    EUCLIDEAN: (2.0, 3.0, 2.2),
+}
+
+
+class TestRegionQueryMatchesLoops:
+    @pytest.mark.parametrize("measure", MEASURE_LIST)
+    @pytest.mark.parametrize("kind", KERNEL_CASES)
+    def test_neighborhoods(self, measure, kind):
+        X = kernel_case(kind, 2)
+        dense = X if isinstance(X, np.ndarray) else np.asarray(X.todense())
+        csr = sp.csr_matrix(X, copy=True)
+        csr.eliminate_zeros()
+        index = SimilarityIndex(csr, measure)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroVectorWarning)
+            for eps in REGION_EPS[measure]:
+                for p in range(dense.shape[0]):
+                    expected = sorted(set(loop_region_query(dense, measure, p, eps)) - {p})
+                    assert index.within(p, eps) == expected
+
+    @pytest.mark.parametrize("measure", MEASURE_LIST)
+    @pytest.mark.parametrize("kind", ["explicit_zeros", "dense_svd"])
+    def test_pipeline_dbscan(self, measure, kind):
+        X = kernel_case(kind, 3, n=40)
+        dense = X if isinstance(X, np.ndarray) else np.asarray(X.todense())
+        eps = {COSINE: 0.3, INNER: 0.2, JACCARD: 0.2, EUCLIDEAN: 0.8}[measure]
+        config = PipelineConfig(
+            corpus_path=Path("unused"),
+            seed=0,
+            output_dir=Path("unused"),
+            clustering={"algorithm": "dbscan", "measure": measure, "eps": eps, "minpts": 2},
+        )
+        got = _run_clustering(config, X, None, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroVectorWarning)
+            expected = dbscan(
+                lambda p, t: loop_region_query(dense, measure, p, t), 40, eps, 2
+            )
+        np.testing.assert_array_equal(got.labels, expected.labels)
+        assert got.K == expected.K
