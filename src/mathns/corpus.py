@@ -404,11 +404,20 @@ class Corpus:
 
 
 def build_corpus(records: Iterable[dict], stops: StopLists | None = None) -> Corpus:
-    """Parse records into a corpus, extracting formula identifiers."""
+    """Parse records into a corpus, extracting formula identifiers.
+
+    Each distinct formula is scanned once per call: corpora repeat the
+    same short formulas, and ``scan_formula`` depends only on the formula
+    and ``stops``.  Every occurrence still gets its own list (the frozen
+    identifiers in it are shared) and adds its skipped fragments.  The
+    memo lives for this call only, since another call may use other
+    stop lists.
+    """
     if stops is None:
         stops = default_stop_lists()
     corpus = Corpus()
     seen: set[str] = set()
+    scanned: dict[str, tuple[list[Identifier], int]] = {}
     for raw in records:
         doc = parse_document(raw)
         if doc.doc_id in seen:
@@ -416,8 +425,10 @@ def build_corpus(records: Iterable[dict], stops: StopLists | None = None) -> Cor
         seen.add(doc.doc_id)
         per_formula = []
         for formula in doc.formulas:
-            ids, skipped = scan_formula(formula, stops)
-            per_formula.append(ids)
+            if formula not in scanned:
+                scanned[formula] = scan_formula(formula, stops)
+            ids, skipped = scanned[formula]
+            per_formula.append(list(ids))
             corpus.skipped_fragments += skipped
         corpus.documents.append(doc)
         corpus.formula_identifiers[doc.doc_id] = per_formula

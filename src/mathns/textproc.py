@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .corpus import PLACEHOLDER_PREFIX, Identifier
@@ -47,11 +48,16 @@ class TaggedToken:
 
 
 class Lexicon:
-    """Word -> tag map plus ordered suffix rules (longest match first)."""
+    """Word -> tag map plus ordered suffix rules (longest match first).
+
+    Both are read-only after construction, so each instance can remember
+    the tag of every word it has seen.
+    """
 
     def __init__(self, words: dict[str, str], suffix_rules: list[tuple[str, str]]):
-        self.words = {w.lower(): t for w, t in words.items()}
-        self.suffix_rules = list(suffix_rules)
+        self.words = MappingProxyType({w.lower(): t for w, t in words.items()})
+        self.suffix_rules = tuple(suffix_rules)
+        self._tags: dict[str, str] = {}
 
     @classmethod
     def load(cls, lexicon_path: str | Path, suffix_path: str | Path) -> "Lexicon":
@@ -77,6 +83,18 @@ class Lexicon:
         return cls.load(data / "lexicon.tsv", data / "suffix_rules.tsv")
 
     def tag_word(self, word: str) -> str:
+        """Lexicon tag of ``word``, else its longest suffix rule, else OTHER.
+
+        Computed once per distinct token and instance.  The memo is keyed
+        on the token as written, not lower-cased: the suffix rules test
+        ``len(word)``, which can differ from ``len(word.lower())`` (``"İ"``).
+        """
+        tag = self._tags.get(word)
+        if tag is None:
+            tag = self._tags[word] = self._rule_tag(word)
+        return tag
+
+    def _rule_tag(self, word: str) -> str:
         hit = self.words.get(word.lower())
         if hit is not None:
             return hit
@@ -93,6 +111,7 @@ class Lexicon:
 
 _SENTENCE_RE = re.compile(r"[^.?!]*[.?!]+(?=\s|$)|[^.?!]+$")
 _TOKEN_RE = re.compile(r"\[\[|\]\]|[\w'-]+|[^\w\s]")
+_SYM_RE = re.compile(r"[^\w\s]+")
 
 
 def tokenize_sentences(text: str) -> list[list[str]]:
@@ -120,7 +139,7 @@ def pos_tag(sentences: Sequence[Sequence[str]], lexicon: Lexicon) -> list[list[T
         for t_idx, token in enumerate(sentence):
             if token.startswith(PLACEHOLDER_PREFIX):
                 tag = MATH
-            elif re.fullmatch(r"[^\w\s]+", token):
+            elif _SYM_RE.fullmatch(token):
                 tag = SYM
             else:
                 tag = lexicon.tag_word(token)

@@ -227,6 +227,70 @@ class TestCorpusStats:
         assert [d.doc_id for d in kept.documents] == ["b"]
 
 
+# formulas that repeat within and across documents; several skip fragments
+REPEATED_FORMULAS = ["x", r"\theta", r"\sigma^2", r"\sin x + \theta_1", r"\mathbf{w} + where", "x"]
+
+
+def scan_each_occurrence(records, stops):
+    """Reference: ``scan_formula`` once per formula occurrence."""
+    identifiers, skipped = {}, 0
+    for raw in records:
+        doc = parse_document(raw)
+        identifiers[doc.doc_id] = []
+        for formula in doc.formulas:
+            ids, n = scan_formula(formula, stops)
+            identifiers[doc.doc_id].append(ids)
+            skipped += n
+    return identifiers, skipped
+
+
+class TestFormulaMemo:
+    RECORDS = [
+        {"doc_id": "a", "text": " and ".join(f"${f}$" for f in REPEATED_FORMULAS)},
+        {"doc_id": "b", "text": r"$x$ then $\theta$ and $\sin x + \theta_1$ again $x$"},
+        {"doc_id": "c", "text": r"only $\mathbf{w} + where$ here"},
+    ]
+
+    def test_matches_a_scan_per_occurrence(self):
+        corpus = build_corpus(self.RECORDS, STOPS)
+        identifiers, skipped = scan_each_occurrence(self.RECORDS, STOPS)
+        assert corpus.formula_identifiers == identifiers
+        assert corpus.skipped_fragments == skipped > 0
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(REPEATED_FORMULAS), max_size=6),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_generated_documents_match_a_scan_per_occurrence(self, docs):
+        records = [
+            {"doc_id": str(i), "text": " text ".join(f"${f}$" for f in formulas)}
+            for i, formulas in enumerate(docs)
+        ]
+        corpus = build_corpus(records, STOPS)
+        identifiers, skipped = scan_each_occurrence(records, STOPS)
+        assert corpus.formula_identifiers == identifiers
+        assert corpus.skipped_fragments == skipped
+
+    def test_each_occurrence_has_its_own_list(self):
+        corpus = build_corpus(self.RECORDS, STOPS)
+        before = {k: [list(ids) for ids in v] for k, v in corpus.formula_identifiers.items()}
+        corpus.formula_identifiers["a"][0].append(Identifier(base="q"))
+        # a's last formula and b's first are the same "x" as a's first
+        assert corpus.formula_identifiers["a"][1:] == before["a"][1:]
+        assert corpus.formula_identifiers["b"] == before["b"]
+
+    def test_memo_does_not_outlive_a_call(self):
+        records = [{"doc_id": "a", "text": "$x + y$"}]
+        plain = build_corpus(records, StopLists())
+        stopped = build_corpus(records, StopLists(symbol_stop=frozenset({"x"})))
+        assert [i.key for i in plain.formula_identifiers["a"][0]] == ["x", "y"]
+        assert [i.key for i in stopped.formula_identifiers["a"][0]] == ["y"]
+        assert (plain.skipped_fragments, stopped.skipped_fragments) == (0, 1)
+
+
 class TestIdentifierKey:
     def test_key_with_subscript(self):
         assert Identifier(base="x", subscript="1").key == "x_1"

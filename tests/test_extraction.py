@@ -222,12 +222,33 @@ def oracle_rank_candidates(doc, identifier_key, params):
     return [(tok, score) for score, _, _, tok in scored]
 
 
+# widths and weights away from the defaults, one weight zero
+OTHER_PARAMS = RankerParams(alpha=0.0, beta=1.3, gamma=0.45, sigma_d=3.3, sigma_s=0.9)
+
+# sentences that repeat identifiers, so distances repeat as well
+REPEATING_SENTENCES = st.lists(
+    st.lists(
+        st.sampled_from(
+            ["the", "energy", "mass", "is", "of", "speed", "light", "field",
+             "values", "$x$", "$E$", "$m$"]
+        ),
+        min_size=1,
+        max_size=12,
+    ).map(" ".join),
+    min_size=1,
+    max_size=5,
+)
+
+
 class TestRankCandidatesOracle:
     @pytest.fixture(scope="class")
     def toy_docs(self, toy_corpus_path):
         return prepare_corpus(load_corpus(toy_corpus_path))
 
-    @pytest.mark.parametrize("params", [RankerParams(), RankerParams(0.3, 2.0, 0.7, 1.5, 0.5)])
+    @pytest.mark.parametrize(
+        "params",
+        [RankerParams(), RankerParams(0.3, 2.0, 0.7, 1.5, 0.5), OTHER_PARAMS],
+    )
     def test_every_toy_identifier_matches_oracle(self, toy_docs, params):
         checked = 0
         for doc in toy_docs:
@@ -240,26 +261,22 @@ class TestRankCandidatesOracle:
                 checked += 1
         assert checked > 100
 
-    @given(
-        st.lists(
-            st.lists(
-                st.sampled_from(
-                    ["the", "energy", "mass", "is", "of", "speed", "light", "field",
-                     "values", "$x$", "$E$", "$m$"]
-                ),
-                min_size=1,
-                max_size=12,
-            ).map(" ".join),
-            min_size=1,
-            max_size=5,
-        )
-    )
+    @given(REPEATING_SENTENCES)
     def test_repeated_identifiers_match_oracle(self, sentences):
         # toy documents mostly name each identifier once; these repeat them
         doc = prepare_one(". ".join(sentences) + ".")
         params = RankerParams()
         for key in {tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}:
             assert rank_candidates(doc, key, params) == oracle_rank_candidates(doc, key, params)
+
+    @given(REPEATING_SENTENCES)
+    def test_repeated_identifiers_match_oracle_with_other_params(self, sentences):
+        # rank_candidates inlines ranker_score's expression; its scores must
+        # still equal ranker_score's bit for bit under other widths and weights
+        doc = prepare_one(". ".join(sentences) + ".")
+        for key in {tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}:
+            got = rank_candidates(doc, key, OTHER_PARAMS)
+            assert got == oracle_rank_candidates(doc, key, OTHER_PARAMS)
 
     def test_missing_identifier_still_raises(self, toy_docs):
         with pytest.raises(IdentifierNotInDocument):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mathns import simindex
@@ -31,16 +31,29 @@ from mathns.simindex import (
 
 
 def assert_same_topk(got, expected, tol: float = 1e-9):
-    """Top-K equality up to float noise: scores must agree, and ids must
-    agree exactly wherever scores are separated by more than ``tol``;
-    inside a tie group only the id sets are compared."""
+    """Top-K equality up to float noise.  ``expected`` is the oracle's
+    ranking, either its top K or every other document; K is ``len(got)``.
+
+    Scores must agree with the oracle's first K, and ids must agree
+    exactly wherever scores are separated by more than ``tol``.  A tie
+    group (scores within ``tol`` of their neighbour) that lies inside the
+    top K must hold the same ids.  When the group is cut by K, which of
+    its members make the cut is float noise, so ``got``'s ids there must
+    be distinct members of the oracle's whole group."""
+    K = len(got)
     got_scores = [s for _, s in got]
     exp_scores = [s for _, s in expected]
-    np.testing.assert_allclose(got_scores, exp_scores, atol=tol)
+    np.testing.assert_allclose(got_scores, exp_scores[:K], atol=tol)
     start = 0
     for k in range(1, len(expected) + 1):
         if k == len(expected) or abs(exp_scores[k] - exp_scores[k - 1]) > tol:
-            assert {j for j, _ in got[start:k]} == {j for j, _ in expected[start:k]}
+            picked = [j for j, _ in got[start:k]]
+            group = {j for j, _ in expected[start:k]}
+            if k <= K:
+                assert set(picked) == group
+            else:
+                assert len(set(picked)) == len(picked) and set(picked) <= group
+                break
             start = k
 
 
@@ -126,6 +139,7 @@ class TestKnn:
         st.integers(0, 2**32 - 1),
         st.sampled_from([COSINE, INNER, JACCARD, EUCLIDEAN]),
     )
+    @example(seed=20885858, measure=COSINE)  # row 4, K=1: three scores one ulp apart
     @settings(max_examples=25)
     def test_property_matches_brute_force(self, seed, measure):
         rng = np.random.default_rng(seed)
@@ -136,7 +150,7 @@ class TestKnn:
         K = int(rng.integers(1, n))
         for i in range(n):
             assert_same_topk(
-                index.query(i, K).neighbors, brute_force_knn(dense, i, K, measure)
+                index.query(i, K).neighbors, brute_force_knn(dense, i, n - 1, measure)
             )
 
     @pytest.mark.parametrize("measure", [COSINE, INNER, JACCARD, EUCLIDEAN])
@@ -150,7 +164,7 @@ class TestKnn:
         K = int(rng.integers(1, n))
         for i in range(n):
             got = index.query(i, K).neighbors
-            expected = brute_force_knn(dense, i, K, measure)
+            expected = brute_force_knn(dense, i, n - 1, measure)
             assert_same_topk(got, expected)
 
 

@@ -88,6 +88,68 @@ class TestPosTag:
         assert [len(s) for s in tagged] == [len(s) for s in sentences]
 
 
+def uncached_tag(lexicon: Lexicon, word: str) -> str:
+    """Reference: the lexicon and suffix rules applied afresh to each word."""
+    hit = lexicon.words.get(word.lower())
+    if hit is not None:
+        return hit
+    best = None
+    for pos, (suffix, tag) in enumerate(lexicon.suffix_rules):
+        if len(word) > len(suffix) and word.lower().endswith(suffix):
+            key = (-len(suffix), pos)
+            if best is None or key < best[0]:
+                best = (key, tag)
+    return best[1] if best is not None else OTHER
+
+
+class TestLexiconMemo:
+    def words(self) -> list[str]:
+        out = []
+        for word in LEX.words:
+            out += [word, word.upper(), word[:1].upper() + word[1:]]
+        out += [suffix for suffix, _ in LEX.suffix_rules]  # no longer than the rule
+        out += ["İ", "İs", "İTY", "xİtion", "zzqx"]  # "İ".lower() has two characters
+        return out
+
+    def test_matches_the_uncached_rules(self):
+        lexicon = Lexicon.default()
+        words = self.words()
+        for word in words + words[::-1]:  # the second pass is served by the memo
+            assert lexicon.tag_word(word) == uncached_tag(LEX, word), word
+
+    def test_each_suffix_rule_is_hit(self):
+        lexicon = Lexicon.default()
+        for suffix, tag in LEX.suffix_rules:
+            word = "zzqx" + suffix  # no longer rule matches, so this one wins
+            assert lexicon.tag_word(word) == tag == uncached_tag(LEX, word)
+
+    def test_keyed_on_the_token_as_written(self):
+        # "a\u0130s" has three characters and its lower-cased form
+        # "ai\u0307s" four, so a memo keyed on the lower-cased form would
+        # give both the same tag
+        lexicon = Lexicon({}, [("i\u0307s", NN)])
+        upper, lower = "a\u0130s", "ai\u0307s"
+        assert upper.lower() == lower
+        assert [lexicon.tag_word(w) for w in (lower, upper, lower)] == [NN, OTHER, NN]
+        assert [uncached_tag(lexicon, w) for w in (lower, upper)] == [NN, OTHER]
+
+    def test_rules_are_computed_once_per_word(self, monkeypatch):
+        lexicon = Lexicon.default()
+        calls = []
+        rule_tag = lexicon._rule_tag
+        monkeypatch.setattr(lexicon, "_rule_tag", lambda w: calls.append(w) or rule_tag(w))
+        tags = [lexicon.tag_word(w) for w in ("estimators", "the", "estimators", "The")]
+        assert tags == ["NNS", DT, "NNS", DT]
+        assert calls == ["estimators", "the", "The"]
+
+    def test_rules_are_read_only(self):
+        lexicon = Lexicon.default()
+        with pytest.raises(TypeError):
+            lexicon.words["corpus"] = JJ
+        with pytest.raises(TypeError):
+            lexicon.suffix_rules[0] = ("s", JJ)
+
+
 class TestAnnotateMath:
     def test_multi_identifier_formula_is_math(self):
         tagged = tag_text("see FORMULA_0 here.")
