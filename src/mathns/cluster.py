@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EpsNotBelowK, KTooLarge, TooManyDocuments
-from .simindex import COSINE, build_snn_graph
+from .simindex import BLOCK_CELLS, COSINE, build_snn_graph
 
 NOISE = -1
 
@@ -47,17 +47,14 @@ class ClusterAssignment:
 
     def compact(self) -> "ClusterAssignment":
         """Renumber non-noise labels to 0..C-1 by first appearance."""
-        mapping: dict[int, int] = {}
         labels = self.labels.copy()
-        for i, lab in enumerate(self.labels.tolist()):
-            if lab == NOISE:
-                continue
-            if lab not in mapping:
-                mapping[lab] = len(mapping)
-            labels[i] = mapping[lab]
+        kept = labels != NOISE
+        _, first, inverse = np.unique(labels[kept], return_index=True, return_inverse=True)
+        # a label's new number is the rank of its first appearance
+        labels[kept] = np.argsort(np.argsort(first))[inverse]
         return ClusterAssignment(
             labels=labels,
-            K=len(mapping),
+            K=len(first),
             inertia=self.inertia,
             inertia_trace=list(self.inertia_trace),
         )
@@ -216,14 +213,10 @@ def truncate_centroid(c: np.ndarray, policy) -> np.ndarray:
         if total_sq == 0.0:
             return out
         order = np.argsort(np.abs(v), kind="stable")  # smallest first
-        dropped = 0.0
+        # cumsum adds sequentially, so each running total is the loop's own
+        dropped = np.cumsum(v[order] * v[order])
         budget = (1.0 - policy.f**2) * total_sq
-        for idx in order:
-            contribution = float(v[idx] * v[idx])
-            if dropped + contribution > budget:
-                break
-            dropped += contribution
-            out[idx] = 0.0
+        out[order[: np.searchsorted(dropped, budget, side="right")]] = 0.0
         return out
     raise TypeError(f"unknown truncation policy {policy!r}")
 
@@ -276,12 +269,11 @@ def snn_dbscan(
     measure: str = COSINE,
     eps: int = 3,
     minpts: int = 3,
-    union: bool = False,
 ) -> ClusterAssignment:
     """DBSCAN over shared-nearest-neighbor similarity."""
     if eps >= K:
         raise EpsNotBelowK(f"eps={eps} must be below K={K}")
-    graph = build_snn_graph(matrix, K, measure, union=union)
+    graph = build_snn_graph(matrix, K, measure)
     indptr, indices, data = graph.indptr, graph.indices, graph.data
 
     def region_query(p: int, threshold: float) -> list[int]:
@@ -308,10 +300,14 @@ def linkage_merges(X, linkage: str) -> list[tuple[int, int, float]]:
     else:
         X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    diff = X[:, None, :] - X[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    d = np.empty((n, n))
+    # blocks of rows keep the difference tensor near BLOCK_CELLS cells
+    rows = max(1, BLOCK_CELLS // max(n * X.shape[1], 1))
+    for s in range(0, n, rows):
+        diff = X[s : s + rows, None, :] - X[None, :, :]
+        d[s : s + rows] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     if linkage == WARD:
-        d = d * d
+        d *= d
     np.fill_diagonal(d, np.inf)
     inactive = np.zeros(n, dtype=bool)
     sizes = np.ones(n)

@@ -19,7 +19,7 @@ from .cluster import NOISE, ClusterAssignment
 from .errors import EmptyCluster
 
 
-def _category_of(doc_id: str, labels: Mapping[str, str]) -> str:
+def category_of(doc_id: str, labels: Mapping[str, str]) -> str:
     """Unlabeled documents count as their own unique category."""
     cat = labels.get(doc_id, "")
     return cat if cat else f"__unlabeled__{doc_id}"
@@ -32,7 +32,7 @@ def cluster_purity(members: Sequence[str], labels: Mapping[str, str]) -> tuple[f
     """
     if not members:
         raise EmptyCluster("purity of an empty cluster is undefined")
-    counts = Counter(_category_of(d, labels) for d in members)
+    counts = Counter(category_of(d, labels) for d in members)
     top = max(counts.values())
     category = min(c for c, k in counts.items() if k == top)
     return top / len(members), category
@@ -160,18 +160,18 @@ def count_pure_clusters(
     purity_threshold: float = 0.8,
     min_size: int = 3,
 ) -> int:
-    """Pure-cluster count of one flat assignment vector."""
-    members: dict[int, list[str]] = {}
-    for label, cat in zip(assignment_vector, categories):
-        members.setdefault(int(label), []).append(cat)
-    pure = 0
-    for cats in members.values():
-        if len(cats) < min_size:
-            continue
-        top = max(Counter(cats).values())
-        if top / len(cats) >= purity_threshold:
-            pure += 1
-    return pure
+    """Pure-cluster count of one flat assignment vector.
+
+    One sparse contingency table: the count of each (cluster, category)
+    pair present, its largest count per cluster, and the cluster sizes.
+    """
+    _, cluster = np.unique(np.asarray(assignment_vector, dtype=int), return_inverse=True)
+    names, category = np.unique(np.asarray(categories, dtype=str), return_inverse=True)
+    pairs, counts = np.unique(cluster * len(names) + category, return_counts=True)
+    sizes = np.bincount(cluster)
+    top = np.zeros_like(sizes)
+    np.maximum.at(top, pairs // len(names), counts)
+    return int(np.count_nonzero((sizes >= min_size) & (top / sizes >= purity_threshold)))
 
 
 def random_baseline(

@@ -152,14 +152,12 @@ class DocMatrix:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def row(self, i: int) -> np.ndarray:
-        return np.asarray(self.matrix.getrow(i).todense()).ravel()
-
     def drop_empty(self) -> "DocMatrix":
         """Remove all-zero rows; empty documents cannot be clustered."""
         if not self.empty_docs:
             return self
-        keep = [i for i, d in enumerate(self.doc_ids) if d not in set(self.empty_docs)]
+        empty = set(self.empty_docs)
+        keep = [i for i, d in enumerate(self.doc_ids) if d not in empty]
         return DocMatrix(
             doc_ids=tuple(self.doc_ids[i] for i in keep),
             vocab=self.vocab,

@@ -338,7 +338,6 @@ def _run_clustering(config: PipelineConfig, X, factors, K: Optional[int]):
             measure=opts.get("measure", simindex.COSINE),
             eps=int(opts.get("eps", 3)),
             minpts=int(opts.get("minpts", 3)),
-            union=bool(opts.get("snn_union", False)),
         )
     if algorithm == "dbscan":
         # Jaccard counts nonzero entries here, as simindex.jaccard does.
@@ -419,7 +418,7 @@ def stage_evaluate(config: PipelineConfig) -> None:
             best = (key, combo["id"], combo["file"])
     result = {"rows": rows, "selected": best[1]}
     if config.baseline:
-        categories = [labels.get(d, "") for d in doc_ids]
+        categories = [evaluate.category_of(d, labels) for d in doc_ids]
         summary = evaluate.random_baseline(
             len(doc_ids),
             categories,

@@ -202,29 +202,19 @@ def knn(matrix, i: int, K: int, measure: str = COSINE) -> NeighborList:
     return SimilarityIndex(matrix, measure).query(i, K)
 
 
-def snn_similarity(p: NeighborList, q: NeighborList, union: bool = False) -> int:
-    """Number of shared members between two K-neighbor lists.
-
-    ``union=True`` restores the literal union count for comparison;
-    with a fixed K that quantity is 2K minus the intersection.
-    """
+def snn_similarity(p: NeighborList, q: NeighborList) -> int:
+    """Number of shared members between two K-neighbor lists."""
     if len(p) != len(q):
         raise LengthMismatch(f"{len(p)} vs {len(q)}")
-    inter = len(p.ids() & q.ids())
-    if union:
-        return 2 * len(p) - inter
-    return inter
+    return len(p.ids() & q.ids())
 
 
-def build_snn_graph(
-    matrix, K: int, measure: str = COSINE, union: bool = False
-) -> sp.csr_matrix:
+def build_snn_graph(matrix, K: int, measure: str = COSINE) -> sp.csr_matrix:
     """Pairwise SNN similarity over precomputed kNN lists.
 
     Symmetric integer matrix ``N @ N.T``, where row p of the binary
     indicator ``N`` marks the K neighbors of p; its diagonal is K, the
     size of every list, and only pairs sharing a neighbor are stored.
-    ``union=True`` stores ``2K - intersection`` for every pair instead.
     """
     index = SimilarityIndex(matrix, measure)
     lists = index.all_neighbors(K)
@@ -234,7 +224,5 @@ def build_snn_graph(
         (np.ones(n * K, dtype=np.int32), ids, np.arange(n + 1) * K), shape=(n, n)
     )
     shared = indicator @ indicator.T
-    if union:
-        return sp.csr_matrix(2 * K - shared.toarray())
     shared.sort_indices()
     return shared

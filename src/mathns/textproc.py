@@ -10,10 +10,9 @@ ordered suffix rules, then OTHER.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .corpus import PLACEHOLDER_PREFIX, Identifier
 from .errors import UnknownPlaceholder, UnterminatedLink
@@ -38,8 +37,7 @@ VALID_TAGS = frozenset(
 _NOUNISH = frozenset({NN, NNS, NOUN_PHRASE})
 
 
-@dataclass(frozen=True)
-class TaggedToken:
+class TaggedToken(NamedTuple):
     text: str
     tag: str
     sentence_idx: int
@@ -173,11 +171,11 @@ def annotate_math(
                     raise UnknownPlaceholder(tok.text) from None
                 if len(ids) == 1:
                     ident = ids[0]
-                    row.append(replace(tok, text=ident.key, tag=ID, identifier=ident))
+                    row.append(tok._replace(text=ident.key, tag=ID, identifier=ident))
                 else:
-                    row.append(replace(tok, tag=MATH))
+                    row.append(tok._replace(tag=MATH))
             elif tok.text in doc_identifiers and tok.tag not in (LINK, NOUN_PHRASE):
-                row.append(replace(tok, tag=ID, identifier=doc_identifiers[tok.text]))
+                row.append(tok._replace(tag=ID, identifier=doc_identifiers[tok.text]))
             else:
                 row.append(tok)
         out.append(row)

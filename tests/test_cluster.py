@@ -1,17 +1,20 @@
 """K-Means, MiniBatch, DBSCAN, SNN-DBSCAN, agglomerative, truncation."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mathns import cluster
 from mathns.cluster import (
     NOISE,
     AVERAGE,
     COMPLETE,
     SINGLE,
     WARD,
+    ClusterAssignment,
     NormFraction,
     TopC,
     agglomerative,
@@ -137,14 +140,35 @@ class TestKmeans:
         )
 
 
+def loop_compact(labels: np.ndarray) -> tuple[list[int], int]:
+    """The dict renumbering loop that ``compact`` replaced; the exact reference."""
+    mapping: dict[int, int] = {}
+    out = labels.copy()
+    for i, lab in enumerate(labels.tolist()):
+        if lab == NOISE:
+            continue
+        if lab not in mapping:
+            mapping[lab] = len(mapping)
+        out[i] = mapping[lab]
+    return out.tolist(), len(mapping)
+
+
 class TestCompaction:
     def test_compact_removes_gaps(self):
-        from mathns.cluster import ClusterAssignment
-
         assignment = ClusterAssignment(labels=np.array([5, -1, 5, 9, 2]), K=10)
         compacted = assignment.compact()
         assert compacted.labels.tolist() == [0, -1, 0, 1, 2]
         assert compacted.K == 3
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 30))
+        labels = rng.integers(-1, int(rng.integers(1, 12)), size=n) * int(rng.integers(1, 4))
+        labels[labels < 0] = NOISE
+        compacted = ClusterAssignment(labels=labels, K=0, inertia=1.5).compact()
+        assert (compacted.labels.tolist(), compacted.K) == loop_compact(labels)
+        assert compacted.inertia == 1.5
 
 
 class TestMiniBatch:
@@ -175,7 +199,36 @@ class TestMiniBatch:
             minibatch_kmeans(np.zeros((3, 1)), 1, batch_size=10, iters=1, seed=0)
 
 
+def loop_norm_fraction(v: np.ndarray, f: float) -> np.ndarray:
+    """The drop loop that ``truncate_centroid(NormFraction)`` replaced."""
+    out = v.copy()
+    total_sq = float(np.sum(v * v))
+    if total_sq == 0.0:
+        return out
+    dropped = 0.0
+    budget = (1.0 - f**2) * total_sq
+    for idx in np.argsort(np.abs(v), kind="stable"):
+        contribution = float(v[idx] * v[idx])
+        if dropped + contribution > budget:
+            break
+        dropped += contribution
+        out[idx] = 0.0
+    return out
+
+
 class TestTruncateCentroid:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_norm_fraction_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 40))
+        v = rng.standard_normal(n) * (rng.uniform(size=n) < 0.6)
+        if seed % 2:
+            v = np.round(v * 2)  # integers: ties in |v| and exact running sums
+        for f in (0.1, 0.5, 0.6, 0.8, 0.9, 0.99, 1.0):
+            np.testing.assert_array_equal(
+                truncate_centroid(v, NormFraction(f)), loop_norm_fraction(v, f)
+            )
+
     def test_norm_fraction_one_is_identity(self):
         v = np.array([0.3, -0.2, 0.0, 0.9])
         np.testing.assert_array_equal(truncate_centroid(v, NormFraction(1.0)), v)
@@ -435,3 +488,22 @@ class TestLinkageMatchesLoop:
     def test_sparse_input(self, linkage):
         X = sp.random(30, 8, density=0.3, random_state=7, format="csr")
         assert linkage_merges(X, linkage) == loop_linkage_merges(X, linkage)
+
+    @pytest.mark.parametrize("linkage", [SINGLE, COMPLETE, AVERAGE, WARD])
+    @pytest.mark.parametrize("d", [1, 3, 12, 106])
+    def test_row_blocks(self, linkage, d, monkeypatch):
+        """Distances built a few rows at a time equal the full tensor's."""
+        monkeypatch.setattr(cluster, "BLOCK_CELLS", 3 * 25 * d + 1)
+        X = np.random.default_rng(d).standard_normal((25, d))
+        assert linkage_merges(X, linkage) == loop_linkage_merges(X, linkage)
+
+    def test_memory_below_difference_tensor(self):
+        n, d = 200, 100
+        X = np.random.default_rng(0).standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            linkage_merges(X, WARD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * d * 8 / 8

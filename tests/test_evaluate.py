@@ -1,6 +1,7 @@
 """Purity, namespace-defining selection, random baseline."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -108,7 +109,36 @@ class TestNamespaceDefining:
         assert chosen == [1, 0]
 
 
+def loop_count_pure_clusters(vector, categories, purity_threshold=0.8, min_size=3) -> int:
+    """The dict and Counter loop that ``count_pure_clusters`` replaced."""
+    members: dict[int, list[str]] = {}
+    for label, cat in zip(vector, categories):
+        members.setdefault(int(label), []).append(cat)
+    pure = 0
+    for cats in members.values():
+        if len(cats) < min_size:
+            continue
+        top = max(Counter(cats).values())
+        if top / len(cats) >= purity_threshold:
+            pure += 1
+    return pure
+
+
 class TestRandomBaseline:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_count_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 60))
+        vector = rng.integers(-1, int(rng.integers(1, 15)), size=n) * 7
+        pool = ["a", "b", "", "a b", "ab"][: int(rng.integers(1, 6))]
+        categories = [pool[k] for k in rng.integers(0, len(pool), size=n)]
+        if seed % 2:  # unlabeled documents as their own categories
+            categories = [c or f"__unlabeled__{i}" for i, c in enumerate(categories)]
+        for threshold, min_size in ((0.8, 3), (0.5, 1), (2 / 3, 3), (1.0, 2)):
+            assert count_pure_clusters(vector, categories, threshold, min_size) == (
+                loop_count_pure_clusters(vector, categories, threshold, min_size)
+            )
+
     def test_all_same_category(self):
         n = 9
         summary = random_baseline(n, ["a"] * n, trials=20, seed=0)

@@ -1,13 +1,18 @@
 """Pipeline stages, artifacts, CLI behavior."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from mathns.cli import main
 from mathns.errors import ConfigError
 from mathns.pipeline import STAGES, PipelineConfig, run_pipeline
+
+from conftest import REPO
 
 ARTIFACTS = (
     "stats.json",
@@ -100,7 +105,36 @@ class TestGridMode:
         assert [row["K"] for row in purity["rows"]] == [4, 5, 6]
 
 
+class TestBaselineCategories:
+    def test_unlabeled_documents_are_their_own_categories(self, tmp_path, toy_config_path):
+        """A labels file that omits documents: each omitted one is a category
+        of its own for the random baseline, as it is for the purity report."""
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("doc01\tClassical mechanics\ndoc02\tClassical mechanics\n")
+        raw = json.loads(toy_config_path.read_text())
+        raw["corpus"] = str(toy_config_path.parent / raw["corpus"])
+        raw["hierarchy"] = str(toy_config_path.parent / raw["hierarchy"])
+        raw["labels"] = str(labels)
+        cfg = tmp_path / "labels.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig.load(cfg, out=out))
+        purity = json.loads((out / "purity.json").read_text())
+        # a pure cluster of 3 needs 3 documents of one category; only 2 share one
+        assert [row["n_pure"] for row in purity["rows"]] == [0]
+        assert purity["baseline"]["max"] == 0
+
+
 class TestCli:
+    def test_import_loads_no_optional_scipy_modules(self):
+        heavy = ("scipy.io", "scipy.sparse.csgraph", "scipy.spatial", "scipy.cluster")
+        code = f"import sys, mathns.cli; print([m for m in sys.modules if m.startswith({heavy})])"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
     def test_missing_corpus_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"corpus": "missing.jsonl", "seed": 3}))

@@ -187,11 +187,6 @@ class TestSnn:
         with pytest.raises(LengthMismatch):
             snn_similarity(self.nl(0, [1]), self.nl(2, [1, 3]))
 
-    def test_union_variant(self):
-        p = self.nl(0, [1, 2, 3])
-        q = self.nl(4, [2, 3, 5])
-        assert snn_similarity(p, q, union=True) == 2 * 3 - 2
-
     @given(st.integers(0, 2**32 - 1))
     def test_bounded_by_k(self, seed):
         rng = np.random.default_rng(seed)
@@ -316,19 +311,11 @@ def loop_query(index: SimilarityIndex, i: int, K: int) -> NeighborList:
     return NeighborList(owner=i, neighbors=tuple(chosen))
 
 
-def loop_snn_graph(matrix, K: int, measure: str, union: bool = False) -> sp.csr_matrix:
-    """Dict pair-inversion (intersection) or dense pair loop (union)."""
+def loop_snn_graph(matrix, K: int, measure: str) -> sp.csr_matrix:
+    """Dict pair-inversion over the brute-force kNN lists."""
     index = SimilarityIndex(matrix, measure)
     lists = [loop_query(index, i, K) for i in range(index.n_docs)]
     n = index.n_docs
-    if union:
-        dense = np.zeros((n, n), dtype=np.int32)
-        for p in range(n):
-            for q in range(n):
-                dense[p, q] = (
-                    K if p == q else snn_similarity(lists[p], lists[q], union=True)
-                )
-        return sp.csr_matrix(dense)
     listers: dict = {}
     for nl in lists:
         for x in nl.ids():
@@ -445,23 +432,25 @@ class TestKernelMatchesLoops:
 
 
 class TestSnnGraphMatchesLoops:
-    @pytest.mark.parametrize("union", [False, True])
+    @pytest.mark.parametrize("split", [False, True])
     @pytest.mark.parametrize("measure", MEASURE_LIST)
     @pytest.mark.parametrize("kind", KERNEL_CASES)
-    def test_graph(self, union, measure, kind, small_blocks):
+    def test_graph(self, split, measure, kind, request):
+        """All 24 rows in one kernel block, or (split) in blocks of three."""
+        if split:
+            request.getfixturevalue("small_blocks")
         X = kernel_case(kind, 11)
         for K in (1, 4, 23):
-            got = build_snn_graph(X, K, measure, union=union)
-            expected = loop_snn_graph(X, K, measure, union=union)
+            got = build_snn_graph(X, K, measure)
+            expected = loop_snn_graph(X, K, measure)
             assert got.dtype == expected.dtype and got.shape == expected.shape
             np.testing.assert_array_equal(got.indptr, expected.indptr)
             np.testing.assert_array_equal(got.indices, expected.indices)
             np.testing.assert_array_equal(got.data, expected.data)
 
-    @pytest.mark.parametrize("union", [False, True])
-    def test_snn_dbscan_labels(self, union):
+    def test_snn_dbscan_labels(self):
         X = kernel_case("sparse", 4, n=40)
-        graph = loop_snn_graph(X, 6, COSINE, union=union)
+        graph = loop_snn_graph(X, 6, COSINE)
         eps = 2
 
         def getrow_query(p, threshold):
@@ -469,7 +458,7 @@ class TestSnnGraphMatchesLoops:
             return [int(q) for q, v in zip(row.indices, row.data) if v >= threshold and q != p]
 
         expected = dbscan(getrow_query, 40, eps, 3)
-        got = snn_dbscan(X, K=6, eps=eps, minpts=3, union=union)
+        got = snn_dbscan(X, K=6, eps=eps, minpts=3)
         np.testing.assert_array_equal(got.labels, expected.labels)
         assert got.K == expected.K
 
