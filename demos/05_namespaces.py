@@ -52,7 +52,7 @@ def main():
     print("\nafter fuzzy grouping (near-duplicates pooled):")
     for ident, groups in grouped.items():
         for g in groups:
-            print(f"  {ident}: {set(g.members)} -> {g.score:.2f}")
+            print(f"  {ident}: {sorted(g.members)} -> {g.score:.2f}")
 
     print("\ntanh(x/2) keeps scores comparable on [0, 1):")
     for raw in (0.86, 1.91, 2.84):

@@ -124,10 +124,7 @@ def kmeans(
             for j in range(K):
                 members = np.flatnonzero(labels == j)
                 if len(members):
-                    if sp.issparse(X):
-                        centers[j] = np.asarray(X[members].mean(axis=0)).ravel()
-                    else:
-                        centers[j] = X[members].mean(axis=0)
+                    centers[j] = np.asarray(X[members].mean(axis=0)).ravel()
                 else:
                     # farthest point from the emptied centroid's previous position
                     order = np.argsort(-d2[:, j], kind="stable")

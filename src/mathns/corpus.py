@@ -389,12 +389,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.documents)
 
-    def get(self, doc_id: str) -> Document:
-        for doc in self.documents:
-            if doc.doc_id == doc_id:
-                return doc
-        raise KeyError(doc_id)
-
     def identifier_counts(self, doc_id: str) -> Counter:
         """Occurrence counts of identifier keys in one document."""
         counts: Counter = Counter()

@@ -95,12 +95,8 @@ class NmfFactors:
 
 def _frobenius_error(A, U: np.ndarray, V: np.ndarray) -> float:
     # ||A - U V^T||_F computed without densifying A
-    if sp.issparse(A):
-        a_sq = float(A.multiply(A).sum())
-        cross = float(np.sum((A.T @ U) * V))
-    else:
-        a_sq = float(np.sum(A * A))
-        cross = float(np.sum((A.T @ U) * V))
+    a_sq = float(A.multiply(A).sum()) if sp.issparse(A) else float(np.sum(A * A))
+    cross = float(np.sum((A.T @ U) * V))
     gram = float(np.sum((U.T @ U) * (V.T @ V)))
     return max(a_sq - 2.0 * cross + gram, 0.0) ** 0.5
 

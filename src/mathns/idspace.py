@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from .corpus import Corpus
 from .errors import EmptyVocabulary, WeightDomainError
 from .extraction import Relation
-from .stemming import Stemmer, definition_tokens, strip_plural
+from .stemming import definition_tokens
 
 IDENTIFIERS_ONLY = "identifiers"
 WEAK = "weak"
@@ -92,7 +92,6 @@ def doc_features(
     doc_id: str,
     doc_relations: Sequence[Relation],
     mode: str,
-    stemmer: Stemmer = strip_plural,
 ) -> Counter:
     """Feature counts of one document under an association mode."""
     features: Counter = Counter()
@@ -100,12 +99,12 @@ def doc_features(
         features.update(corpus.identifier_counts(doc_id))
     if mode == WEAK:
         for rel in doc_relations:
-            features.update(definition_tokens(rel.definition, stemmer))
+            features.update(definition_tokens(rel.definition))
     elif mode == STRONG:
         for rel in doc_relations:
             key = rel.identifier.key
             features.update(
-                f"{key}_{tok}" for tok in definition_tokens(rel.definition, stemmer)
+                f"{key}_{tok}" for tok in definition_tokens(rel.definition)
             )
     elif mode != IDENTIFIERS_ONLY:
         raise ValueError(f"unknown association mode {mode!r}")
@@ -117,15 +116,12 @@ def build_vocabulary(
     corpus: Corpus,
     mode: str = IDENTIFIERS_ONLY,
     min_df: int = 2,
-    stemmer: Stemmer = strip_plural,
 ) -> Vocabulary:
     """Collect dimensions over the corpus, dropping df < min_df."""
     grouped = _relations_by_doc(relations)
     df: Counter = Counter()
     for doc in corpus.documents:
-        features = doc_features(
-            corpus, doc.doc_id, grouped.get(doc.doc_id, []), mode, stemmer
-        )
+        features = doc_features(corpus, doc.doc_id, grouped.get(doc.doc_id, []), mode)
         df.update(features.keys())
     dims = tuple(sorted(dim for dim, count in df.items() if count >= min_df))
     if not dims:
@@ -183,7 +179,6 @@ def vectorize(
     vocab: Vocabulary,
     weighting: str = TFIDF,
     normalize: bool = True,
-    stemmer: Stemmer = strip_plural,
 ) -> DocMatrix:
     """Weight the corpus into a sparse matrix over the vocabulary.
 
@@ -199,9 +194,7 @@ def vectorize(
     empty: list[str] = []
     doc_ids = tuple(doc.doc_id for doc in corpus.documents)
     for doc in corpus.documents:
-        features = doc_features(
-            corpus, doc.doc_id, grouped.get(doc.doc_id, []), vocab.mode, stemmer
-        )
+        features = doc_features(corpus, doc.doc_id, grouped.get(doc.doc_id, []), vocab.mode)
         cols = sorted(
             (vocab.index[dim], count)
             for dim, count in features.items()

@@ -17,7 +17,7 @@ from .corpus import Identifier
 from .errors import EmptyScheme, NoRelationsInCluster
 from .evaluate import cluster_purity
 from .extraction import Relation
-from .stemming import Stemmer, definition_tokens, strip_plural
+from .stemming import definition_tokens
 
 OTHERS = "OTHERS"
 
@@ -75,14 +75,14 @@ def _token_set_pairs(a: str, b: str, ta: frozenset, tb: frozenset) -> list[tuple
     return [(s0, s1), (s0, s2), (s1, s2)]
 
 
-def token_set_ratio(a: str, b: str, stemmer: Stemmer = strip_plural) -> float:
+def token_set_ratio(a: str, b: str) -> float:
     """Fuzzy similarity over stemmed, token-sorted strings.
 
     Shared tokens are factored out so that a phrase fully contained in
     another ("variance" vs "population variance") scores 1.0.
     """
-    ta = frozenset(definition_tokens(a, stemmer))
-    tb = frozenset(definition_tokens(b, stemmer))
+    ta = frozenset(definition_tokens(a))
+    tb = frozenset(definition_tokens(b))
     return max(levenshtein_ratio(x, y) for x, y in _token_set_pairs(a, b, ta, tb))
 
 
@@ -114,7 +114,6 @@ class DefinitionGroup:
 def merge_fuzzy(
     merged: Mapping[str, list[tuple[str, float]]],
     ratio_threshold: float = 0.85,
-    stemmer: Stemmer = strip_plural,
 ) -> dict[str, list[DefinitionGroup]]:
     """Group near-duplicate definitions of each identifier.
 
@@ -135,7 +134,7 @@ def merge_fuzzy(
         n = len(defs)
         parent = list(range(n))
         for d in {d for d, _ in defs} - tokens.keys():
-            tokens[d] = frozenset(definition_tokens(d, stemmer))
+            tokens[d] = frozenset(definition_tokens(d))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -217,7 +216,6 @@ def build_namespace(
     labels: Mapping[str, str],
     fuzzy_threshold: float = 0.85,
     cluster_id: int = 0,
-    stemmer: Stemmer = strip_plural,
 ) -> Namespace:
     """Exact merge, fuzzy merge, per-identifier argmax, squash, name.
 
@@ -233,7 +231,7 @@ def build_namespace(
     identifiers: dict[str, Identifier] = {}
     for rel in cluster_relations:
         identifiers.setdefault(rel.identifier.key, rel.identifier)
-    grouped = merge_fuzzy(merge_exact(cluster_relations), fuzzy_threshold, stemmer)
+    grouped = merge_fuzzy(merge_exact(cluster_relations), fuzzy_threshold)
     entries = []
     for key in sorted(grouped):
         groups = grouped[key]
@@ -268,15 +266,15 @@ class HierarchyScheme:
     categories: list[HierarchyCategory]
 
     @classmethod
-    def from_records(cls, records: Iterable[dict], stemmer: Stemmer = strip_plural):
+    def from_records(cls, records: Iterable[dict]):
         categories = []
         for rec in records:
             keywords = set()
             for kw in rec.get("keywords", []):
-                keywords.update(definition_tokens(kw, stemmer))
+                keywords.update(definition_tokens(kw))
             # the category names themselves contribute keywords
-            keywords.update(definition_tokens(rec["top"], stemmer))
-            keywords.update(definition_tokens(rec["second"], stemmer))
+            keywords.update(definition_tokens(rec["top"]))
+            keywords.update(definition_tokens(rec["second"]))
             categories.append(
                 HierarchyCategory(
                     top=rec["top"], second=rec["second"], keywords=frozenset(keywords)
@@ -285,11 +283,11 @@ class HierarchyScheme:
         return cls(categories)
 
     @classmethod
-    def load(cls, path: str | Path, stemmer: Stemmer = strip_plural):
+    def load(cls, path: str | Path):
         import json
 
         records = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_records(records, stemmer)
+        return cls.from_records(records)
 
 
 @dataclass(frozen=True)
@@ -308,15 +306,14 @@ def namespace_keywords(
     ns: Namespace,
     labels: Mapping[str, str],
     titles: Mapping[str, str] | None = None,
-    stemmer: Stemmer = strip_plural,
 ) -> frozenset[str]:
     """Stemmed keywords of a namespace: its name, member categories and
     member document titles (when the corpus has them)."""
-    words = set(definition_tokens(ns.name, stemmer))
+    words = set(definition_tokens(ns.name))
     for doc_id in ns.doc_ids:
-        words.update(definition_tokens(labels.get(doc_id, ""), stemmer))
+        words.update(definition_tokens(labels.get(doc_id, "")))
         if titles is not None:
-            words.update(definition_tokens(titles.get(doc_id, ""), stemmer))
+            words.update(definition_tokens(titles.get(doc_id, "")))
     return frozenset(words)
 
 
@@ -327,7 +324,6 @@ def map_to_hierarchy(
     titles: Mapping[str, str] | None = None,
     min_cos: float = 0.2,
     min_matches: int = 2,
-    stemmer: Stemmer = strip_plural,
 ) -> HierarchyAssignment:
     """Keyword-cosine mapping of a namespace onto the category scheme.
 
@@ -338,7 +334,7 @@ def map_to_hierarchy(
     """
     if not scheme.categories:
         raise EmptyScheme("hierarchy scheme has no categories")
-    ns_words = namespace_keywords(ns, labels, titles, stemmer)
+    ns_words = namespace_keywords(ns, labels, titles)
     best: Optional[HierarchyAssignment] = None
     for cat in scheme.categories:
         overlap = len(ns_words & cat.keywords)

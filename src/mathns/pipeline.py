@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -22,15 +22,88 @@ from . import decompose, evaluate, idspace, simindex
 from .corpus import Corpus, Identifier, StopLists, corpus_stats, default_stop_lists
 from .corpus import drop_sparse_documents, load_corpus, load_stop_list
 from .errors import ConfigError, StageError
-from .extraction import RankerParams, Relation, extract_relations, prepare_corpus
+from .extraction import NEAREST_NOUN, PATTERN, RANKER, RankerParams, Relation
+from .extraction import extract_relations, prepare_corpus
 from .namespaces import HierarchyScheme, build_namespace, map_to_hierarchy
 from .textproc import Lexicon
 
 STAGES = ("stats", "extract", "vectorize", "cluster", "evaluate", "namespaces")
 
 
+_REQUIRED = object()  # an option with no default
+_GRID_AXES = ("K", "k")  # a list runs one grid combo per value
+
+# Every option of a config section and its default, per value of the
+# key that selects the section's option set.  A key outside the
+# selected set is an error, and a number is coerced to its default's type.
+_SECTIONS = {
+    # section: (selector, its default, {selector value: {option: default}})
+    "extraction": ("method", RANKER, {
+        RANKER: {f.name: f.default for f in fields(RankerParams)},
+        PATTERN: {},
+        NEAREST_NOUN: {},
+    }),
+    "reduction": ("kind", "none", {
+        "none": {},
+        "svd": {"k": _REQUIRED},
+        "nmf": {"k": _REQUIRED, "max_iters": 200, "tol": 1e-4},
+    }),
+    "clustering": ("algorithm", "kmeans", {
+        "kmeans": {"K": 5, "max_iter": 300, "n_restarts": 1},
+        "minibatch_kmeans": {"K": 5, "batch_size": 1024, "iters": 100},
+        "agglomerative": {"K": 5, "linkage": clustering.WARD, "max_points": 1000},
+        "snn_dbscan": {"neighbors": 10, "measure": simindex.COSINE, "eps": 3, "minpts": 3},
+        "dbscan": {"measure": simindex.COSINE, "eps": 0.5, "minpts": 3},
+        "nmf_direct": {},
+    }),
+    "baseline": (None, None, {None: {"cluster_size": 3, "trials": 200}}),
+}
+# path keys of the JSON file and the fields they set
+_PATH_KEYS = {"corpus": "corpus_path", "symbol_stop": "symbol_stop",
+              "definition_stop": "definition_stop", "lexicon": "lexicon_path",
+              "suffix_rules": "suffix_rules_path", "labels": "labels_path",
+              "hierarchy": "hierarchy_path"}
+
+
+def _number(section: str, key: str, value, kind: type):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {key!r} must be a number: {exc}") from exc
+
+
+def _check_section(section: str, given) -> dict:
+    """``given`` with every option of its selected set filled in."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{section}: expected an object, got {given!r}")
+    selector, default_choice, option_sets = _SECTIONS[section]
+    choice = given.get(selector, default_choice)
+    try:
+        options = option_sets[choice]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise ConfigError(f"{section}: unknown {selector} {choice!r}") from None
+    unread = sorted(given.keys() - options.keys() - {selector})
+    if unread:
+        key = unread[0]
+        if any(key in other for other in option_sets.values()):
+            raise ConfigError(f"{section}: {selector} {choice!r} does not read {key!r}")
+        raise ConfigError(f"{section}: unknown key {key!r}")
+    filled = {} if selector is None else {selector: choice}
+    for key, default in options.items():
+        value = given.get(key, default)
+        if default is _REQUIRED and given.get(key) is None:
+            raise ConfigError(f"{section}: {selector} {choice!r} needs {key!r}")
+        if isinstance(default, (int, float)) and key not in _GRID_AXES:
+            value = _number(section, key, value, type(default))
+        filled[key] = value
+    return filled
+
+
 @dataclass
 class PipelineConfig:
+    """Every top-level option and its default.  Construction checks each
+    section against ``_SECTIONS`` and fills in its defaults."""
+
     corpus_path: Path
     seed: int
     output_dir: Path
@@ -45,14 +118,37 @@ class PipelineConfig:
     weighting: str = idspace.TFIDF
     min_df: int = 2
     min_identifier_occurrences: int = 2
-    reduction: dict = field(default_factory=lambda: {"kind": "none"})
-    clustering: dict = field(default_factory=lambda: {"algorithm": "kmeans", "K": 5})
+    reduction: dict = field(default_factory=dict)
+    clustering: dict = field(default_factory=dict)
     purity_threshold: float = 0.8
     min_cluster_size: int = 3
     fuzzy_threshold: float = 0.85
     hierarchy_min_cos: float = 0.2
     hierarchy_min_matches: int = 2
-    baseline: Optional[dict] = None
+    baseline: Optional[dict] = None  # empty or absent: no random baseline
+    ranker_params: Optional[RankerParams] = field(init=False, default=None)
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type in ("int", "float"):
+                kind = int if f.type == "int" else float
+                setattr(self, f.name, _number("config", f.name, getattr(self, f.name), kind))
+        if self.association not in idspace.MODES:
+            raise ConfigError(f"config: unknown association mode {self.association!r}")
+        if self.weighting not in idspace.WEIGHTINGS:
+            raise ConfigError(f"config: unknown weighting {self.weighting!r}")
+        self.extraction = _check_section("extraction", self.extraction)
+        self.reduction = _check_section("reduction", self.reduction)
+        self.clustering = _check_section("clustering", self.clustering)
+        self.baseline = _check_section("baseline", self.baseline) if self.baseline else None
+        if self.clustering["algorithm"] == "nmf_direct" and self.reduction["kind"] != "nmf":
+            raise ConfigError("clustering: algorithm 'nmf_direct' needs reduction kind 'nmf'")
+        if self.extraction["method"] == RANKER:
+            weights = {k: v for k, v in self.extraction.items() if k != "method"}
+            try:
+                self.ranker_params = RankerParams(**weights)
+            except ValueError as exc:
+                raise ConfigError(f"extraction: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path, seed: int | None = None, out: str | Path | None = None):
@@ -64,53 +160,29 @@ class PipelineConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
         base = path.parent
-
-        def resolve(key: str, required: bool = False) -> Optional[Path]:
-            value = raw.get(key)
-            if value is None:
-                if required:
-                    raise ConfigError(f"config field {key!r} is required")
-                return None
-            p = (base / value).resolve() if not Path(value).is_absolute() else Path(value)
-            if not p.exists():
-                raise ConfigError(f"{key} path does not exist: {p}")
-            return p
-
+        paths = {}
+        for key, name in _PATH_KEYS.items():
+            if (value := raw.get(key)) is not None:
+                p = (base / value).resolve() if not Path(value).is_absolute() else Path(value)
+                if not p.exists():
+                    raise ConfigError(f"{key} path does not exist: {p}")
+                paths[name] = p
+        if "corpus_path" not in paths:
+            raise ConfigError("config field 'corpus' is required")
         if seed is None:
-            if "seed" not in raw:
+            if raw.get("seed") is None:
                 raise ConfigError("config field 'seed' is required for reproducibility")
-            seed = int(raw["seed"])
+            seed = raw["seed"]
         out_dir = Path(out) if out is not None else base / raw.get("output_dir", "out")
-        cfg = cls(
-            corpus_path=resolve("corpus", required=True),
-            seed=seed,
-            output_dir=out_dir,
-            symbol_stop=resolve("symbol_stop"),
-            definition_stop=resolve("definition_stop"),
-            lexicon_path=resolve("lexicon"),
-            suffix_rules_path=resolve("suffix_rules"),
-            labels_path=resolve("labels"),
-            hierarchy_path=resolve("hierarchy"),
-            extraction=dict(raw.get("extraction", {})),
-            association=raw.get("association", idspace.WEAK),
-            weighting=raw.get("weighting", idspace.TFIDF),
-            min_df=int(raw.get("min_df", 2)),
-            min_identifier_occurrences=int(raw.get("min_identifier_occurrences", 2)),
-            reduction=dict(raw.get("reduction", {"kind": "none"})),
-            clustering=dict(raw.get("clustering", {"algorithm": "kmeans", "K": 5})),
-            purity_threshold=float(raw.get("purity_threshold", 0.8)),
-            min_cluster_size=int(raw.get("min_cluster_size", 3)),
-            fuzzy_threshold=float(raw.get("fuzzy_threshold", 0.85)),
-            hierarchy_min_cos=float(raw.get("hierarchy_min_cos", 0.2)),
-            hierarchy_min_matches=int(raw.get("hierarchy_min_matches", 2)),
-            baseline=raw.get("baseline"),
-        )
-        if cfg.association not in idspace.MODES:
-            raise ConfigError(f"unknown association mode {cfg.association!r}")
-        if cfg.weighting not in idspace.WEIGHTINGS:
-            raise ConfigError(f"unknown weighting {cfg.weighting!r}")
-        return cfg
+        options = {k: v for k, v in raw.items() if k not in {*_PATH_KEYS, "seed", "output_dir"}}
+        settable = {f.name for f in fields(cls) if f.init} - set(_PATH_KEYS.values())
+        unknown = sorted(options.keys() - settable)
+        if unknown:
+            raise ConfigError(f"config: unknown key {unknown[0]!r}")
+        return cls(**paths, seed=seed, output_dir=out_dir, **options)
 
     def stop_lists(self) -> StopLists:
         stops = default_stop_lists()
@@ -128,13 +200,6 @@ class PipelineConfig:
                 self.suffix_rules_path or data / "suffix_rules.tsv",
             )
         return Lexicon.default()
-
-    def ranker_params(self) -> RankerParams:
-        opts = {k: v for k, v in self.extraction.items() if k != "method"}
-        return RankerParams(**opts)
-
-    def extraction_method(self) -> str:
-        return self.extraction.get("method", "ranker")
 
 
 def _dump_json(path: Path, obj) -> None:
@@ -155,14 +220,10 @@ def _labels(config: PipelineConfig, corpus: Corpus) -> dict[str, str]:
 def _extract_all(config: PipelineConfig, corpus: Corpus) -> list[Relation]:
     lexicon = config.lexicon()
     stops = config.stop_lists()
-    prepared = prepare_corpus(corpus, lexicon)
+    method = config.extraction["method"]
     relations: list[Relation] = []
-    method = config.extraction_method()
-    params = config.ranker_params() if method == "ranker" else None
-    for doc in prepared:
-        relations.extend(
-            extract_relations(doc, method, params, stops.definition_stop)
-        )
+    for doc in prepare_corpus(corpus, lexicon):
+        relations.extend(extract_relations(doc, method, config.ranker_params, stops.definition_stop))
     return relations
 
 
@@ -270,13 +331,15 @@ def _read_matrix(config: PipelineConfig) -> idspace.DocMatrix:
 
 
 def _grid(config: PipelineConfig) -> list[dict]:
-    """Expand list-valued K / k into a list of parameter combos."""
-    ks = config.clustering.get("K")
-    ranks = config.reduction.get("k")
-    k_values = ks if isinstance(ks, list) else [ks]
-    rank_values = ranks if isinstance(ranks, list) else [ranks]
+    """Expand list-valued K / k into a list of parameter combos; an
+    algorithm or kind that reads no K or k gives it the one value None."""
+
+    def axis(opts: dict, key: str) -> list:
+        values = opts[key] if key in opts else None
+        return values if isinstance(values, list) else [values]
+
     combos = []
-    for K, k in itertools.product(k_values, rank_values):
+    for K, k in itertools.product(axis(config.clustering, "K"), axis(config.reduction, "k")):
         name_parts = []
         if K is not None:
             name_parts.append(f"K{K}")
@@ -287,71 +350,45 @@ def _grid(config: PipelineConfig) -> list[dict]:
 
 
 def _embed(config: PipelineConfig, dm: idspace.DocMatrix, rank: Optional[int]):
-    kind = config.reduction.get("kind", "none")
-    if kind == "none" or rank is None:
+    opts = config.reduction
+    if opts["kind"] == "none":
         return dm.matrix, None
-    if kind == "svd":
+    if opts["kind"] == "svd":
         return decompose.lsa_embed(dm.matrix, rank, seed=config.seed), None
-    if kind == "nmf":
-        factors = decompose.nmf(
-            dm.matrix.T,
-            rank,
-            max_iters=int(config.reduction.get("max_iters", 200)),
-            tol=float(config.reduction.get("tol", 1e-4)),
-            seed=config.seed,
-        )
-        return factors.V, factors
-    raise ConfigError(f"unknown reduction kind {kind!r}")
+    factors = decompose.nmf(
+        dm.matrix.T, rank, max_iters=opts["max_iters"], tol=opts["tol"], seed=config.seed
+    )
+    return factors.V, factors
 
 
 def _run_clustering(config: PipelineConfig, X, factors, K: Optional[int]):
     opts = config.clustering
-    algorithm = opts.get("algorithm", "kmeans")
+    algorithm = opts["algorithm"]
     if algorithm == "kmeans":
         return clustering.kmeans(
-            X,
-            int(K),
-            seed=config.seed,
-            max_iter=int(opts.get("max_iter", 300)),
-            n_restarts=int(opts.get("n_restarts", 1)),
+            X, int(K), seed=config.seed, max_iter=opts["max_iter"], n_restarts=opts["n_restarts"]
         )
     if algorithm == "minibatch_kmeans":
-        n = X.shape[0]
         return clustering.minibatch_kmeans(
             X,
             int(K),
-            batch_size=min(int(opts.get("batch_size", 1024)), n),
-            iters=int(opts.get("iters", 100)),
+            batch_size=min(opts["batch_size"], X.shape[0]),
+            iters=opts["iters"],
             seed=config.seed,
         )
     if algorithm == "agglomerative":
-        return clustering.agglomerative(
-            X,
-            opts.get("linkage", clustering.WARD),
-            int(K),
-            max_points=int(opts.get("max_points", 1000)),
-        )
+        return clustering.agglomerative(X, opts["linkage"], int(K), max_points=opts["max_points"])
     if algorithm == "snn_dbscan":
         return clustering.snn_dbscan(
-            X,
-            K=int(opts.get("neighbors", 10)),
-            measure=opts.get("measure", simindex.COSINE),
-            eps=int(opts.get("eps", 3)),
-            minpts=int(opts.get("minpts", 3)),
+            X, K=opts["neighbors"], measure=opts["measure"], eps=opts["eps"], minpts=opts["minpts"]
         )
     if algorithm == "dbscan":
         # Jaccard counts nonzero entries here, as simindex.jaccard does.
         csr = sp.csr_matrix(X, copy=True)
         csr.eliminate_zeros()
-        index = simindex.SimilarityIndex(csr, opts.get("measure", simindex.COSINE))
-        return clustering.dbscan(
-            index.within, index.n_docs, float(opts.get("eps", 0.5)), int(opts.get("minpts", 3))
-        )
-    if algorithm == "nmf_direct":
-        if factors is None:
-            raise ConfigError("nmf_direct clustering requires reduction kind 'nmf'")
-        return decompose.nmf_assign(factors)
-    raise ConfigError(f"unknown clustering algorithm {algorithm!r}")
+        index = simindex.SimilarityIndex(csr, opts["measure"])
+        return clustering.dbscan(index.within, index.n_docs, opts["eps"], opts["minpts"])
+    return decompose.nmf_assign(factors)  # nmf_direct
 
 
 def _write_assignment(path: Path, doc_ids, labels) -> None:
@@ -381,7 +418,7 @@ def stage_cluster(config: PipelineConfig) -> None:
     _dump_json(config.output_dir / "grid.json", {"combos": manifest})
 
 
-def _read_assignment(path: Path) -> tuple[list[str], np.ndarray]:
+def _read_assignment(path: Path) -> tuple[list[str], clustering.ClusterAssignment]:
     doc_ids, labels = [], []
     for line in path.read_text(encoding="utf-8").splitlines():
         if not line.strip():
@@ -389,7 +426,8 @@ def _read_assignment(path: Path) -> tuple[list[str], np.ndarray]:
         doc_id, _, label = line.partition("\t")
         doc_ids.append(doc_id)
         labels.append(int(label))
-    return doc_ids, np.array(labels, dtype=int)
+    labels = np.array(labels, dtype=int)
+    return doc_ids, clustering.ClusterAssignment(labels=labels, K=int(labels.max()) + 1)
 
 
 def stage_evaluate(config: PipelineConfig) -> None:
@@ -399,10 +437,7 @@ def stage_evaluate(config: PipelineConfig) -> None:
     rows = []
     best = None
     for combo in grid["combos"]:
-        doc_ids, assignment_labels = _read_assignment(config.output_dir / combo["file"])
-        assignment = clustering.ClusterAssignment(
-            labels=assignment_labels, K=int(assignment_labels.max()) + 1
-        )
+        doc_ids, assignment = _read_assignment(config.output_dir / combo["file"])
         report = evaluate.purity_report(
             assignment,
             doc_ids,
@@ -422,8 +457,8 @@ def stage_evaluate(config: PipelineConfig) -> None:
         summary = evaluate.random_baseline(
             len(doc_ids),
             categories,
-            cluster_size=int(config.baseline.get("cluster_size", 3)),
-            trials=int(config.baseline.get("trials", 200)),
+            cluster_size=config.baseline["cluster_size"],
+            trials=config.baseline["trials"],
             seed=config.seed,
             purity_threshold=config.purity_threshold,
             min_size=config.min_cluster_size,
@@ -439,10 +474,7 @@ def stage_namespaces(config: PipelineConfig) -> None:
     labels = _labels(config, corpus)
     titles = {doc.doc_id: doc.title for doc in corpus.documents}
     relations = _read_relations(config)
-    doc_ids, assignment_labels = _read_assignment(config.output_dir / "assignment.tsv")
-    assignment = clustering.ClusterAssignment(
-        labels=assignment_labels, K=int(assignment_labels.max()) + 1
-    )
+    doc_ids, assignment = _read_assignment(config.output_dir / "assignment.tsv")
     chosen = evaluate.namespace_defining(
         assignment, doc_ids, labels, config.purity_threshold, config.min_cluster_size
     )

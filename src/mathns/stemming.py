@@ -1,18 +1,14 @@
 """Lightweight stemming and definition tokenization.
 
-The stemmer interface is a plain ``str -> str`` callable so heavier
-stemmers can be plugged in.  The shipped default only strips English
-plural suffixes; that is enough to collapse the token variability the
-vector space and the fuzzy merge care about (estimator/estimators,
-variable/variables) without mangling domain words.
+The one stemmer only strips English plural suffixes; that is enough to
+collapse the token variability the vector space and the fuzzy merge
+care about (estimator/estimators, variable/variables) without mangling
+domain words.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable
-
-Stemmer = Callable[[str], str]
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z]+)?", re.IGNORECASE)
 
@@ -29,7 +25,7 @@ _FUNCTION_WORDS = frozenset(
 
 
 def strip_plural(word: str) -> str:
-    """Default stemmer: lowercase and strip common plural endings."""
+    """Lowercase and strip common plural endings."""
     w = word.lower()
     if len(w) <= 3:
         return w
@@ -44,12 +40,7 @@ def strip_plural(word: str) -> str:
     return w
 
 
-def identity(word: str) -> str:
-    """No-op stemmer, useful to disable stemming entirely."""
-    return word.lower()
-
-
-def definition_tokens(text: str, stemmer: Stemmer = strip_plural) -> list[str]:
+def definition_tokens(text: str) -> list[str]:
     """Break a definition phrase into stemmed content tokens.
 
     Hyphenated words split ("maximum-likelihood" -> maximum, likelihood),
@@ -60,7 +51,7 @@ def definition_tokens(text: str, stemmer: Stemmer = strip_plural) -> list[str]:
         low = raw.lower()
         if low in _FUNCTION_WORDS:
             continue
-        stemmed = stemmer(low)
+        stemmed = strip_plural(low)
         if stemmed:
             out.append(stemmed)
     return out

@@ -25,7 +25,7 @@ from mathns.namespaces import (
     squash_score,
     token_set_ratio,
 )
-from mathns.stemming import definition_tokens, strip_plural
+from mathns.stemming import definition_tokens
 
 
 def rel(doc, base, definition, score, sub=None):
@@ -319,8 +319,8 @@ def oracle_ratio(a, b):
 
 
 def oracle_token_set_ratio(a, b):
-    ta = set(definition_tokens(a, strip_plural))
-    tb = set(definition_tokens(b, strip_plural))
+    ta = set(definition_tokens(a))
+    tb = set(definition_tokens(b))
     if not ta and not tb:
         return oracle_ratio(a.lower(), b.lower())
     inter = sorted(ta & tb)
