@@ -42,9 +42,6 @@ class ClusterAssignment:
     def n_clusters(self) -> int:
         return len(set(self.labels.tolist()) - {NOISE})
 
-    def members(self, cluster_id: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == cluster_id)
-
     def compact(self) -> "ClusterAssignment":
         """Renumber non-noise labels to 0..C-1 by first appearance."""
         labels = self.labels.copy()
@@ -360,11 +357,4 @@ def agglomerative(X, linkage: str, K: int, max_points: int = 1000) -> ClusterAss
 
     for i, j, _ in linkage_merges(X, linkage)[: n - K]:
         parent[find(j)] = find(i)
-    roots: dict[int, int] = {}
-    labels = np.zeros(n, dtype=int)
-    for p in range(n):
-        r = find(p)
-        if r not in roots:
-            roots[r] = len(roots)
-        labels[p] = roots[r]
-    return ClusterAssignment(labels=labels, K=K)
+    return ClusterAssignment(labels=[find(p) for p in range(n)], K=K).compact()

@@ -269,7 +269,7 @@ def _read_group(s: str, pos: int) -> tuple[str, int]:
 def _subscript_text(raw: str) -> Optional[str]:
     """Normalize subscript content to a compact string."""
     text = raw
-    for cmd, repl in (("\\text", ""), ("\\mathrm", ""), ("\\mathit", "")):
+    for cmd in ("\\text", "\\mathrm", "\\mathit"):
         text = text.replace(cmd, "")
     for name in sorted(GREEK_COMMANDS, key=len, reverse=True):
         text = text.replace("\\" + name, _GREEK_VARIANTS.get(name, name))

@@ -8,10 +8,9 @@ baseline count to beat.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +24,42 @@ def category_of(doc_id: str, labels: Mapping[str, str]) -> str:
     return cat if cat else f"__unlabeled__{doc_id}"
 
 
+def _encode(categories: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct categories in Python's order, and each item's index
+    among them.  Not a numpy ``str`` array: it drops trailing NULs."""
+    names = sorted(set(categories))
+    index = {name: i for i, name in enumerate(names)}
+    return names, np.array([index[c] for c in categories], dtype=np.int64)
+
+
+class _Table(NamedTuple):
+    """Clusters against categories, one row per cluster id, ascending."""
+
+    ids: np.ndarray
+    sizes: np.ndarray
+    top: np.ndarray  # the count of the majority category
+    majority: np.ndarray  # its code; a tie goes to the smallest
+
+    def pure(self, purity_threshold: float, min_size: int) -> np.ndarray:
+        """Per row: is the cluster namespace-defining?"""
+        return (self.top / self.sizes >= purity_threshold) & (self.sizes >= min_size)
+
+
+def _table(clusters: Sequence[int], codes: np.ndarray) -> _Table:
+    """The contingency table of a cluster vector and category codes."""
+    clusters = np.asarray(clusters, dtype=int)
+    if len(clusters) != len(codes):
+        raise ValueError(f"{len(clusters)} cluster labels for {len(codes)} categories")
+    width = int(codes.max(initial=0)) + 1
+    ids, cluster = np.unique(clusters, return_inverse=True)
+    pairs, counts = np.unique(cluster * width + codes, return_counts=True)
+    owner = pairs // width
+    # pairs run in (cluster, category) order, so a stable sort on -count
+    # within each cluster puts the smallest of its majority categories first
+    first = np.lexsort((-counts, owner))[np.flatnonzero(np.diff(owner, prepend=-1))]
+    return _Table(ids, np.bincount(cluster), counts[first], pairs[first] % width)
+
+
 def cluster_purity(members: Sequence[str], labels: Mapping[str, str]) -> tuple[float, str]:
     """Majority-category fraction and the majority category itself.
 
@@ -32,10 +67,20 @@ def cluster_purity(members: Sequence[str], labels: Mapping[str, str]) -> tuple[f
     """
     if not members:
         raise EmptyCluster("purity of an empty cluster is undefined")
-    counts = Counter(category_of(d, labels) for d in members)
-    top = max(counts.values())
-    category = min(c for c, k in counts.items() if k == top)
-    return top / len(members), category
+    names, codes = _encode([category_of(d, labels) for d in members])
+    table = _table(np.zeros(len(codes), dtype=int), codes)
+    return int(table.top[0]) / len(members), names[table.majority[0]]
+
+
+def _assignment_table(
+    assignment: ClusterAssignment, doc_ids: Sequence[str], labels: Mapping[str, str]
+) -> tuple[_Table, list[str], int]:
+    """The table of the non-noise documents, its category names and the
+    noise count."""
+    clusters = assignment.labels[: len(doc_ids)]
+    kept = clusters != NOISE
+    names, codes = _encode([category_of(d, labels) for d, k in zip(doc_ids, kept) if k])
+    return _table(clusters[kept], codes), names, len(kept) - int(kept.sum())
 
 
 @dataclass
@@ -60,15 +105,7 @@ class PurityReport:
             "overall": self.overall,
             "n_pure": self.n_pure,
             "noise_fraction": self.noise_fraction,
-            "clusters": [
-                {
-                    "cluster_id": row.cluster_id,
-                    "size": row.size,
-                    "category": row.category,
-                    "purity": row.purity,
-                }
-                for row in self.per_cluster
-            ],
+            "clusters": [asdict(row) for row in self.per_cluster],
         }
 
 
@@ -84,29 +121,18 @@ def purity_report(
     Noise documents are excluded from the weighted overall purity and
     reported as a separate fraction.
     """
-    by_cluster: dict[int, list[str]] = {}
-    noise = 0
-    for doc_id, label in zip(doc_ids, assignment.labels.tolist()):
-        if label == NOISE:
-            noise += 1
-            continue
-        by_cluster.setdefault(label, []).append(doc_id)
-    rows = []
-    weighted = 0.0
-    total = 0
-    n_pure = 0
-    for cluster_id in sorted(by_cluster):
-        members = by_cluster[cluster_id]
-        purity, category = cluster_purity(members, labels)
-        rows.append(ClusterPurity(cluster_id, len(members), category, purity))
-        weighted += len(members) * purity
-        total += len(members)
-        if purity >= purity_threshold and len(members) >= min_size:
-            n_pure += 1
+    table, names, noise = _assignment_table(assignment, doc_ids, labels)
+    purity = table.top / table.sizes
+    majority = [names[code] for code in table.majority.tolist()]
+    rows = list(map(ClusterPurity, table.ids.tolist(), table.sizes.tolist(), majority,
+                    purity.tolist()))
+    total = int(table.sizes.sum())
+    # cumsum adds one cluster at a time, in ascending order; np.sum adds pairwise
+    weighted = np.cumsum(table.sizes * purity)
     return PurityReport(
         per_cluster=rows,
-        overall=weighted / total if total else 0.0,
-        n_pure=n_pure,
+        overall=float(weighted[-1]) / total if total else 0.0,
+        n_pure=int(np.count_nonzero(table.pure(purity_threshold, min_size))),
         noise_fraction=noise / len(doc_ids) if len(doc_ids) else 0.0,
     )
 
@@ -119,14 +145,10 @@ def namespace_defining(
     min_size: int = 3,
 ) -> list[int]:
     """Clusters meeting both thresholds, sorted by size descending."""
-    report = purity_report(assignment, doc_ids, labels, purity_threshold, min_size)
-    chosen = [
-        row
-        for row in report.per_cluster
-        if row.purity >= purity_threshold and row.size >= min_size
-    ]
-    chosen.sort(key=lambda row: (-row.size, row.cluster_id))
-    return [row.cluster_id for row in chosen]
+    table, _, _ = _assignment_table(assignment, doc_ids, labels)
+    pure = table.pure(purity_threshold, min_size)
+    ids, sizes = table.ids[pure], table.sizes[pure]
+    return ids[np.lexsort((ids, -sizes))].tolist()
 
 
 @dataclass
@@ -160,18 +182,10 @@ def count_pure_clusters(
     purity_threshold: float = 0.8,
     min_size: int = 3,
 ) -> int:
-    """Pure-cluster count of one flat assignment vector.
-
-    One sparse contingency table: the count of each (cluster, category)
-    pair present, its largest count per cluster, and the cluster sizes.
-    """
-    _, cluster = np.unique(np.asarray(assignment_vector, dtype=int), return_inverse=True)
-    names, category = np.unique(np.asarray(categories, dtype=str), return_inverse=True)
-    pairs, counts = np.unique(cluster * len(names) + category, return_counts=True)
-    sizes = np.bincount(cluster)
-    top = np.zeros_like(sizes)
-    np.maximum.at(top, pairs // len(names), counts)
-    return int(np.count_nonzero((sizes >= min_size) & (top / sizes >= purity_threshold)))
+    """Pure-cluster count of one flat assignment vector."""
+    _, codes = _encode(categories)
+    table = _table(assignment_vector, codes)
+    return int(np.count_nonzero(table.pure(purity_threshold, min_size)))
 
 
 def random_baseline(
@@ -189,13 +203,12 @@ def random_baseline(
     (the last cluster may be smaller) and counts namespace-defining
     clusters.  Trial t draws from its own stream (seed, t).
     """
+    _, codes = _encode(categories)
     counts = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        vector = _baseline_assignment(n_docs, cluster_size, rng)
-        counts.append(
-            count_pure_clusters(vector, categories, purity_threshold, min_size)
-        )
+        table = _table(_baseline_assignment(n_docs, cluster_size, rng), codes)
+        counts.append(int(np.count_nonzero(table.pure(purity_threshold, min_size))))
     return BaselineSummary(
         trials=trials,
         cluster_size=cluster_size,

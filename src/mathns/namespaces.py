@@ -234,8 +234,7 @@ def build_namespace(
     grouped = merge_fuzzy(merge_exact(cluster_relations), fuzzy_threshold)
     entries = []
     for key in sorted(grouped):
-        groups = grouped[key]
-        best = min(groups, key=lambda g: (-g.score, g.label))
+        best = grouped[key][0]  # merge_fuzzy sorts groups by (-score, label)
         entries.append(
             NamespaceEntry(
                 identifier=identifiers[key],

@@ -58,6 +58,8 @@ _SECTIONS = {
     }),
     "baseline": (None, None, {None: {"cluster_size": 3, "trials": 200}}),
 }
+# options whose value must be one of a fixed set
+_CHOICES = {"measure": simindex.MEASURES, "linkage": clustering.LINKAGES}
 # path keys of the JSON file and the fields they set
 _PATH_KEYS = {"corpus": "corpus_path", "symbol_stop": "symbol_stop",
               "definition_stop": "definition_stop", "lexicon": "lexicon_path",
@@ -70,6 +72,12 @@ def _number(section: str, key: str, value, kind: type):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}: {key!r} must be a number: {exc}") from exc
+
+
+def _check_path(key: str, value):
+    if not isinstance(value, str):
+        raise ConfigError(f"config: path {key!r} must be a string, got {value!r}")
+    return value
 
 
 def _check_section(section: str, given) -> dict:
@@ -95,6 +103,8 @@ def _check_section(section: str, given) -> dict:
             raise ConfigError(f"{section}: {selector} {choice!r} needs {key!r}")
         if isinstance(default, (int, float)) and key not in _GRID_AXES:
             value = _number(section, key, value, type(default))
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ConfigError(f"{section}: unknown {key} {value!r}")
         filled[key] = value
     return filled
 
@@ -163,9 +173,11 @@ class PipelineConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} is not a JSON object")
         base = path.parent
+        out_name = _check_path("output_dir", raw.get("output_dir", "out"))
         paths = {}
         for key, name in _PATH_KEYS.items():
             if (value := raw.get(key)) is not None:
+                _check_path(key, value)
                 p = (base / value).resolve() if not Path(value).is_absolute() else Path(value)
                 if not p.exists():
                     raise ConfigError(f"{key} path does not exist: {p}")
@@ -176,7 +188,7 @@ class PipelineConfig:
             if raw.get("seed") is None:
                 raise ConfigError("config field 'seed' is required for reproducibility")
             seed = raw["seed"]
-        out_dir = Path(out) if out is not None else base / raw.get("output_dir", "out")
+        out_dir = Path(out) if out is not None else base / out_name
         options = {k: v for k, v in raw.items() if k not in {*_PATH_KEYS, "seed", "output_dir"}}
         settable = {f.name for f in fields(cls) if f.init} - set(_PATH_KEYS.values())
         unknown = sorted(options.keys() - settable)
@@ -340,12 +352,8 @@ def _grid(config: PipelineConfig) -> list[dict]:
 
     combos = []
     for K, k in itertools.product(axis(config.clustering, "K"), axis(config.reduction, "k")):
-        name_parts = []
-        if K is not None:
-            name_parts.append(f"K{K}")
-        if k is not None:
-            name_parts.append(f"k{k}")
-        combos.append({"K": K, "k": k, "id": "_".join(name_parts) or "run"})
+        name = "_".join(f"{key}{v}" for key, v in (("K", K), ("k", k)) if v is not None)
+        combos.append({"K": K, "k": k, "id": name or "run"})
     return combos
 
 

@@ -30,12 +30,6 @@ ID = "ID"
 LINK = "LINK"
 NOUN_PHRASE = "NOUN_PHRASE"
 
-VALID_TAGS = frozenset(
-    {NN, NNS, JJ, DT, VB, IN, SYM, OTHER, MATH, ID, LINK, NOUN_PHRASE}
-)
-
-_NOUNISH = frozenset({NN, NNS, NOUN_PHRASE})
-
 
 class TaggedToken(NamedTuple):
     text: str
@@ -43,6 +37,16 @@ class TaggedToken(NamedTuple):
     sentence_idx: int
     token_idx: int
     identifier: Optional[Identifier] = None
+
+
+def _read_pairs(path: str | Path) -> list[tuple[str, str]]:
+    """The tab-separated pairs of a file, one a line; ``#`` starts a comment."""
+    pairs = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line := line.split("#", 1)[0].rstrip():
+            first, second = line.split("\t")
+            pairs.append((first, second))
+    return pairs
 
 
 class Lexicon:
@@ -55,25 +59,13 @@ class Lexicon:
     def __init__(self, words: dict[str, str], suffix_rules: list[tuple[str, str]]):
         self.words = MappingProxyType({w.lower(): t for w, t in words.items()})
         self.suffix_rules = tuple(suffix_rules)
+        # longest suffix first; the stable sort keeps file order among equals
+        self._longest_first = tuple(sorted(self.suffix_rules, key=lambda rule: -len(rule[0])))
         self._tags: dict[str, str] = {}
 
     @classmethod
     def load(cls, lexicon_path: str | Path, suffix_path: str | Path) -> "Lexicon":
-        words = {}
-        for line in Path(lexicon_path).read_text(encoding="utf-8").splitlines():
-            line = line.split("#", 1)[0].rstrip()
-            if not line:
-                continue
-            word, tag = line.split("\t")
-            words[word] = tag
-        rules = []
-        for line in Path(suffix_path).read_text(encoding="utf-8").splitlines():
-            line = line.split("#", 1)[0].rstrip()
-            if not line:
-                continue
-            suffix, tag = line.split("\t")
-            rules.append((suffix, tag))
-        return cls(words, rules)
+        return cls(dict(_read_pairs(lexicon_path)), _read_pairs(suffix_path))
 
     @classmethod
     def default(cls) -> "Lexicon":
@@ -93,17 +85,13 @@ class Lexicon:
         return tag
 
     def _rule_tag(self, word: str) -> str:
-        hit = self.words.get(word.lower())
+        lower = word.lower()
+        hit = self.words.get(lower)
         if hit is not None:
             return hit
-        best = None
-        for pos, (suffix, tag) in enumerate(self.suffix_rules):
-            if len(word) > len(suffix) and word.lower().endswith(suffix):
-                key = (-len(suffix), pos)
-                if best is None or key < best[0]:
-                    best = (key, tag)
-        if best is not None:
-            return best[1]
+        for suffix, tag in self._longest_first:
+            if len(word) > len(suffix) and lower.endswith(suffix):
+                return tag
         return OTHER
 
 

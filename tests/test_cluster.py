@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mathns import cluster
 from mathns.cluster import (
@@ -424,6 +426,44 @@ class TestAgglomerative:
             clusters[a] = clusters[a] + clusters[b]
             del clusters[b]
         assert got == expected
+
+
+def loop_agglomerative_labels(X, linkage: str, K: int) -> list[int]:
+    """Union-find over the first n - K merges, relabelled by the loop that
+    ``agglomerative`` replaced with ``ClusterAssignment.compact``."""
+    n = len(X)
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j, _ in linkage_merges(X, linkage)[: n - K]:
+        parent[find(j)] = find(i)
+    roots: dict[int, int] = {}
+    labels = []
+    for p in range(n):
+        labels.append(roots.setdefault(find(p), len(roots)))
+    return labels
+
+
+class TestAgglomerativeMatchesLoop:
+    @given(
+        st.sampled_from([SINGLE, COMPLETE, AVERAGE, WARD]),
+        st.integers(1, 12),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_labels_and_K(self, linkage, n, seed, data):
+        rng = np.random.default_rng(seed)
+        # few distinct rows, so that tied merges are common
+        X = rng.integers(0, 3, size=(n, 2)).astype(float)
+        K = data.draw(st.integers(1, n))
+        result = agglomerative(X, linkage, K)
+        assert result.labels.tolist() == loop_agglomerative_labels(X, linkage, K)
+        assert result.K == K == result.n_clusters
 
 
 def loop_linkage_merges(X, linkage: str) -> list[tuple[int, int, float]]:

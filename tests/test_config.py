@@ -187,6 +187,12 @@ BAD_SECTIONS = [
     ("K-under-dbscan", "clustering", {"algorithm": "dbscan", "K": [2, 3]}, "'K'"),
     ("linkage-under-kmeans", "clustering", {"algorithm": "kmeans", "linkage": "ward"}, "'linkage'"),
     ("unknown-algorithm", "clustering", {"algorithm": "spectral"}, "'spectral'"),
+    ("misspelt-snn-measure", "clustering",
+     {"algorithm": "snn_dbscan", "measure": "cosin"}, "measure 'cosin'"),
+    ("misspelt-dbscan-measure", "clustering",
+     {"algorithm": "dbscan", "measure": "Jaccard"}, "measure 'Jaccard'"),
+    ("misspelt-linkage", "clustering",
+     {"algorithm": "agglomerative", "linkage": "wards"}, "linkage 'wards'"),
     ("nmf_direct-without-nmf", "clustering", {"algorithm": "nmf_direct"}, "'nmf_direct'"),
     ("not-a-number", "clustering", {"algorithm": "kmeans", "max_iter": "many"}, "'max_iter'"),
     ("not-an-object", "clustering", "kmeans", "object"),
@@ -241,6 +247,19 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value", [("corpus", 5), ("hierarchy", ["h.json"]), ("labels", True),
+                      ("output_dir", 3), ("output_dir", None)]
+    )
+    def test_path_must_be_a_string(self, tmp_path, capsys, key, value):
+        cfg = _toy_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f"path '{key}' must be a string"):
+            PipelineConfig.load(cfg)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config: path '{key}'")
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [("min_df", "two"), ("purity_threshold", [0.8])])
