@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EpsNotBelowK, KTooLarge, TooManyDocuments
-from .simindex import BLOCK_CELLS, COSINE, build_snn_graph
+from .simindex import BLOCK_CELLS, COSINE, _unwrap, build_snn_graph
 
 NOISE = -1
 
@@ -57,12 +57,6 @@ class ClusterAssignment:
         )
 
 
-def _unwrap(X):
-    if hasattr(X, "matrix"):
-        return X.matrix
-    return X
-
-
 def _row_sq_norms(X) -> np.ndarray:
     if sp.issparse(X):
         return np.asarray(X.multiply(X).sum(axis=1)).ravel()
@@ -71,11 +65,9 @@ def _row_sq_norms(X) -> np.ndarray:
 
 def _sq_distances(X, centers: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances of every row to every center."""
-    cross = X @ centers.T
-    if sp.issparse(cross):
-        cross = np.asarray(cross.todense())
+    cross = X @ centers.T  # an ndarray for sparse and dense X alike
     c_sq = np.einsum("ij,ij->i", centers, centers)
-    d2 = x_sq[:, None] - 2.0 * np.asarray(cross) + c_sq[None, :]
+    d2 = x_sq[:, None] - 2.0 * cross + c_sq[None, :]
     return np.maximum(d2, 0.0)
 
 

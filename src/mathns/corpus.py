@@ -147,9 +147,12 @@ def parse_document(raw: dict) -> Document:
     Each formula is replaced in the body text by ``FORMULA_<i>`` so the
     tokenizer can treat it as a single token.
     """
-    if "doc_id" not in raw or "text" not in raw:
+    if not isinstance(raw, dict) or "doc_id" not in raw or "text" not in raw:
         raise ValueError("corpus record needs doc_id and text fields")
     text = raw["text"]
+    if not isinstance(text, str):
+        kind = type(text).__name__
+        raise ValueError(f"document {raw['doc_id']!r}: text must be a string, got {kind}")
     parts = text.split("$")
     if len(parts) % 2 == 0:
         raise UnbalancedFormulaDelimiter(

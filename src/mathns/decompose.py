@@ -14,12 +14,7 @@ import scipy.sparse as sp
 
 from .cluster import ClusterAssignment
 from .errors import NegativeInput, RankTooLarge
-
-
-def _as_matrix(D):
-    if hasattr(D, "matrix"):
-        return D.matrix
-    return D
+from .simindex import _unwrap
 
 
 @dataclass
@@ -52,7 +47,7 @@ def randomized_svd(
     iterations (with QR re-orthonormalization) sharpen it, and the small
     projected matrix is decomposed exactly.
     """
-    A = _as_matrix(D)
+    A = _unwrap(D)
     m, n = A.shape
     if k < 1 or k > min(m, n):
         raise RankTooLarge(f"k={k} outside [1, {min(m, n)}]")
@@ -64,9 +59,7 @@ def randomized_svd(
     for _ in range(power_iters):
         Z, _ = np.linalg.qr(A.T @ Q)
         Q, _ = np.linalg.qr(A @ Z)
-    B = Q.T @ A
-    if sp.issparse(B):
-        B = np.asarray(B.todense())
+    B = Q.T @ A  # an ndarray for sparse and dense A alike
     Ub, S, Vt = np.linalg.svd(B, full_matrices=False)
     U = Q @ Ub
     return SvdFactors(U=U[:, :k], S=S[:k], V=Vt[:k].T)
@@ -79,7 +72,7 @@ def lsa_embed(D, k: int, seed: int = 0, oversample: int = 10, power_iters: int =
     transpose (the term-document orientation) and the document-side
     factor scaled by the singular values is returned.
     """
-    A = _as_matrix(D)
+    A = _unwrap(D)
     factors = randomized_svd(A.T, k, seed=seed, oversample=oversample, power_iters=power_iters)
     return factors.embedding
 
@@ -114,7 +107,7 @@ def nmf(
     drops below ``tol``.  The objective trace is non-increasing up to a
     tiny epsilon guard in the update denominators.
     """
-    A = _as_matrix(D)
+    A = _unwrap(D)
     m, n = A.shape
     if k < 1:
         raise RankTooLarge(f"k={k} must be at least 1")

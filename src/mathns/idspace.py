@@ -188,40 +188,32 @@ def vectorize(
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
     grouped = _relations_by_doc(relations)
-    indptr = [0]
-    indices: list[int] = []
+    rows: list[int] = []
+    cols: list[int] = []
     data: list[float] = []
-    empty: list[str] = []
     doc_ids = tuple(doc.doc_id for doc in corpus.documents)
-    for doc in corpus.documents:
+    for i, doc in enumerate(corpus.documents):
         features = doc_features(corpus, doc.doc_id, grouped.get(doc.doc_id, []), vocab.mode)
-        cols = sorted(
-            (vocab.index[dim], count)
-            for dim, count in features.items()
-            if dim in vocab
-        )
-        row_start = len(data)
-        for j, count in cols:
-            value = term_weight(count, int(vocab.df[j]), vocab.n_docs, weighting)
-            if value != 0.0:
-                indices.append(j)
-                data.append(value)
-        if len(data) == row_start:
-            empty.append(doc.doc_id)
-        indptr.append(len(indices))
+        for dim, count in features.items():
+            j = vocab.index.get(dim)
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+                data.append(term_weight(count, int(vocab.df[j]), vocab.n_docs, weighting))
+    # canonical CSR: each row sorted by column, so row sums add in column order
     matrix = sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(len(doc_ids), len(vocab)),
+        (np.array(data, dtype=float), (rows, cols)), shape=(len(doc_ids), len(vocab))
     )
+    matrix.eliminate_zeros()
+    row_nnz = np.diff(matrix.indptr)
     if normalize:
         norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
         scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-        matrix = sp.diags(scale) @ matrix
-        matrix = sp.csr_matrix(matrix)
+        matrix.data *= np.repeat(scale, row_nnz)
     return DocMatrix(
         doc_ids=doc_ids,
         vocab=vocab,
         matrix=matrix,
         row_norm=normalize,
-        empty_docs=tuple(empty),
+        empty_docs=tuple(d for d, nnz in zip(doc_ids, row_nnz) if nnz == 0),
     )

@@ -58,6 +58,8 @@ _SECTIONS = {
     }),
     "baseline": (None, None, {None: {"cluster_size": 3, "trials": 200}}),
 }
+# options whose value must be at least 1; a grid axis needs one value or more, each at least 1
+_COUNTS = {"K", "k", "neighbors", "cluster_size", "trials"}
 # options whose value must be one of a fixed set
 _CHOICES = {"measure": simindex.MEASURES, "linkage": clustering.LINKAGES}
 # path keys of the JSON file and the fields they set
@@ -105,6 +107,12 @@ def _check_section(section: str, given) -> dict:
             value = _number(section, key, value, type(default))
         if key in _CHOICES and value not in _CHOICES[key]:
             raise ConfigError(f"{section}: unknown {key} {value!r}")
+        if key in _COUNTS:
+            if value == []:
+                raise ConfigError(f"{section}: grid axis {key!r} has no values")
+            for v in value if isinstance(value, list) else [value]:
+                if not (isinstance(v, (int, float)) and v >= 1):
+                    raise ConfigError(f"{section}: {key!r} must be at least 1, got {v!r}")
         filled[key] = value
     return filled
 
@@ -427,15 +435,9 @@ def stage_cluster(config: PipelineConfig) -> None:
 
 
 def _read_assignment(path: Path) -> tuple[list[str], clustering.ClusterAssignment]:
-    doc_ids, labels = [], []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        doc_id, _, label = line.partition("\t")
-        doc_ids.append(doc_id)
-        labels.append(int(label))
-    labels = np.array(labels, dtype=int)
-    return doc_ids, clustering.ClusterAssignment(labels=labels, K=int(labels.max()) + 1)
+    rows = evaluate.load_labels(path)  # an assignment file has the labels format
+    labels = np.array([int(label) for label in rows.values()], dtype=int)
+    return list(rows), clustering.ClusterAssignment(labels=labels, K=int(labels.max()) + 1)
 
 
 def stage_evaluate(config: PipelineConfig) -> None:

@@ -101,10 +101,9 @@ class NeighborList:
         return frozenset(idx for idx, _ in self.neighbors)
 
 
-def _as_csr(matrix) -> sp.csr_matrix:
-    if hasattr(matrix, "matrix"):
-        matrix = matrix.matrix
-    return sp.csr_matrix(matrix, dtype=float)
+def _unwrap(X):
+    """The sparse matrix of a ``DocMatrix``; any other input as it is."""
+    return getattr(X, "matrix", X)
 
 
 class SimilarityIndex:
@@ -114,7 +113,7 @@ class SimilarityIndex:
         if measure not in MEASURES:
             raise ValueError(f"unknown measure {measure!r}")
         self.measure = measure
-        self.csr = _as_csr(matrix)
+        self.csr = sp.csr_matrix(_unwrap(matrix), dtype=float)
         self.csc = self.csr.tocsc()
         self.n_docs = self.csr.shape[0]
         sq = np.asarray(self.csr.multiply(self.csr).sum(axis=1)).ravel()

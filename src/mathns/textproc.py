@@ -170,71 +170,38 @@ def annotate_math(
     return out
 
 
+# One code per token: a link bracket by its text, else J for JJ, N for
+# NN|NNS and "." for any other tag.
+_BRACKETS = {"[[": "[", "]]": "]"}
+_CODES = {JJ: "J", NN: "N", NNS: "N"}
+# A link runs from ``[[`` to the first ``]]``; a noun run is (JJ)* (NN|NNS)+.
+_CHUNK_RE = re.compile(r"\[[^\]]*(?P<close>\])?|J*N+")
+
+
 def chunk_phrases(tagged: Sequence[Sequence[TaggedToken]]) -> list[list[TaggedToken]]:
     """Collapse ``[[...]]`` spans to LINK and noun runs to NOUN_PHRASE.
 
-    A noun run is a maximal (JJ)* (NN|NNS)+ sequence; chunking never
-    crosses sentence boundaries.
+    Each sentence is matched as a string of tag codes against
+    ``_CHUNK_RE``, so a noun run is a maximal (JJ)* (NN|NNS)+ sequence
+    outside links; chunking never crosses sentence boundaries.
     """
     out = []
     for sentence in tagged:
-        merged = _merge_links(sentence)
-        out.append(_merge_noun_runs(merged))
-    return out
-
-
-def _merge_links(sentence: Sequence[TaggedToken]) -> list[TaggedToken]:
-    row: list[TaggedToken] = []
-    i = 0
-    while i < len(sentence):
-        tok = sentence[i]
-        if tok.text == "[[":
-            j = i + 1
-            inner = []
-            while j < len(sentence) and sentence[j].text != "]]":
-                inner.append(sentence[j].text)
-                j += 1
-            if j == len(sentence):
-                raise UnterminatedLink(
-                    f"sentence {tok.sentence_idx}: '[[' without ']]'"
-                )
-            row.append(
-                TaggedToken(" ".join(inner), LINK, tok.sentence_idx, tok.token_idx)
-            )
-            i = j + 1
-        else:
-            row.append(tok)
-            i += 1
-    return row
-
-
-def _merge_noun_runs(sentence: Sequence[TaggedToken]) -> list[TaggedToken]:
-    row: list[TaggedToken] = []
-    i = 0
-    while i < len(sentence):
-        tok = sentence[i]
-        if tok.tag in (JJ, NN, NNS):
-            j = i
-            adjectives = []
-            while j < len(sentence) and sentence[j].tag == JJ:
-                adjectives.append(sentence[j])
-                j += 1
-            nouns = []
-            while j < len(sentence) and sentence[j].tag in (NN, NNS):
-                nouns.append(sentence[j])
-                j += 1
-            if nouns:
-                parts = [t.text for t in adjectives + nouns]
-                row.append(
-                    TaggedToken(
-                        " ".join(parts), NOUN_PHRASE, tok.sentence_idx, tok.token_idx
-                    )
-                )
-                i = j
+        codes = "".join([_BRACKETS.get(t.text) or _CODES.get(t.tag, ".") for t in sentence])
+        row: list[TaggedToken] = []
+        end = 0
+        for match in _CHUNK_RE.finditer(codes):
+            start = match.start()
+            row.extend(sentence[end:start])
+            end = match.end()
+            first = sentence[start]
+            if codes[start] != "[":
+                text, tag = " ".join([t.text for t in sentence[start:end]]), NOUN_PHRASE
+            elif match["close"]:
+                text, tag = " ".join([t.text for t in sentence[start + 1 : end - 1]]), LINK
             else:
-                row.append(tok)  # adjectives without a noun stay as-is
-                i += 1
-        else:
-            row.append(tok)
-            i += 1
-    return row
+                raise UnterminatedLink(f"sentence {first.sentence_idx}: '[[' without ']]'")
+            row.append(TaggedToken(text, tag, first.sentence_idx, first.token_idx))
+        row.extend(sentence[end:])
+        out.append(row)
+    return out

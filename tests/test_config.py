@@ -208,6 +208,23 @@ BAD_SECTIONS = [
     ("unknown-extraction-key", "extraction", {"sigma": 3.0}, "'sigma'"),
     ("bad-ranker-weight", "extraction", {"alpha": -1.0}, "non-negative"),
     ("unknown-baseline-key", "baseline", {"trails": 10}, "'trails'"),
+    # counts below 1: each failed only in the cluster or evaluate stage, and
+    # agglomerative with K 0 ran to the end with one cluster
+    ("agglomerative-K-0", "clustering", {"algorithm": "agglomerative", "K": 0},
+     "'K' must be at least 1, got 0"),
+    ("kmeans-K-0", "clustering", {"algorithm": "kmeans", "K": 0}, "'K' must be at least 1, got 0"),
+    ("K-grid-with-0", "clustering", {"K": [3, 0]}, "'K' must be at least 1, got 0"),
+    ("K-grid-empty", "clustering", {"K": []}, "grid axis 'K' has no values"),
+    ("k-grid-empty", "reduction", {"kind": "svd", "k": []}, "grid axis 'k' has no values"),
+    ("K-fraction", "clustering", {"K": 0.5}, "'K' must be at least 1, got 0.5"),
+    ("K-not-a-number", "clustering", {"K": "five"}, "'K' must be at least 1, got 'five'"),
+    ("svd-k-0", "reduction", {"kind": "svd", "k": 0}, "'k' must be at least 1, got 0"),
+    ("nmf-k-grid-negative", "reduction", {"kind": "nmf", "k": [2, -1]},
+     "'k' must be at least 1, got -1"),
+    ("neighbors-0", "clustering", {"algorithm": "snn_dbscan", "neighbors": 0},
+     "'neighbors' must be at least 1, got 0"),
+    ("cluster_size-0", "baseline", {"cluster_size": 0}, "'cluster_size' must be at least 1, got 0"),
+    ("trials-0", "baseline", {"trials": 0}, "'trials' must be at least 1, got 0"),
 ]
 
 
@@ -276,3 +293,6 @@ class TestConfigErrors:
         for method in ("ranker", "pattern", "nearest_noun"):
             _config(extraction={"method": method})
         _config(reduction={"kind": "svd", "k": [2, 3]}, clustering={"K": [4, 5]})
+        _config(reduction={"kind": "svd", "k": 1}, clustering={"K": [1, 2]},
+                baseline={"cluster_size": 1, "trials": 1})
+        _config(clustering={"algorithm": "snn_dbscan", "neighbors": 1, "eps": 0})

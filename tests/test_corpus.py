@@ -21,6 +21,7 @@ from mathns.corpus import (
 from mathns.errors import (
     DuplicateDocId,
     ExcludedSymbol,
+    MathnsError,
     UnbalancedFormulaDelimiter,
 )
 
@@ -84,6 +85,23 @@ def oracle_scan(formula: str) -> list[str]:
     return out
 
 
+# every JSON value a corpus line can hold
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# pieces of TeX, well-formed and not: commands, scripts, groups, stray
+# braces and backslashes, wrapper commands and excluded or folded symbols
+TEX_FRAGMENTS = [
+    "x", "E", "mc", "sin", "where", r"\sigma", r"\alpha", r"\varepsilon", r"\frac",
+    r"\mathbf", r"\mathrm", r"\vec", r"\bar", r"\sin", r"\unknown", "\\", "\\{",
+    "_", "^", "{", "}", "_{", "^{", "(", ")", "+", "=", "1", "2", " ", "\u2200",
+    "\u2192", "\u2207", "\u03c3", "\U0001D430", "\u00e9", "$", "[[", "]]",
+]
+
+
 class TestParseDocument:
     def test_single_formula(self):
         doc = parse_document({"doc_id": "a", "text": "Let $E = mc^2$."})
@@ -99,6 +117,26 @@ class TestParseDocument:
     def test_unbalanced_dollar(self):
         with pytest.raises(UnbalancedFormulaDelimiter):
             parse_document({"doc_id": "a", "text": "bad $x"})
+
+    @pytest.mark.parametrize("text", [5, None, ["x"], {"a": 1}])
+    def test_text_must_be_a_string(self, text):
+        with pytest.raises(ValueError, match="document 'd': text must be a string"):
+            parse_document({"doc_id": "d", "text": text})
+
+    @given(
+        st.one_of(
+            st.dictionaries(
+                st.sampled_from(["doc_id", "text", "title", "category"]),
+                st.one_of(JSON_VALUES, st.text(st.sampled_from("ab $\\_{}"), max_size=12)),
+            ),
+            JSON_VALUES,
+        )
+    )
+    def test_any_json_record_parses_or_raises_a_known_error(self, record):
+        try:
+            parse_document(record)
+        except (ValueError, MathnsError):
+            pass
 
     def test_duplicate_doc_id(self):
         records = [
@@ -150,6 +188,14 @@ class TestExtractIdentifiers:
         formula = " + ".join(parts)
         got = [i.key for i in extract_identifiers(formula, STOPS)]
         assert got == oracle_scan(formula)
+
+    @given(st.lists(st.sampled_from(TEX_FRAGMENTS), max_size=12))
+    def test_any_tex_fragments_scan_or_raise_a_known_error(self, parts):
+        try:
+            ids, skipped = scan_formula("".join(parts), STOPS)
+        except MathnsError:
+            return
+        assert all(isinstance(i, Identifier) for i in ids) and skipped >= 0
 
 
 class TestNormalizeIdentifier:

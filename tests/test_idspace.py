@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mathns.corpus import Identifier, build_corpus
@@ -13,11 +14,16 @@ from mathns.extraction import Relation
 from mathns.idspace import (
     BINARY,
     IDENTIFIERS_ONLY,
+    MODES,
     STRONG,
     TF,
     TFIDF,
     WEAK,
+    WEIGHTINGS,
+    DocMatrix,
+    _relations_by_doc,
     build_vocabulary,
+    doc_features,
     term_weight,
     tfidf_weight,
     vectorize,
@@ -202,3 +208,92 @@ class TestVectorize:
         m, n, nnz = (int(x) for x in lines[1].split())
         assert (m, n) == dm.shape
         assert nnz == dm.matrix.nnz
+
+
+def old_vectorize(corpus, relations, vocab, weighting=TFIDF, normalize=True):
+    """Reference: the hand-built CSR arrays and ``diags`` product that
+    ``vectorize`` replaced."""
+    grouped = _relations_by_doc(relations)
+    indptr = [0]
+    indices, data, empty = [], [], []
+    doc_ids = tuple(doc.doc_id for doc in corpus.documents)
+    for doc in corpus.documents:
+        features = doc_features(corpus, doc.doc_id, grouped.get(doc.doc_id, []), vocab.mode)
+        cols = sorted(
+            (vocab.index[dim], count) for dim, count in features.items() if dim in vocab
+        )
+        row_start = len(data)
+        for j, count in cols:
+            value = term_weight(count, int(vocab.df[j]), vocab.n_docs, weighting)
+            if value != 0.0:
+                indices.append(j)
+                data.append(value)
+        if len(data) == row_start:
+            empty.append(doc.doc_id)
+        indptr.append(len(indices))
+    matrix = sp.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
+        shape=(len(doc_ids), len(vocab)),
+    )
+    if normalize:
+        norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
+        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+        matrix = sp.csr_matrix(sp.diags(scale) @ matrix)
+    return DocMatrix(doc_ids, vocab, matrix, normalize, tuple(empty))
+
+
+SYMBOLS = ["x", "y", "E", "m", r"\sigma", "x_1"]
+DEFINITIONS = ["energy", "mass", "speed of light", "the mean value", "masses of energy"]
+
+
+@st.composite
+def corpora(draw):
+    """Up to seven documents, some without formulas, and their relations."""
+    records, relations = [], []
+    for i in range(draw(st.integers(1, 7))):
+        symbols = draw(st.lists(st.sampled_from(SYMBOLS), max_size=8))
+        records.append({"doc_id": f"d{i}", "text": " ".join(f"${s}$" for s in symbols)})
+        for symbol in draw(st.lists(st.sampled_from(SYMBOLS), max_size=3)):
+            definition = draw(st.sampled_from(DEFINITIONS))
+            relations.append(rel(f"d{i}", symbol.lstrip("\\"), definition))
+    return build_corpus(records), relations
+
+
+class TestVectorizeMatchesOldArrays:
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=15)
+    @given(corpora(), st.integers(1, 2))
+    def test_same_bits_as_old_vectorize(self, mode, weighting, normalize, drawn, min_df):
+        corpus, relations = drawn
+        try:
+            vocab = build_vocabulary(relations, corpus, mode, min_df)
+        except EmptyVocabulary:
+            assume(False)
+        got = vectorize(corpus, relations, vocab, weighting, normalize)
+        want = old_vectorize(corpus, relations, vocab, weighting, normalize)
+        want.matrix.sort_indices()
+        assert got.matrix.has_canonical_format
+        assert got.matrix.shape == want.matrix.shape
+        np.testing.assert_array_equal(got.matrix.indptr, want.matrix.indptr)
+        np.testing.assert_array_equal(got.matrix.indices, want.matrix.indices)
+        assert got.matrix.data.tobytes() == want.matrix.data.tobytes()
+        assert (got.doc_ids, got.empty_docs) == (want.doc_ids, want.empty_docs)
+
+    def test_storage_order_is_canonical_where_the_old_product_was_not(self, emc_corpus):
+        corpus, relations = emc_corpus
+        vocab = build_vocabulary(relations, corpus, WEAK, min_df=1)
+        got = vectorize(corpus, relations, vocab, TFIDF, normalize=True)
+        want = old_vectorize(corpus, relations, vocab, TFIDF, normalize=True)
+        assert got.matrix.has_canonical_format and not want.matrix.has_sorted_indices
+        want.matrix.sort_indices()
+        assert got.matrix.data.tobytes() == want.matrix.data.tobytes()
+
+    def test_zero_weights_are_not_stored(self):
+        # x is in every document, so its idf ln(2/2) and every weight of it are 0
+        corpus = build_corpus([{"doc_id": "a", "text": "$x$ $y$"}, {"doc_id": "b", "text": "$x$"}])
+        vocab = build_vocabulary([], corpus, IDENTIFIERS_ONLY, min_df=1)
+        dm = vectorize(corpus, [], vocab, TFIDF, normalize=False)
+        assert dm.matrix.nnz == 1 and dm.matrix[0, vocab.index["y"]] > 0
+        assert dm.empty_docs == ("b",)

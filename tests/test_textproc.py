@@ -3,18 +3,24 @@
 import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mathns.corpus import Identifier
 from mathns.errors import UnknownPlaceholder, UnterminatedLink
 from mathns.textproc import (
     DT,
     ID,
+    IN,
     JJ,
     LINK,
     MATH,
     NN,
+    NNS,
     NOUN_PHRASE,
     OTHER,
+    SYM,
+    VB,
     Lexicon,
     TaggedToken,
     annotate_math,
@@ -228,3 +234,117 @@ class TestChunkPhrases:
             [[TaggedToken("continuous", JJ, 0, 0), TaggedToken("is", "VB", 0, 1)]]
         )
         assert [t.tag for t in out[0]] == [JJ, "VB"]
+
+
+def old_chunk_phrases(tagged):
+    """Reference: the two-pass scanner the regex chunker replaced."""
+    return [old_merge_noun_runs(old_merge_links(sentence)) for sentence in tagged]
+
+
+def old_merge_links(sentence):
+    row = []
+    i = 0
+    while i < len(sentence):
+        tok = sentence[i]
+        if tok.text == "[[":
+            j = i + 1
+            inner = []
+            while j < len(sentence) and sentence[j].text != "]]":
+                inner.append(sentence[j].text)
+                j += 1
+            if j == len(sentence):
+                raise UnterminatedLink(f"sentence {tok.sentence_idx}: '[[' without ']]'")
+            row.append(TaggedToken(" ".join(inner), LINK, tok.sentence_idx, tok.token_idx))
+            i = j + 1
+        else:
+            row.append(tok)
+            i += 1
+    return row
+
+
+def old_merge_noun_runs(sentence):
+    row = []
+    i = 0
+    while i < len(sentence):
+        tok = sentence[i]
+        if tok.tag in (JJ, NN, NNS):
+            j = i
+            adjectives = []
+            while j < len(sentence) and sentence[j].tag == JJ:
+                adjectives.append(sentence[j])
+                j += 1
+            nouns = []
+            while j < len(sentence) and sentence[j].tag in (NN, NNS):
+                nouns.append(sentence[j])
+                j += 1
+            if nouns:
+                parts = [t.text for t in adjectives + nouns]
+                row.append(
+                    TaggedToken(" ".join(parts), NOUN_PHRASE, tok.sentence_idx, tok.token_idx)
+                )
+                i = j
+            else:
+                row.append(tok)
+                i += 1
+        else:
+            row.append(tok)
+            i += 1
+    return row
+
+
+def outcome(chunker, tagged):
+    try:
+        return chunker(tagged)
+    except UnterminatedLink as exc:
+        return ("UnterminatedLink", str(exc))
+
+
+ALL_TAGS = [NN, NNS, JJ, DT, VB, IN, SYM, OTHER, MATH, ID, LINK, NOUN_PHRASE]
+NOT_NOUN_LIKE = [t for t in ALL_TAGS if t not in (JJ, NN, NNS)]
+# (text, tag) of one token; adjectives and nouns twice as likely, so runs form
+TOKENS = st.one_of(
+    st.tuples(st.sampled_from(["mass", "big", "of", "x", "FORMULA_0"]),
+              st.sampled_from(ALL_TAGS + [JJ, NN, NNS])),
+    st.tuples(st.just("[["), st.sampled_from(ALL_TAGS)),
+    # a ']]' tagged JJ/NN/NNS outside a link is the one pinned difference below
+    st.tuples(st.just("]]"), st.sampled_from(NOT_NOUN_LIKE)),
+)
+
+
+def as_tagged(sentences):
+    return [
+        [TaggedToken(text, tag, s, t) for t, (text, tag) in enumerate(sentence)]
+        for s, sentence in enumerate(sentences)
+    ]
+
+
+class TestChunkerMatchesOldScanner:
+    @given(st.lists(st.lists(TOKENS, max_size=14), max_size=4))
+    @example([[("big", JJ), ("big", JJ), ("of", IN), ("big", JJ)]])  # adjectives only
+    @example([[("[[", SYM), ("[[", SYM), ("mass", NN), ("]]", SYM), ("]]", SYM)]])  # nested
+    @example([[("mass", NN), ("]]", SYM), ("[[", SYM), ("big", JJ), ("mass", NNS)]])
+    def test_same_tokens_as_the_old_scanner(self, sentences):
+        tagged = as_tagged(sentences)
+        assert outcome(chunk_phrases, tagged) == outcome(old_chunk_phrases, tagged)
+
+    @pytest.mark.parametrize("tag", [JJ, NN, NNS])
+    def test_close_bracket_inside_a_link_closes_it_whatever_its_tag(self, tag):
+        tagged = as_tagged([[("[[", SYM), ("mass", NN), ("]]", tag), ("big", JJ), ("x", NN)]])
+        got = chunk_phrases(tagged)
+        assert got == old_chunk_phrases(tagged)
+        assert [(t.text, t.tag) for t in got[0]] == [("mass", LINK), ("big x", NOUN_PHRASE)]
+
+    @pytest.mark.parametrize("tag", [JJ, NN, NNS])
+    def test_stray_close_bracket_never_joins_a_noun_run(self, tag):
+        # pos_tag tags every bracket token SYM, so only a caller's own tags
+        # reach this case; the old scanner joined the ']]' to the run
+        tagged = as_tagged([[("big", JJ), ("]]", tag), ("mass", NN)]])
+        got = chunk_phrases(tagged)
+        assert [(t.text, t.tag) for t in got[0]] == [
+            ("big", JJ), ("]]", tag), ("mass", NOUN_PHRASE)
+        ]
+        assert old_chunk_phrases(tagged)[0][0].text == "big ]] mass"
+
+    def test_pos_tag_tags_bracket_tokens_sym(self):
+        tagged = tag_text("a ]] b [[ c ]]")[0]
+        assert [t.tag for t in tagged if t.text in ("[[", "]]")] == [SYM, SYM, SYM]
