@@ -147,8 +147,8 @@ def parse_document(raw: dict) -> Document:
     Each formula is replaced in the body text by ``FORMULA_<i>`` so the
     tokenizer can treat it as a single token.
     """
-    if not isinstance(raw, dict) or "doc_id" not in raw or "text" not in raw:
-        raise ValueError("corpus record needs doc_id and text fields")
+    if not isinstance(raw, dict) or raw.get("doc_id") is None or "text" not in raw:
+        raise ValueError("corpus record needs a non-null doc_id and a text field")
     text = raw["text"]
     if not isinstance(text, str):
         kind = type(text).__name__
@@ -168,9 +168,9 @@ def parse_document(raw: dict) -> Document:
             formulas.append(part.strip())
     return Document(
         doc_id=str(raw["doc_id"]),
-        title=str(raw.get("title", "")),
+        title="" if raw.get("title") is None else str(raw["title"]),  # null counts as absent
         text=text,
-        category=str(raw.get("category", "")),
+        category="" if raw.get("category") is None else str(raw["category"]),
         formulas=tuple(formulas),
         body="".join(chunks),
     )

@@ -2,18 +2,19 @@
 
 Three methods produce scored relations: the nearest-noun rule, a
 pattern matcher over tagged tokens, and a probabilistic ranker that
-scores every candidate by two Gaussians (token distance, sentence
-distance) plus in-sentence term frequency.
+scores candidates by two Gaussians (token distance, sentence distance)
+plus in-sentence term frequency.  ``extract_relations`` scores only the
+candidates whose bound on the score reaches ``retain_threshold``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import textproc
 from .corpus import Corpus, Document, Identifier
@@ -53,6 +54,9 @@ class RankerParams:
     retain_threshold: float = 0.4
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("weights must be non-negative")
         if self.alpha + self.beta + self.gamma <= 0:
@@ -73,28 +77,32 @@ class PreparedDocument:
 
     def flat_tokens(self) -> list[tuple[int, TaggedToken]]:
         """Tokens in reading order with their global positions."""
-        out = []
-        pos = 0
-        for sentence in self.sentences:
-            for tok in sentence:
-                out.append((pos, tok))
-                pos += 1
-        return out
+        return list(enumerate(tok for sentence in self.sentences for tok in sentence))
 
     @cached_property
-    def ranking_table(self) -> tuple[list, dict[str, tuple[int, list[int]]]]:
-        """For ``rank_candidates``: the noun-like candidates as ``(pos, token,
-        tf)``, and per identifier key the sentence of its first occurrence
-        and its sorted positions."""
-        counts = [Counter(t.text for t in sentence) for sentence in self.sentences]
-        candidates, occurrences = [], {}
+    def ranking_table(self) -> tuple[list[int], list, list[int], dict, Callable]:
+        """For the ranker: the noun-like candidates' positions and tokens, the
+        index of each sentence's first candidate (one more entry closes the
+        last range), per identifier key the sentence of its first occurrence
+        and its sorted positions, and a ``tf`` of a candidate that counts
+        each sentence's tokens once, when first asked."""
+        positions, tokens, occurrences, counts = [], [], {}, {}
         for pos, tok in self.flat_tokens():
-            s = tok.sentence_idx
             if tok.tag == ID:
-                occurrences.setdefault(tok.text, (s, []))[1].append(pos)
-            if tok.tag in _DEF_TAGS:
-                candidates.append((pos, tok, counts[s][tok.text] / len(self.sentences[s])))
-        return candidates, occurrences
+                occurrences.setdefault(tok.text, (tok.sentence_idx, []))[1].append(pos)
+            elif tok.tag in _DEF_TAGS:
+                positions.append(pos)
+                tokens.append(tok)
+        sentence_of = [tok.sentence_idx for tok in tokens]
+        starts = [bisect_left(sentence_of, s) for s in range(len(self.sentences) + 1)]
+
+        def tf(tok: TaggedToken) -> float:
+            s = tok.sentence_idx
+            if s not in counts:
+                counts[s] = Counter(t.text for t in self.sentences[s])
+            return counts[s][tok.text] / len(self.sentences[s])
+
+        return positions, tokens, starts, occurrences, tf
 
 
 def prepare_document(
@@ -251,6 +259,32 @@ def ranker_score(delta: float, n_sentences: float, tf: float, params: RankerPara
     return total / (params.alpha + params.beta + params.gamma)
 
 
+def _scores(doc: PreparedDocument, key: str, params: RankerParams, indices: Iterable[int]):
+    """``(score, delta, pos, token)`` of the ``doc.ranking_table`` candidates at ``indices``.
+
+    ``delta`` is to the nearer of the two occurrences that bisection puts
+    around the candidate, so it is the minimum over all of them.  The
+    score is ``ranker_score``'s expression, bit for bit, with its
+    denominators computed once: a table of Gaussians per distinct
+    distance was measured no faster, since a dict lookup costs about as
+    much as ``math.exp``.
+    """
+    positions, tokens, _, occurrences, tf = doc.ranking_table
+    first_sentence, occ_positions = occurrences[key]
+    alpha, beta, gamma = params.alpha, params.beta, params.gamma
+    weight = alpha + beta + gamma
+    width_d, width_s = 2.0 * params.sigma_d**2, 2.0 * params.sigma_s**2
+    for i in indices:
+        pos, tok = positions[i], tokens[i]
+        at = bisect_left(occ_positions, pos)
+        nearby = occ_positions[max(0, at - 1) : at + 1]
+        delta = min(abs(pos - nearby[0]), abs(pos - nearby[-1]))
+        n_sent = abs(tok.sentence_idx - first_sentence)
+        r_d = math.exp(-(delta**2) / width_d)
+        r_s = math.exp(-(n_sent**2) / width_s)
+        yield (alpha * r_d + beta * r_s + gamma * tf(tok)) / weight, delta, pos, tok
+
+
 def rank_candidates(
     doc: PreparedDocument, identifier_key: str, params: RankerParams | None = None
 ) -> list[tuple[TaggedToken, float]]:
@@ -259,37 +293,52 @@ def rank_candidates(
     Token distance is taken to the nearest occurrence of the identifier;
     sentence distance to the sentence of its first occurrence.  Sorted
     by descending score, ties broken by smaller distance, then earlier
-    position.
-
-    Candidates, ``tf`` and occurrences come from ``doc.ranking_table``,
-    built once per document.  The nearest occurrence is one of the two
-    that bisection puts around the candidate, so ``delta`` is the same
-    minimum over all occurrences.  The score is ``ranker_score``'s
-    expression, bit for bit, inlined with its denominators computed once
-    per call: a table of Gaussians per distinct distance was measured no
-    faster, since a dict lookup costs about as much as ``math.exp``.
+    position.  ``extract_relations`` scores with the same expression,
+    but only the candidates that can reach ``retain_threshold`` (see
+    ``_reach``).
     """
     if params is None:
         params = RankerParams()
-    candidates, occurrences = doc.ranking_table
+    positions, _, _, occurrences, _ = doc.ranking_table
     if identifier_key not in occurrences:
         raise IdentifierNotInDocument(identifier_key)
-    first_sentence, occ_positions = occurrences[identifier_key]
-    alpha, beta, gamma = params.alpha, params.beta, params.gamma
-    weight = alpha + beta + gamma
+    every = range(len(positions))
+    scored = sorted(_scores(doc, identifier_key, params, every), key=lambda c: (-c[0], c[1], c[2]))
+    return [(tok, score) for score, _, _, tok in scored]
+
+
+def _reach(n_sentences: int, params: RankerParams) -> tuple[int, float]:
+    """``(free, radius)`` for ``_within_reach``; T is retain_threshold, W the weight sum.
+
+    As tf <= 1, a candidate at sentence distance s reaches T only if
+    alpha * r_d >= need(s) = T * W - gamma - beta * r_s(s).  ``free``
+    counts the sentence distances up to the last s with need <= 0, where
+    every token distance passes; ``radius`` is the largest token distance
+    that passes at another s, sqrt(ln(alpha / need) * 2 sigma_d^2), or -1.0.
+    ``need`` is lowered by 1e-9 W, far above the rounding on either side.
+    """
+    alpha, beta, weight = params.alpha, params.beta, params.alpha + params.beta + params.gamma
     width_d, width_s = 2.0 * params.sigma_d**2, 2.0 * params.sigma_s**2
-    scored = []
-    for pos, tok, tf in candidates:
-        at = bisect_left(occ_positions, pos)
-        nearby = occ_positions[max(0, at - 1) : at + 1]
-        delta = min(abs(pos - nearby[0]), abs(pos - nearby[-1]))
-        n_sent = abs(tok.sentence_idx - first_sentence)
-        r_d = math.exp(-(delta**2) / width_d)
-        r_s = math.exp(-(n_sent**2) / width_s)
-        score = (alpha * r_d + beta * r_s + gamma * tf) / weight
-        scored.append((-score, delta, pos, tok))
-    scored.sort()  # positions are unique, so tokens are never compared
-    return [(tok, -neg_score) for neg_score, _, _, tok in scored]
+    floor = params.retain_threshold * weight - params.gamma - 1e-9 * weight
+    free, radius = 0, -1.0
+    for s in range(n_sentences):
+        need = floor - beta * math.exp(-(s**2) / width_s)
+        if need <= 0:
+            free = s + 1
+        elif need <= alpha:
+            radius = max(radius, math.sqrt(math.log(alpha / need) * width_d))
+    return free, radius
+
+
+def _within_reach(doc: PreparedDocument, identifier_key: str, free: int, radius: float) -> set:
+    """Indices of the candidates fewer than ``free`` sentences from the first
+    occurrence, or at most ``radius`` tokens from any (none when it is -1)."""
+    positions, _, starts, occurrences, _ = doc.ranking_table
+    first, occ_positions = occurrences[identifier_key]
+    near = set(range(starts[max(0, first - free + 1)], starts[min(first + free, len(starts) - 1)]))
+    for q in occ_positions:
+        near.update(range(bisect_left(positions, q - radius), bisect_right(positions, q + radius)))
+    return near
 
 
 def extract_relations(
@@ -319,18 +368,14 @@ def extract_relations(
     else:
         if params is None:
             params = RankerParams()
-        for key in sorted(doc.ranking_table[1]):
+        free, radius = _reach(len(doc.sentences), params)
+        for key in sorted(doc.ranking_table[3]):
             ident = doc.identifiers.get(key) or Identifier(base=key, display=key)
-            for tok, score in rank_candidates(doc, key, params):
+            # in any order: on equal scores the maximum below keeps equal relations
+            near = _within_reach(doc, key, free, radius)
+            for score, _, _, tok in _scores(doc, key, params, near):
                 if score >= params.retain_threshold:
-                    raw.append(
-                        Relation(
-                            identifier=ident,
-                            definition=tok.text,
-                            score=score,
-                            method=RANKER,
-                        )
-                    )
+                    raw.append(Relation(ident, tok.text, score, RANKER))
         del doc.ranking_table  # needed only while this document is ranked
     best: dict[tuple[str, str], Relation] = {}
     for rel in raw:
@@ -339,11 +384,6 @@ def extract_relations(
             continue
         key = (rel.identifier.key, definition)
         if key not in best or rel.score > best[key].score:
-            best[key] = Relation(
-                identifier=rel.identifier,
-                definition=definition,
-                score=rel.score,
-                method=rel.method,
-                doc_id=doc.document.doc_id,
-            )
+            doc_id = doc.document.doc_id
+            best[key] = Relation(rel.identifier, definition, rel.score, rel.method, doc_id)
     return [best[k] for k in sorted(best)]

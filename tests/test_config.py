@@ -207,6 +207,12 @@ BAD_SECTIONS = [
     ("weight-under-pattern", "extraction", {"method": "pattern", "alpha": 1.0}, "'alpha'"),
     ("unknown-extraction-key", "extraction", {"sigma": 3.0}, "'sigma'"),
     ("bad-ranker-weight", "extraction", {"alpha": -1.0}, "non-negative"),
+    # json reads NaN and Infinity; a NaN weight used to run with no relations
+    ("nan-ranker-weight", "extraction", {"alpha": float("nan")}, "alpha must be finite, got nan"),
+    ("inf-ranker-width", "extraction", {"sigma_s": float("inf")}, "sigma_s must be finite, got inf"),
+    ("nan-ranker-width", "extraction", {"sigma_d": float("nan")}, "sigma_d must be finite, got nan"),
+    ("inf-ranker-threshold", "extraction", {"retain_threshold": float("-inf")},
+     "retain_threshold must be finite, got -inf"),
     ("unknown-baseline-key", "baseline", {"trails": 10}, "'trails'"),
     # counts below 1: each failed only in the cluster or evaluate stage, and
     # agglomerative with K 0 ran to the end with one cluster

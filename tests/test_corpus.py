@@ -123,6 +123,18 @@ class TestParseDocument:
         with pytest.raises(ValueError, match="document 'd': text must be a string"):
             parse_document({"doc_id": "d", "text": text})
 
+    @pytest.mark.parametrize("key", ["title", "category"])
+    def test_null_title_or_category_counts_as_absent(self, key):
+        # str(None) used to make it the word 'None', a real category in purity
+        doc = parse_document({"doc_id": "d", "text": "x", key: None})
+        assert getattr(doc, key) == ""
+        assert doc == parse_document({"doc_id": "d", "text": "x"})
+
+    @pytest.mark.parametrize("record", [{"doc_id": None, "text": "x"}, {"text": "x"}])
+    def test_doc_id_must_be_present_and_not_null(self, record):
+        with pytest.raises(ValueError, match="needs a non-null doc_id"):
+            parse_document(record)
+
     @given(
         st.one_of(
             st.dictionaries(

@@ -1,18 +1,20 @@
 """Relation extraction: nearest noun, patterns, probabilistic ranker."""
 
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mathns.corpus import build_corpus, default_stop_lists, load_corpus
+from mathns.corpus import Identifier, build_corpus, default_stop_lists, load_corpus
 from mathns.errors import IdentifierNotInDocument
 from mathns.extraction import (
     NEAREST_NOUN,
     PATTERN,
     RANKER,
     RankerParams,
+    Relation,
     extract_relations,
     match_patterns,
     nearest_noun,
@@ -150,6 +152,14 @@ class TestRankerScore:
         with pytest.raises(ValueError):
             RankerParams(sigma_d=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["alpha", "beta", "gamma", "sigma_d", "sigma_s", "retain_threshold"]
+    )
+    def test_non_finite_params(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RankerParams(**{name: value})
+
 
 class TestRankCandidates:
     TEXT = (
@@ -286,3 +296,111 @@ class TestRankCandidatesOracle:
         doc = toy_docs[1]
         assert extract_relations(doc, RANKER)
         assert "ranking_table" not in vars(doc)
+
+
+def old_extract_ranker(doc, params, definition_stop=frozenset()):
+    """``extract_relations``' ranker path before the bound: every candidate
+    of every identifier ranked, then those below the threshold dropped."""
+    raw = []
+    for key in sorted({tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}):
+        ident = doc.identifiers.get(key) or Identifier(base=key, display=key)
+        for tok, score in rank_candidates(doc, key, params):
+            if score >= params.retain_threshold:
+                raw.append(
+                    Relation(identifier=ident, definition=tok.text, score=score, method=RANKER)
+                )
+    best = {}
+    for rel in raw:
+        definition = rel.definition.strip()
+        if not definition or definition.lower() in definition_stop:
+            continue
+        key = (rel.identifier.key, definition)
+        if key not in best or rel.score > best[key].score:
+            best[key] = Relation(
+                identifier=rel.identifier,
+                definition=definition,
+                score=rel.score,
+                method=rel.method,
+                doc_id=doc.document.doc_id,
+            )
+    return [best[k] for k in sorted(best)]
+
+
+def with_bits(relations):
+    return [(r, r.score.hex()) for r in relations]
+
+
+WEIGHTS = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.sampled_from([1e-300, 1e-9, 1e9]))
+WIDTHS = st.one_of(st.floats(0.05, 50.0), st.sampled_from([1e-100, 1e-3, 1e3, 1e100]))
+# up to 14 sentences that repeat identifiers; the last has no full stop,
+# so when it is one noun run that candidate has tf 1
+LONG_DOCS = st.lists(
+    st.lists(
+        st.sampled_from(
+            ["the", "energy", "mass", "is", "of", "speed", "light", "field", "values",
+             "$x$", "$E$", "$m$"]
+        ),
+        min_size=1,
+        max_size=15,
+    ).map(" ".join),
+    min_size=1,
+    max_size=14,
+).map(". ".join)
+
+
+class TestBoundedRanker:
+    """``extract_relations`` scores only the candidates that can reach the
+    threshold; its relations must equal ranking every candidate."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [RankerParams(), RankerParams(0.3, 2.0, 0.7, 1.5, 0.5, 0.2), OTHER_PARAMS,
+         RankerParams(retain_threshold=0.0), RankerParams(retain_threshold=1.0)],
+    )
+    def test_every_toy_document_matches_ranking_every_candidate(self, toy_corpus_path, params):
+        for doc in prepare_corpus(load_corpus(toy_corpus_path)):
+            assert with_bits(extract_relations(doc, RANKER, params, STOPS.definition_stop)) == (
+                with_bits(old_extract_ranker(doc, params, STOPS.definition_stop))
+            )
+
+    @settings(max_examples=300)
+    @given(LONG_DOCS, WEIGHTS, WEIGHTS, WEIGHTS, WIDTHS, WIDTHS, st.data())
+    def test_matches_ranking_every_candidate(
+        self, text, alpha, beta, gamma, sigma_d, sigma_s, data
+    ):
+        assume(alpha + beta + gamma > 0)
+        doc = prepare_one(text)
+        params = RankerParams(alpha, beta, gamma, sigma_d, sigma_s)
+        keys = {tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}
+        scores = sorted({s for key in keys for _, s in rank_candidates(doc, key, params)})
+        # a threshold equal to a candidate's score puts it exactly at the radius
+        thresholds = [st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)]
+        threshold = data.draw(st.one_of(*thresholds, *[st.sampled_from(scores)] * bool(scores)))
+        params = replace(params, retain_threshold=threshold)
+        got = extract_relations(doc, RANKER, params)
+        assert with_bits(got) == with_bits(old_extract_ranker(doc, params))
+
+    def test_radius_is_the_largest_over_sentence_distances(self):
+        # with the defaults, sentence distance 2 passes tokens up to 10.03 away
+        # and distance 6 only up to 3.97; "energy" is 8 tokens from $x$ at
+        # sentence distance 2, with tf 1/6, and scores 0.429
+        doc = prepare_one("$x$. of. of of of of energy. of. of. of. of")
+        got = extract_relations(doc, RANKER)
+        assert ("x", "energy") in {(r.identifier.key, r.definition) for r in got}
+        assert with_bits(got) == with_bits(old_extract_ranker(doc, RankerParams()))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.7])
+    @pytest.mark.parametrize("distance", range(1, 13))
+    def test_candidate_at_the_radius_is_kept(self, distance, gamma):
+        # "energy" alone in the last sentence has tf 1, so the bound is tight
+        # for it: with the threshold at its score, it sits exactly at the radius
+        text = "$x$" + " of" * (distance - 1) + ". energy"
+        doc = prepare_one(text)
+        params = RankerParams(gamma=gamma, sigma_d=3.0, sigma_s=0.5)
+        threshold = ranker_score(distance + 1, 1, 1.0, params)  # the full stop is a token
+        params = replace(params, retain_threshold=threshold)
+        got = extract_relations(doc, RANKER, params)
+        assert [(r.identifier.key, r.definition, r.score) for r in got] == [
+            ("x", "energy", threshold)
+        ]
+        assert with_bits(got) == with_bits(old_extract_ranker(doc, params))
