@@ -20,7 +20,7 @@ def show(corpus, relations, mode):
     vocab = build_vocabulary(relations, corpus, mode, min_df=2)
     dm = vectorize(corpus, relations, vocab, BINARY, normalize=False)
     print(f"\nmode = {mode}: dimensions {list(vocab.dims)}")
-    dense = np.asarray(dm.matrix.todense()).astype(int)
+    dense = dm.matrix.toarray().astype(int)
     for doc_id, row in zip(dm.doc_ids, dense):
         print(f"  {doc_id}: {row}")
 
@@ -57,7 +57,7 @@ def main():
     vocab = build_vocabulary(relations2, corpus2, IDENTIFIERS_ONLY, min_df=2)
     dm = vectorize(corpus2, relations2, vocab, TFIDF, normalize=False)
     print(f"\nTF-IDF weights over dims {list(vocab.dims)} (x is everywhere, weight 0):")
-    print(np.round(np.asarray(dm.matrix.todense()), 3))
+    print(np.round(dm.matrix.toarray(), 3))
 
 
 if __name__ == "__main__":

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EpsNotBelowK, KTooLarge, TooManyDocuments
-from .simindex import BLOCK_CELLS, COSINE, _unwrap, build_snn_graph
+from .idspace import _CSR, _unwrap
+from .simindex import BLOCK_CELLS, COSINE, build_snn_graph
 
 NOISE = -1
 
@@ -58,8 +58,8 @@ class ClusterAssignment:
 
 
 def _row_sq_norms(X) -> np.ndarray:
-    if sp.issparse(X):
-        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    if isinstance(X, _CSR):
+        return X.sq_sums(axis=1)
     return np.einsum("ij,ij->i", X, X)
 
 
@@ -72,8 +72,8 @@ def _sq_distances(X, centers: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
 
 
 def _rows_dense(X, idx) -> np.ndarray:
-    if sp.issparse(X):
-        return np.asarray(X[idx].todense())
+    if isinstance(X, _CSR):
+        return X[idx].toarray()
     return np.asarray(X[idx], dtype=float)
 
 
@@ -281,10 +281,7 @@ def linkage_merges(X, linkage: str) -> list[tuple[int, int, float]]:
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
     X = _unwrap(X)
-    if sp.issparse(X):
-        X = np.asarray(X.todense(), dtype=float)
-    else:
-        X = np.asarray(X, dtype=float)
+    X = np.asarray(X.toarray() if isinstance(X, _CSR) else X, dtype=float)
     n = X.shape[0]
     d = np.empty((n, n))
     # blocks of rows keep the difference tensor near BLOCK_CELLS cells

@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cluster import ClusterAssignment
 from .errors import NegativeInput, RankTooLarge
-from .simindex import _unwrap
+from .idspace import _CSR, _unwrap
 
 
 @dataclass
@@ -88,7 +87,7 @@ class NmfFactors:
 
 def _frobenius_error(A, U: np.ndarray, V: np.ndarray) -> float:
     # ||A - U V^T||_F computed without densifying A
-    a_sq = float(A.multiply(A).sum()) if sp.issparse(A) else float(np.sum(A * A))
+    a_sq = float(A.sq_sums()) if isinstance(A, _CSR) else float(np.sum(A * A))
     cross = float(np.sum((A.T @ U) * V))
     gram = float(np.sum((U.T @ U) * (V.T @ V)))
     return max(a_sq - 2.0 * cross + gram, 0.0) ** 0.5
@@ -111,15 +110,12 @@ def nmf(
     m, n = A.shape
     if k < 1:
         raise RankTooLarge(f"k={k} must be at least 1")
-    if sp.issparse(A):
-        if A.nnz and A.data.min() < 0:
-            raise NegativeInput("NMF input must be entrywise non-negative")
-        mean = A.sum() / (m * n)
-    else:
+    if not isinstance(A, _CSR):
         A = np.asarray(A, dtype=float)
-        if A.size and A.min() < 0:
-            raise NegativeInput("NMF input must be entrywise non-negative")
-        mean = A.mean() if A.size else 0.0
+    values = A.data if isinstance(A, _CSR) else A  # in storage order, as scipy sums them
+    if values.size and values.min() < 0:
+        raise NegativeInput("NMF input must be entrywise non-negative")
+    mean = np.sum(values) / (m * n) if m * n else 0.0
     rng = np.random.default_rng(seed)
     scale = max(float(mean) / k, np.finfo(float).tiny)
     U = rng.uniform(size=(m, k)) * scale

@@ -63,6 +63,14 @@ class RankerParams:
             raise ValueError("at least one weight must be positive")
         if self.sigma_d <= 0 or self.sigma_s <= 0:
             raise ValueError("Gaussian widths must be positive")
+        for name in ("sigma_d", "sigma_s"):
+            sigma = getattr(self, name)
+            try:
+                width = 2.0 * sigma**2
+            except OverflowError:
+                width = math.inf
+            if not 0.0 < width < math.inf:  # the rankers divide by it
+                raise ValueError(f"{name} must have 2*{name}**2 finite and nonzero, got {sigma!r}")
         if not 0.0 <= self.retain_threshold <= 1.0:
             raise ValueError("retain_threshold must be in [0, 1]")
 
@@ -354,18 +362,15 @@ def extract_relations(
     """
     if method not in METHODS:
         raise ValueError(f"unknown extraction method {method!r}")
-    raw: list[Relation] = []
+    # (identifier, definition, score, method) of every candidate relation
     if method == NEAREST_NOUN:
-        for sentence in doc.sentences:
-            for idx, tok in enumerate(sentence):
-                if tok.tag == ID:
-                    rel = nearest_noun(sentence, idx)
-                    if rel is not None:
-                        raw.append(rel)
+        rels = (nearest_noun(s, i) for s in doc.sentences for i, t in enumerate(s) if t.tag == ID)
+        found = [(r.identifier, r.definition, r.score, r.method) for r in rels if r is not None]
     elif method == PATTERN:
-        for sentence in doc.sentences:
-            raw.extend(match_patterns(sentence))
+        rels = (r for sentence in doc.sentences for r in match_patterns(sentence))
+        found = [(r.identifier, r.definition, r.score, r.method) for r in rels]
     else:
+        found = []
         if params is None:
             params = RankerParams()
         free, radius = _reach(len(doc.sentences), params)
@@ -375,15 +380,17 @@ def extract_relations(
             near = _within_reach(doc, key, free, radius)
             for score, _, _, tok in _scores(doc, key, params, near):
                 if score >= params.retain_threshold:
-                    raw.append(Relation(ident, tok.text, score, RANKER))
+                    found.append((ident, tok.text, score, RANKER))
         del doc.ranking_table  # needed only while this document is ranked
-    best: dict[tuple[str, str], Relation] = {}
-    for rel in raw:
-        definition = rel.definition.strip()
+    best: dict[tuple[str, str], tuple[Identifier, float, str]] = {}
+    for ident, definition, score, how in found:
+        definition = definition.strip()
         if not definition or definition.lower() in definition_stop:
             continue
-        key = (rel.identifier.key, definition)
-        if key not in best or rel.score > best[key].score:
-            doc_id = doc.document.doc_id
-            best[key] = Relation(rel.identifier, definition, rel.score, rel.method, doc_id)
-    return [best[k] for k in sorted(best)]
+        key = (ident.key, definition)
+        if key not in best or score > best[key][1]:
+            best[key] = (ident, score, how)
+    return [
+        Relation(ident, definition, score, how, doc.document.doc_id)
+        for (_, definition), (ident, score, how) in sorted(best.items())
+    ]

@@ -3,7 +3,8 @@
 Documents become sparse vectors over identifier dimensions.  Extracted
 definitions can enter the space in three ways: not at all, as separate
 stemmed-token dimensions (weak association), or fused onto the
-identifier as compound dimensions (strong association).
+identifier as compound dimensions (strong association).  The matrix is
+a numpy CSR, ``_CSR``, that adds in the order scipy's kernels do.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Corpus
 from .errors import EmptyVocabulary, WeightDomainError
@@ -76,6 +76,147 @@ class Vocabulary:
 
     def __contains__(self, dim: str) -> bool:
         return dim in self.index
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for every (s, c) in turn, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _sums(bins: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """Sum of the ``terms`` of each of ``n`` bins, each added from 0.0 in
+    order, as bincount's loop does (a float array even with no terms)."""
+    return np.bincount(bins, terms, minlength=n).astype(float, copy=False)
+
+
+def _indptr(majors: np.ndarray, n: int) -> np.ndarray:
+    """Pointers of ``n`` compressed lines, from the line of each entry."""
+    return np.concatenate(([0], np.cumsum(np.bincount(majors, minlength=n)))).astype(np.int32)
+
+
+class _CSR:
+    """Compressed sparse rows with just the operations the package uses.
+
+    ``T`` is the transpose over the same arrays, compressed by column
+    (``by_row`` False), as scipy's ``csr.T`` is a CSC.  Products with a
+    dense matrix add ``a * x`` into each output entry from 0.0 in storage
+    order, as scipy's ``csr_matvecs``/``csc_matvecs`` do.  Index arrays
+    are int32, as scipy's are below 2**31 entries.  Row sums assume the
+    sorted, unique columns per row that every constructor here gives.
+    """
+
+    __array_ufunc__ = None  # numpy defers ``dense @ matrix`` to __rmatmul__
+
+    def __init__(self, data, indices, indptr, shape, by_row: bool = True):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = tuple(shape)
+        self.by_row = by_row
+
+    @classmethod
+    def from_coo(cls, rows, cols, data, shape) -> "_CSR":
+        """Rows sorted by column, from triplets with no repeated (row, col)."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        order = np.lexsort((cols, rows))
+        indices = cols[order].astype(np.int32)
+        return cls(np.asarray(data)[order], indices, _indptr(rows, shape[0]), shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    @property
+    def T(self) -> "_CSR":
+        return _CSR(self.data, self.indices, self.indptr, self.shape[::-1], not self.by_row)
+
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) of every stored entry, in storage order."""
+        major = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        return (major, self.indices) if self.by_row else (self.indices, major)
+
+    def recompress(self) -> "_CSR":
+        """The same matrix compressed along the other axis, each line's
+        entries in storage order (scipy's ``tocsc``/``tocsr``)."""
+        order = np.argsort(self.indices, kind="stable")
+        major = np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int32), np.diff(self.indptr))
+        indptr = _indptr(self.indices, self.shape[self.by_row])  # lines of the other axis
+        return _CSR(self.data[order], major[order], indptr, self.shape, not self.by_row)
+
+    def __getitem__(self, rows) -> "_CSR":
+        """The rows at integer positions ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        counts = np.diff(self.indptr)[rows]
+        pos = _ranges(self.indptr[rows], counts)
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+        return _CSR(self.data[pos], self.indices[pos], indptr, (len(rows), self.shape[1]))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.dtype)
+        np.add.at(out, self.coords(), self.data)
+        return out
+
+    def without_zeros(self) -> "_CSR":
+        rows, cols = self.coords()
+        keep = self.data != 0
+        return _CSR.from_coo(rows[keep], cols[keep], self.data[keep], self.shape)
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        rows, cols = self.coords()
+        other = np.asarray(other)
+        out = np.empty((self.shape[0], other.shape[1]))
+        for c, column in enumerate(np.ascontiguousarray(other.T)):  # contiguous gathers
+            out[:, c] = _sums(rows, column[cols] * self.data, self.shape[0])
+        return out
+
+    def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
+        return (self.T @ np.asarray(other).T).T
+
+    def sq_sums(self, axis: int | None = None):
+        """``multiply(self).sum(axis)``: the nonzero squares added in storage
+        order, or for axis 1 of a CSR by reduceat over each nonempty row."""
+        sq = self.data * self.data
+        keep = sq != 0
+        if axis is None:
+            return np.sum(sq[keep])
+        indptr = _indptr(self.coords()[0][keep], self.shape[0])
+        nonempty = np.flatnonzero(np.diff(indptr))
+        out = np.zeros(self.shape[0])
+        out[nonempty] = np.add.reduceat(sq[keep], indptr[nonempty])
+        return out
+
+    def mean(self, axis: int) -> np.ndarray:
+        """Column means of a CSR: ``data * (1/m)`` added per column in row
+        order, as scipy's ``ones @ (X * (1/m))`` does."""
+        if axis != 0 or not self.by_row:
+            raise NotImplementedError("only the column means of a CSR")
+        return _sums(self.indices, self.data * (1.0 / self.shape[0]), self.shape[1])
+
+
+def _unwrap(X):
+    """The matrix of a ``DocMatrix``; a scipy matrix as a ``_CSR`` over its
+    arrays (a CSC as the transpose of its CSR); any other input as it is."""
+    X = getattr(X, "matrix", X)
+    if not hasattr(X, "tocsr"):
+        return X
+    if X.format == "csc":
+        return _unwrap(X.T).T
+    X = X.tocsr()
+    return _CSR(X.data, X.indices, X.indptr, X.shape)
+
+
+def _as_csr(X) -> _CSR:
+    """What ``_unwrap`` accepts, or a dense array (its nonzeros), as a float CSR."""
+    X = _unwrap(X)
+    if not isinstance(X, _CSR):
+        X = np.asarray(X)
+        rows, cols = np.nonzero(X)
+        X = _CSR.from_coo(rows, cols, X[rows, cols], X.shape)
+    X = X if X.by_row else X.recompress()
+    return _CSR(X.data.astype(float, copy=False), X.indices, X.indptr, X.shape)
 
 
 def _relations_by_doc(relations: Iterable[Relation]) -> dict[str, list[Relation]]:
@@ -140,7 +281,7 @@ class DocMatrix:
 
     doc_ids: tuple[str, ...]
     vocab: Vocabulary
-    matrix: sp.csr_matrix
+    matrix: _CSR
     row_norm: bool
     empty_docs: tuple[str, ...] = ()
 
@@ -164,12 +305,12 @@ class DocMatrix:
 
     def export_matrix_market(self, path: str | Path) -> None:
         """Write a matrix-market coordinate file for debugging."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
+        rows, cols = self.matrix.coords()
+        order = np.lexsort((cols, rows))
         lines = ["%%MatrixMarket matrix coordinate real general"]
-        lines.append(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}")
+        lines.append(f"{self.shape[0]} {self.shape[1]} {self.matrix.nnz}")
         for k in order:
-            lines.append(f"{coo.row[k] + 1} {coo.col[k] + 1} {float(coo.data[k])!r}")
+            lines.append(f"{rows[k] + 1} {cols[k] + 1} {float(self.matrix.data[k])!r}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -201,13 +342,11 @@ def vectorize(
                 cols.append(j)
                 data.append(term_weight(count, int(vocab.df[j]), vocab.n_docs, weighting))
     # canonical CSR: each row sorted by column, so row sums add in column order
-    matrix = sp.csr_matrix(
-        (np.array(data, dtype=float), (rows, cols)), shape=(len(doc_ids), len(vocab))
-    )
-    matrix.eliminate_zeros()
+    shape = (len(doc_ids), len(vocab))
+    matrix = _CSR.from_coo(rows, cols, np.array(data, dtype=float), shape).without_zeros()
     row_nnz = np.diff(matrix.indptr)
     if normalize:
-        norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
+        norms = np.sqrt(matrix.sq_sums(axis=1))
         scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
         matrix.data *= np.repeat(scale, row_nnz)
     return DocMatrix(

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import cluster as clustering
 from . import decompose, evaluate, idspace, simindex
@@ -334,7 +333,7 @@ def _read_matrix(config: PipelineConfig) -> idspace.DocMatrix:
         rows.append(int(i) - 1)
         cols.append(int(j) - 1)
         vals.append(float(v))
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
+    matrix = idspace._CSR.from_coo(rows, cols, np.array(vals), (m, n))
     vocab = idspace.Vocabulary(
         dims=tuple(meta["dims"]),
         mode=meta["mode"],
@@ -400,9 +399,7 @@ def _run_clustering(config: PipelineConfig, X, factors, K: Optional[int]):
         )
     if algorithm == "dbscan":
         # Jaccard counts nonzero entries here, as simindex.jaccard does.
-        csr = sp.csr_matrix(X, copy=True)
-        csr.eliminate_zeros()
-        index = simindex.SimilarityIndex(csr, opts["measure"])
+        index = simindex.SimilarityIndex(idspace._as_csr(X).without_zeros(), opts["measure"])
         return clustering.dbscan(index.within, index.n_docs, opts["eps"], opts["minpts"])
     return decompose.nmf_assign(factors)  # nmf_direct
 

@@ -1,8 +1,9 @@
 """Similarity measures, blocked sparse-product kNN and shared-nearest-neighbor.
 
-One kernel scores a block of rows against every document:
-``csr[s:e] @ csc.T`` for the dot products, and the same product on the
-stored-entry pattern for Jaccard and for which pairs share a dimension.
+One kernel scores a block of rows against every document: the terms of
+``csr[s:e] @ csc.T`` (Gustavson's row-by-row product), added per pair in
+csr storage order for the dot products and counted for Jaccard and for
+which pairs share a dimension.
 Blocks hold about ``BLOCK_CELLS`` dense cells, so memory stays bounded.
 kNN lists, DBSCAN region queries and the SNN graph (``N @ N.T`` of the
 kNN indicator) all come from it.  Ties keep the smaller index, and for a
@@ -16,9 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import LengthMismatch
+from .idspace import _CSR, _as_csr, _ranges, _sums, _unwrap
 
 COSINE = "cosine"
 INNER = "inner"
@@ -39,8 +40,9 @@ class ZeroVectorWarning(UserWarning):
 
 
 def _dense(v) -> np.ndarray:
-    if sp.issparse(v):
-        return np.asarray(v.todense()).ravel()
+    v = _unwrap(v)
+    if isinstance(v, _CSR):
+        return v.toarray().ravel()
     return np.asarray(v, dtype=float).ravel()
 
 
@@ -101,9 +103,17 @@ class NeighborList:
         return frozenset(idx for idx, _ in self.neighbors)
 
 
-def _unwrap(X):
-    """The sparse matrix of a ``DocMatrix``; any other input as it is."""
-    return getattr(X, "matrix", X)
+def _products(a: _CSR, cols: _CSR, s: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every term ``a[i, j] * b[k, j]`` of ``a[s:e] @ b.T`` (``cols`` is b
+    compressed by column) as its cell ``(i - s) * n + k`` and its factors'
+    positions, in scipy's ``csr_matmat`` order: a's storage, then b's."""
+    left = np.arange(a.indptr[s], a.indptr[e])
+    j = a.indices[left]
+    counts = np.diff(cols.indptr)[j]
+    right = _ranges(cols.indptr[j], counts)
+    row = np.repeat(np.arange(e - s), np.diff(a.indptr[s : e + 1]))
+    cells = np.repeat(row * cols.shape[0], counts) + cols.indices[right]
+    return cells, np.repeat(left, counts), right
 
 
 class SimilarityIndex:
@@ -113,35 +123,34 @@ class SimilarityIndex:
         if measure not in MEASURES:
             raise ValueError(f"unknown measure {measure!r}")
         self.measure = measure
-        self.csr = sp.csr_matrix(_unwrap(matrix), dtype=float)
-        self.csc = self.csr.tocsc()
+        self.csr = _as_csr(matrix)
+        self.csc = self.csr.recompress()
         self.n_docs = self.csr.shape[0]
-        sq = np.asarray(self.csr.multiply(self.csr).sum(axis=1)).ravel()
+        sq = self.csr.sq_sums(axis=1)
         self.norms_sq = sq
         self.norms = np.sqrt(sq)
         self.nnz = np.diff(self.csr.indptr)
-        # Every stored entry (explicit zeros too) as 1, for shared-dimension counts.
-        self._pattern = self.csr.copy()
-        self._pattern.data[:] = 1.0
-        self._pattern_t = self._pattern.T.tocsr()
 
     def _block(self, s: int, e: int, sharers: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """Scores of rows [s, e) against every document, and which pairs share
         a stored dimension (None unless ``sharers``).
 
-        ``csr[s:e] @ csc.T`` adds ``v * w`` per row in csr storage order,
-        and a pair whose products sum to exactly 0 is not stored, so the
-        sharer mask comes from the pattern product, never from the values.
+        The dots add ``v * w`` per pair from 0.0 in csr storage order, as
+        scipy's ``csr[s:e] @ csc.T`` does; a pair can share dimensions and
+        still sum to 0, so the sharer mask counts stored entries (explicit
+        zeros too), never the values.
         """
         measure = self.measure
+        cells, left, right = _products(self.csr, self.csc, s, e)
+        size, shape = (e - s) * self.n_docs, (e - s, self.n_docs)
         shared = None
         if sharers or measure == JACCARD:
-            shared = (self._pattern[s:e] @ self._pattern_t).toarray()
+            shared = np.bincount(cells, minlength=size).reshape(shape).astype(float)
         if measure == JACCARD:
             union = self.nnz[s:e, None] + self.nnz[None, :] - shared
             scores = np.divide(shared, union, out=np.zeros_like(shared), where=union > 0)
         else:
-            dots = (self.csr[s:e] @ self.csc.T).toarray()
+            dots = _sums(cells, self.csr.data[left] * self.csc.data[right], size).reshape(shape)
             if measure == COSINE:
                 denom = self.norms[s:e, None] * self.norms[None, :]
                 scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
@@ -208,20 +217,20 @@ def snn_similarity(p: NeighborList, q: NeighborList) -> int:
     return len(p.ids() & q.ids())
 
 
-def build_snn_graph(matrix, K: int, measure: str = COSINE) -> sp.csr_matrix:
+def build_snn_graph(matrix, K: int, measure: str = COSINE) -> _CSR:
     """Pairwise SNN similarity over precomputed kNN lists.
 
-    Symmetric integer matrix ``N @ N.T``, where row p of the binary
+    Symmetric int32 matrix ``N @ N.T``, where row p of the binary
     indicator ``N`` marks the K neighbors of p; its diagonal is K, the
-    size of every list, and only pairs sharing a neighbor are stored.
+    size of every list, and only pairs sharing a neighbor are stored,
+    each row sorted by column.
     """
     index = SimilarityIndex(matrix, measure)
     lists = index.all_neighbors(K)
     n = index.n_docs
     ids = np.array([j for nl in lists for j, _ in nl.neighbors], dtype=np.int32)
-    indicator = sp.csr_matrix(
-        (np.ones(n * K, dtype=np.int32), ids, np.arange(n + 1) * K), shape=(n, n)
-    )
-    shared = indicator @ indicator.T
-    shared.sort_indices()
-    return shared
+    indicator = _CSR(np.ones(n * K, dtype=np.int32), ids, np.arange(n + 1) * K, (n, n))
+    cells = _products(indicator, indicator.recompress(), 0, n)[0]
+    pairs, counts = np.unique(cells, return_counts=True)
+    rows, cols = np.divmod(pairs, n)
+    return _CSR.from_coo(rows, cols, counts.astype(np.int32), (n, n))

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -15,6 +16,12 @@ REPO = Path(__file__).resolve().parent.parent
 TOY_CORPUS = REPO / "demos" / "data" / "toy_corpus.jsonl"
 TOY_CONFIG = REPO / "demos" / "data" / "toy_config.json"
 TOY_HIERARCHY = REPO / "demos" / "data" / "toy_hierarchy.json"
+
+
+def as_scipy(matrix) -> sp.csr_matrix:
+    """A returned ``mathns`` matrix as the scipy CSR over the same arrays,
+    for tests that read it through scipy-only API."""
+    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
 @pytest.fixture(scope="session")

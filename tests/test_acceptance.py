@@ -37,6 +37,7 @@ from mathns.namespaces import build_namespace, merge_exact, merge_fuzzy, squash_
 from mathns.pipeline import PipelineConfig, run_pipeline
 from mathns.simindex import COSINE, EUCLIDEAN, INNER, JACCARD, SimilarityIndex
 
+from conftest import as_scipy
 from test_cluster import dbscan_oracle, optimal_partition_inertia
 from test_namespaces import golden_relations
 from test_simindex import assert_same_topk, brute_force_knn
@@ -116,7 +117,7 @@ def test_identifier_space_golden():
     def columns(mode):
         vocab = build_vocabulary(relations, corpus, mode, min_df=2)
         dm = vectorize(corpus, relations, vocab, BINARY, normalize=False)
-        dense = np.asarray(dm.matrix.todense())
+        dense = np.asarray(as_scipy(dm.matrix).todense())
         return {dim: tuple(dense[:, j].astype(int)) for j, dim in enumerate(vocab.dims)}
 
     none_cols = columns(IDENTIFIERS_ONLY)

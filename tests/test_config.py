@@ -213,6 +213,11 @@ BAD_SECTIONS = [
     ("nan-ranker-width", "extraction", {"sigma_d": float("nan")}, "sigma_d must be finite, got nan"),
     ("inf-ranker-threshold", "extraction", {"retain_threshold": float("-inf")},
      "retain_threshold must be finite, got -inf"),
+    # 2*sigma**2 overflowed (OverflowError) or rounded to 0 (ZeroDivisionError) in extraction
+    ("huge-ranker-width", "extraction", {"sigma_d": 1e200},
+     "sigma_d must have 2*sigma_d**2 finite and nonzero, got 1e+200"),
+    ("tiny-ranker-width", "extraction", {"sigma_s": 1e-170},
+     "sigma_s must have 2*sigma_s**2 finite and nonzero, got 1e-170"),
     ("unknown-baseline-key", "baseline", {"trails": 10}, "'trails'"),
     # counts below 1: each failed only in the cluster or evaluate stage, and
     # agglomerative with K 0 ran to the end with one cluster

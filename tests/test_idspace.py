@@ -21,13 +21,19 @@ from mathns.idspace import (
     WEAK,
     WEIGHTINGS,
     DocMatrix,
+    _CSR,
+    _as_csr,
     _relations_by_doc,
+    _unwrap,
     build_vocabulary,
     doc_features,
     term_weight,
     tfidf_weight,
     vectorize,
 )
+from mathns.simindex import INNER, SimilarityIndex
+
+from conftest import as_scipy
 
 
 def rel(doc, ident, definition, score=1.0):
@@ -122,7 +128,7 @@ class TestVectorize:
         corpus, relations = emc_corpus
         vocab = build_vocabulary(relations, corpus, IDENTIFIERS_ONLY, min_df=2)
         dm = vectorize(corpus, relations, vocab, BINARY, normalize=False)
-        dense = np.asarray(dm.matrix.todense())
+        dense = np.asarray(as_scipy(dm.matrix).todense())
         cols = {dim: dense[:, j].tolist() for j, dim in enumerate(vocab.dims)}
         assert cols["E"] == [1, 0, 1]
         assert cols["m"] == [1, 1, 0]
@@ -132,7 +138,7 @@ class TestVectorize:
         corpus = build_corpus([{"doc_id": "d", "text": "$x$ $x$"}])
         vocab = build_vocabulary([rel("d", "x", "thing")], corpus, IDENTIFIERS_ONLY, min_df=1)
         dm = vectorize(corpus, [rel("d", "x", "thing")], vocab, TF, normalize=True)
-        assert dm.matrix[0, 0] == pytest.approx(1.0)
+        assert as_scipy(dm.matrix)[0, 0] == pytest.approx(1.0)
 
     def test_dense_oracle_counts(self):
         docs = [
@@ -144,7 +150,7 @@ class TestVectorize:
         relations = [rel(d["doc_id"], "x", "dummy") for d in docs]
         vocab = build_vocabulary(relations, corpus, IDENTIFIERS_ONLY, min_df=1)
         dm = vectorize(corpus, relations, vocab, TF, normalize=False)
-        dense = np.asarray(dm.matrix.todense())
+        dense = np.asarray(as_scipy(dm.matrix).todense())
         # brute-force count table built directly from the raw text
         expected = np.zeros_like(dense)
         for i, d in enumerate(docs):
@@ -156,7 +162,7 @@ class TestVectorize:
         corpus, relations = emc_corpus
         vocab = build_vocabulary(relations, corpus, WEAK, min_df=1)
         dm = vectorize(corpus, relations, vocab, TFIDF, normalize=True)
-        dense = np.asarray(dm.matrix.todense())
+        dense = np.asarray(as_scipy(dm.matrix).todense())
         for row in dense:
             norm = np.linalg.norm(row)
             if norm > 0:
@@ -166,7 +172,7 @@ class TestVectorize:
         corpus, relations = emc_corpus
         vocab = build_vocabulary(relations, corpus, WEAK, min_df=1)
         dm = vectorize(corpus, relations, vocab, TF, normalize=True)
-        dense = np.asarray(dm.matrix.todense())
+        dense = np.asarray(as_scipy(dm.matrix).todense())
         for i in range(3):
             for j in range(3):
                 ni, nj = np.linalg.norm(dense[i]), np.linalg.norm(dense[j])
@@ -194,7 +200,7 @@ class TestVectorize:
         corpus, relations = emc_corpus
         vocab = build_vocabulary(relations, corpus, IDENTIFIERS_ONLY, min_df=1)
         dm = vectorize(corpus, relations, vocab, BINARY, normalize=False)
-        row = dm.matrix.getrow(1)  # d2 = {m, c}
+        row = as_scipy(dm.matrix).getrow(1)  # d2 = {m, c}
         present = {vocab.dims[j] for j in row.indices}
         assert present == {"m", "c"}
 
@@ -274,7 +280,7 @@ class TestVectorizeMatchesOldArrays:
         got = vectorize(corpus, relations, vocab, weighting, normalize)
         want = old_vectorize(corpus, relations, vocab, weighting, normalize)
         want.matrix.sort_indices()
-        assert got.matrix.has_canonical_format
+        assert as_scipy(got.matrix).has_canonical_format
         assert got.matrix.shape == want.matrix.shape
         np.testing.assert_array_equal(got.matrix.indptr, want.matrix.indptr)
         np.testing.assert_array_equal(got.matrix.indices, want.matrix.indices)
@@ -286,7 +292,7 @@ class TestVectorizeMatchesOldArrays:
         vocab = build_vocabulary(relations, corpus, WEAK, min_df=1)
         got = vectorize(corpus, relations, vocab, TFIDF, normalize=True)
         want = old_vectorize(corpus, relations, vocab, TFIDF, normalize=True)
-        assert got.matrix.has_canonical_format and not want.matrix.has_sorted_indices
+        assert as_scipy(got.matrix).has_canonical_format and not want.matrix.has_sorted_indices
         want.matrix.sort_indices()
         assert got.matrix.data.tobytes() == want.matrix.data.tobytes()
 
@@ -295,5 +301,127 @@ class TestVectorizeMatchesOldArrays:
         corpus = build_corpus([{"doc_id": "a", "text": "$x$ $y$"}, {"doc_id": "b", "text": "$x$"}])
         vocab = build_vocabulary([], corpus, IDENTIFIERS_ONLY, min_df=1)
         dm = vectorize(corpus, [], vocab, TFIDF, normalize=False)
-        assert dm.matrix.nnz == 1 and dm.matrix[0, vocab.index["y"]] > 0
+        assert dm.matrix.nnz == 1 and as_scipy(dm.matrix)[0, vocab.index["y"]] > 0
         assert dm.empty_docs == ("b",)
+
+
+# ---------------------------------------------------------------------------
+# The numpy CSR against scipy, the oracle: every operation must give the
+# same bytes, since the pipeline's artifacts depend on every sum's order.
+
+
+def _magnitudes(rng, shape) -> np.ndarray:
+    """Mixed-sign values from 1e-8 to 1e8."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+@st.composite
+def csr_cases(draw):
+    """A scipy CSR with empty rows and signed explicit zeros, the ``_CSR``
+    over copies of its arrays, and a seeded generator for dense operands."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stored = rng.random((m, n)) < draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    stored[rng.random(m) < 0.25] = False
+    values = _magnitudes(rng, (m, n))
+    zeros = rng.random((m, n)) < draw(st.sampled_from([0.0, 0.3]))
+    values[zeros] = np.copysign(0.0, values[zeros])  # explicit 0.0 and -0.0
+    rows, cols = np.nonzero(stored)
+    indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1)))).astype(np.int32)
+    want = sp.csr_matrix((values[rows, cols], cols.astype(np.int32), indptr), shape=(m, n))
+    got = _CSR(want.data.copy(), want.indices.copy(), want.indptr.copy(), (m, n))
+    return got, want, rng
+
+
+def _same(got, want) -> None:
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _same_arrays(got: _CSR, want) -> None:
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    _same(got.data, want.data)
+
+
+class TestCsrMatchesScipy:
+    @settings(max_examples=200)
+    @given(csr_cases(), st.integers(1, 6))
+    def test_products(self, case, v):
+        got, want, rng = case
+        m, n = want.shape
+        right, left = _magnitudes(rng, (n, v)), _magnitudes(rng, (v, m))
+        right[rng.random((n, v)) < 0.2] = 0.0
+        _same(got @ right, want @ right)
+        _same(got.T @ left.T, want.T @ left.T)
+        _same(left @ got, left @ want)
+        _same(right.T @ got.T, right.T @ want.T)
+
+    @settings(max_examples=200)
+    @given(csr_cases())
+    def test_sums(self, case):
+        got, want, _ = case
+        # nmf's total: the stored values in storage order, either way round
+        _same(np.sum(got.data), want.sum())
+        _same(np.sum(got.T.data), want.T.sum())
+        _same(got.sq_sums(), want.multiply(want).sum())
+        _same(got.T.sq_sums(), want.T.multiply(want.T).sum())
+        _same(got.sq_sums(axis=1), np.asarray(want.multiply(want).sum(axis=1)).ravel())
+
+    @settings(max_examples=200)
+    @given(csr_cases(), st.data())
+    def test_rows_and_means(self, case, data):
+        got, want, _ = case
+        m = want.shape[0]
+        rows = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m))
+        _same_arrays(got[rows], want[rows])
+        _same(got[rows].mean(axis=0), np.asarray(want[rows].mean(axis=0)).ravel())
+        _same(got[rows].toarray(), want[rows].toarray())
+
+    @settings(max_examples=200)
+    @given(csr_cases())
+    def test_conversions(self, case):
+        got, want, _ = case
+        _same(got.toarray(), want.toarray())
+        _same(got.T.toarray(), want.T.toarray())
+        csc = got.recompress()
+        assert not csc.by_row
+        _same_arrays(csc, want.tocsc())
+        _same_arrays(got.T.recompress(), want.T.tocsr())
+        _same_arrays(csc.recompress(), want)
+        trimmed = want.copy()
+        trimmed.eliminate_zeros()
+        _same_arrays(got.without_zeros(), trimmed)
+        dense = want.toarray()
+        _same_arrays(_as_csr(dense), sp.csr_matrix(dense))
+        rows, cols = np.nonzero(dense)
+        shuffled = np.random.default_rng(0).permutation(len(rows))
+        rows, cols, values = rows[shuffled], cols[shuffled], dense[rows, cols][shuffled]
+        want = sp.csr_matrix((values, (rows, cols)), shape=dense.shape)
+        _same_arrays(_CSR.from_coo(rows, cols, values, dense.shape), want)
+
+    @settings(max_examples=200)
+    @given(csr_cases(), st.data())
+    def test_kernel_block(self, case, data):
+        """``SimilarityIndex._block``: the dots of ``csr[s:e] @ csc.T`` and
+        the stored-pattern product that marks sharers."""
+        got, want, _ = case
+        m = want.shape[0]
+        s = data.draw(st.integers(0, m - 1))
+        e = data.draw(st.integers(s + 1, m))
+        index = SimilarityIndex(got, INNER)
+        dots, shares = index._block(s, e, sharers=True)
+        _same(dots, (want[s:e] @ want.tocsc().T).toarray())
+        pattern = want.copy()
+        pattern.data[:] = 1.0
+        _same(shares, (pattern[s:e] @ pattern.T.tocsr()).toarray() > 0)
+        _same(index.norms_sq, np.asarray(want.multiply(want).sum(axis=1)).ravel())
+
+    def test_scipy_csc_input_keeps_its_storage(self):
+        X = sp.random(7, 5, density=0.5, random_state=3, format="csr")
+        got = _unwrap(X.T.tocsc())
+        assert not got.by_row and got.shape == (5, 7)
+        Q = np.random.default_rng(1).standard_normal((7, 3))
+        _same(got @ Q, X.T.tocsc() @ Q)

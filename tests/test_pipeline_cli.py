@@ -143,15 +143,54 @@ class TestBaselineCategories:
         assert purity["baseline"]["max"] == 0
 
 
+# each reduction and clustering path of the pipeline, over the toy config
+NO_SCIPY_RUNS = {
+    "toy": {},
+    "kmeans": {"reduction": {"kind": "none"}, "clustering": {"algorithm": "kmeans", "K": 4}},
+    "minibatch": {
+        "reduction": {"kind": "none"},
+        "clustering": {"algorithm": "minibatch_kmeans", "K": 4, "batch_size": 12, "iters": 20},
+    },
+    "svd-agglomerative": {
+        "reduction": {"kind": "svd", "k": 5},
+        "clustering": {"algorithm": "agglomerative", "K": 4},
+    },
+    "nmf-direct": {"reduction": {"kind": "nmf", "k": 4}, "clustering": {"algorithm": "nmf_direct"}},
+    "dbscan": {
+        "reduction": {"kind": "none"},
+        "clustering": {"algorithm": "dbscan", "measure": "jaccard", "eps": 0.3, "minpts": 3},
+    },
+}
+
+
 class TestCli:
     def test_import_loads_no_optional_scipy_modules(self):
-        heavy = ("scipy.io", "scipy.sparse.csgraph", "scipy.spatial", "scipy.cluster")
-        code = f"import sys, mathns.cli; print([m for m in sys.modules if m.startswith({heavy})])"
+        code = "import sys, mathns.cli; print([m for m in sys.modules if m.startswith('scipy')])"
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("name", NO_SCIPY_RUNS)
+    def test_pipeline_runs_without_scipy(self, name, tmp_path, toy_config_path):
+        raw = json.loads(toy_config_path.read_text())
+        raw["corpus"] = str(toy_config_path.parent / raw["corpus"])
+        raw["hierarchy"] = str(toy_config_path.parent / raw["hierarchy"])
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**raw, **NO_SCIPY_RUNS[name]}))
+        out = tmp_path / "out"
+        # a None entry makes every ``import scipy...`` raise ImportError
+        code = "import sys; sys.modules['scipy'] = None; import mathns.cli as m; sys.exit(m.main())"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", code, "pipeline", "--config", str(cfg), "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert [a for a in ARTIFACTS if not (out / a).is_file()] == []
 
     def test_missing_corpus_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

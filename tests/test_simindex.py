@@ -29,6 +29,8 @@ from mathns.simindex import (
     snn_similarity,
 )
 
+from conftest import as_scipy
+
 
 def assert_same_topk(got, expected, tol: float = 1e-9):
     """Top-K equality up to float noise.  ``expected`` is the oracle's
@@ -200,7 +202,7 @@ class TestSnnGraph:
     def test_two_identical_docs_k1(self):
         # n=2, K=1: each lists the other, so no shared neighbor exists
         X = sp.csr_matrix(np.ones((2, 3)))
-        A = build_snn_graph(X, 1, COSINE)
+        A = as_scipy(build_snn_graph(X, 1, COSINE))
         assert A[0, 1] == 0
         assert A[0, 0] == 1  # diagonal is K by convention
 
@@ -210,12 +212,12 @@ class TestSnnGraph:
         X = sp.csr_matrix(
             np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
         )
-        A = build_snn_graph(X, 2, COSINE)
+        A = as_scipy(build_snn_graph(X, 2, COSINE))
         assert A[0, 1] == 1
 
     def test_orthogonal_corpus_zero_offdiag(self):
         X = sp.csr_matrix(np.eye(4))
-        A = build_snn_graph(X, 2, COSINE)
+        A = as_scipy(build_snn_graph(X, 2, COSINE))
         dense = np.asarray(A.todense())
         off = dense - np.diag(np.diag(dense))
         # neighbors exist (zero-similarity fill), but they are assigned
@@ -230,7 +232,7 @@ class TestSnnGraph:
         n = 20
         X = sp.random(n, 8, density=0.5, random_state=seed, format="csr")
         K = 4
-        A = build_snn_graph(X, K, COSINE)
+        A = as_scipy(build_snn_graph(X, K, COSINE))
         dense_X = np.asarray(X.todense())
         lists = [
             frozenset(j for j, _ in brute_force_knn(dense_X, i, K, COSINE))
@@ -243,7 +245,7 @@ class TestSnnGraph:
 
     def test_symmetric(self):
         X = sp.random(15, 6, density=0.5, random_state=3, format="csr")
-        A = build_snn_graph(X, 3, COSINE)
+        A = as_scipy(build_snn_graph(X, 3, COSINE))
         assert (A != A.T).nnz == 0
 
 
