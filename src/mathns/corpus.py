@@ -16,7 +16,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DuplicateDocId, ExcludedSymbol, UnbalancedFormulaDelimiter
 
@@ -85,8 +85,7 @@ _LETTERLIKE_FIXES = {
 _ASCII_OPERATORS = frozenset("=+-*/^_'(){}[]<>|,.;:!?~&%$#@\"`\\ \t\n")
 
 
-@dataclass(frozen=True)
-class Identifier:
+class Identifier(NamedTuple):
     """A normalized single-symbol identifier, e.g. x, sigma or x_1."""
 
     base: str
@@ -111,10 +110,21 @@ class StopLists:
         return s.lower() in self.symbol_stop
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file; a ValueError names the line of a
+    byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from None
+
+
 def load_stop_list(path: str | Path) -> frozenset[str]:
     """Read a stop list file: UTF-8, one entry per line, ``#`` comments."""
     entries = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_lines(path):
         line = line.split("#", 1)[0].strip()
         if line:
             entries.add(line.lower())

@@ -218,6 +218,12 @@ def random_baseline(
     )
 
 
+def write_labels(path: str | Path, doc_ids: Sequence[str], labels: Sequence) -> None:
+    """Write a labels file, one ``doc_id<TAB>label`` line per document."""
+    lines = [f"{doc_id}\t{label}" for doc_id, label in zip(doc_ids, labels)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def load_labels(path: str | Path) -> dict[str, str]:
     """Read a labels file: TSV doc_id<TAB>category."""
     labels = {}

@@ -5,16 +5,20 @@ pattern matcher over tagged tokens, and a probabilistic ranker that
 scores candidates by two Gaussians (token distance, sentence distance)
 plus in-sentence term frequency.  ``extract_relations`` scores only the
 candidates whose bound on the score reaches ``retain_threshold``.
+``write_relations`` and ``read_relations`` own the relations file.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from operator import itemgetter
+from pathlib import Path
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import textproc
 from .corpus import Corpus, Document, Identifier
@@ -31,8 +35,7 @@ _DEF_TAGS = frozenset({NN, NNS, LINK, NOUN_PHRASE})
 _RUN_TAGS = frozenset({DT, JJ, NN, NNS, NOUN_PHRASE})
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """An (identifier, definition) pair with extraction score."""
 
     identifier: Identifier
@@ -40,6 +43,35 @@ class Relation:
     score: float
     method: str
     doc_id: Optional[str] = None
+
+
+RELATIONS_FILE = "relations.jsonl"
+# the keys of a relations file record, in the order of ``_record_values``
+_RELATION_KEYS = ("doc_id", "identifier", "subscript", "definition", "score", "method")
+_record_values = itemgetter(*_RELATION_KEYS)
+
+
+def write_relations(out_dir: str | Path, relations: Iterable[Relation]) -> None:
+    """Write ``relations.jsonl``: one JSON object a line, sorted by document,
+    identifier key and definition.  ``read_relations`` reads it back."""
+    records = (
+        (r.doc_id, r.identifier.base, r.identifier.subscript, r.definition, r.score, r.method)
+        for r in sorted(relations, key=lambda r: (r.doc_id, r.identifier.key, r.definition))
+    )
+    lines = [json.dumps(dict(zip(_RELATION_KEYS, rec)), sort_keys=True) + "\n" for rec in records]
+    (Path(out_dir) / RELATIONS_FILE).write_text("".join(lines), encoding="utf-8")
+
+
+def read_relations(out_dir: str | Path) -> list[Relation]:
+    """The relations of ``write_relations``'s file, parsed a line at a time."""
+    relations = []
+    with open(Path(out_dir) / RELATIONS_FILE, encoding="utf-8") as lines:
+        for line in lines:
+            if line.strip():
+                doc_id, base, sub, definition, score, method = _record_values(json.loads(line))
+                ident = Identifier(base, sub, display=base)
+                relations.append(Relation(ident, definition, score, method, doc_id))
+    return relations
 
 
 @dataclass

@@ -9,9 +9,10 @@ a numpy CSR, ``_CSR``, that adds in the order scipy's kernels do.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -275,14 +276,23 @@ def build_vocabulary(
     )
 
 
+MATRIX_FILE = "matrix.mtx"
+META_FILE = "matrix_meta.json"
+
+
 @dataclass
 class DocMatrix:
-    """Sparse document-by-dimension matrix, rows in corpus order."""
+    """Sparse document-by-dimension matrix, rows in corpus order.
+
+    ``save`` and ``load`` own its two files: ``matrix.mtx`` holds the
+    matrix-market coordinates, ``matrix_meta.json`` the rest.
+    """
 
     doc_ids: tuple[str, ...]
     vocab: Vocabulary
     matrix: _CSR
     row_norm: bool
+    weighting: str  # the one ``vectorize`` used
     empty_docs: tuple[str, ...] = ()
 
     @property
@@ -295,23 +305,43 @@ class DocMatrix:
             return self
         empty = set(self.empty_docs)
         keep = [i for i, d in enumerate(self.doc_ids) if d not in empty]
-        return DocMatrix(
+        return replace(
+            self,
             doc_ids=tuple(self.doc_ids[i] for i in keep),
-            vocab=self.vocab,
             matrix=self.matrix[keep],
-            row_norm=self.row_norm,
             empty_docs=(),
         )
 
-    def export_matrix_market(self, path: str | Path) -> None:
-        """Write a matrix-market coordinate file for debugging."""
+    def save(self, out_dir: str | Path) -> None:
+        """Write both files to ``out_dir``; the coordinates go in storage
+        order, which is row-major for the canonical CSR ``vectorize`` makes."""
         rows, cols = self.matrix.coords()
-        order = np.lexsort((cols, rows))
+        entries = zip((rows + 1).tolist(), (cols + 1).tolist(), self.matrix.data.tolist())
         lines = ["%%MatrixMarket matrix coordinate real general"]
-        lines.append(f"{self.shape[0]} {self.shape[1]} {self.matrix.nnz}")
-        for k in order:
-            lines.append(f"{rows[k] + 1} {cols[k] + 1} {float(self.matrix.data[k])!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines += [f"{self.shape[0]} {self.shape[1]} {self.matrix.nnz}"]
+        lines += [f"{i} {j} {v!r}" for i, j, v in entries]
+        (Path(out_dir) / MATRIX_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        vocab = self.vocab
+        meta = {"doc_ids": list(self.doc_ids), "dims": list(vocab.dims), "df": vocab.df.tolist(),
+                "n_docs": vocab.n_docs, "mode": vocab.mode, "weighting": self.weighting,
+                "row_norm": self.row_norm, "empty_docs": list(self.empty_docs)}
+        text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+        (Path(out_dir) / META_FILE).write_text(text, encoding="utf-8")
+
+    @classmethod
+    def load(cls, out_dir: str | Path) -> "DocMatrix":
+        """The matrix ``save`` wrote, with the same arrays: each value's
+        ``repr`` reads back to the same float."""
+        meta = json.loads((Path(out_dir) / META_FILE).read_text(encoding="utf-8"))
+        lines = (Path(out_dir) / MATRIX_FILE).read_text(encoding="utf-8").splitlines()
+        m, n, nnz = (int(x) for x in lines[1].split())
+        entries = [line.split() for line in lines[2 : 2 + nnz]]
+        rows, cols = ([int(entry[k]) - 1 for entry in entries] for k in (0, 1))
+        matrix = _CSR.from_coo(rows, cols, np.array([float(v) for _, _, v in entries]), (m, n))
+        df = np.array(meta["df"], dtype=np.int64)
+        vocab = Vocabulary(tuple(meta["dims"]), meta["mode"], df, meta["n_docs"])
+        return cls(tuple(meta["doc_ids"]), vocab, matrix, meta["row_norm"], meta["weighting"],
+                   tuple(meta["empty_docs"]))
 
 
 def vectorize(
@@ -354,5 +384,6 @@ def vectorize(
         vocab=vocab,
         matrix=matrix,
         row_norm=normalize,
+        weighting=weighting,
         empty_docs=tuple(d for d, nnz in zip(doc_ids, row_nnz) if nnz == 0),
     )

@@ -3,14 +3,19 @@
 Stages run in a fixed order (stats, extract, vectorize, cluster,
 evaluate, namespaces); each consumes the corpus plus prior-stage
 artifacts only, so a run can resume from any stage using cached files.
-With a fixed seed, repeated runs produce byte-identical artifacts.
+Stages hand over only through the one writer and one reader of each
+artifact, kept beside the type it stores: ``write_relations`` and
+``read_relations`` (extraction), ``DocMatrix.save`` and ``load``
+(idspace), and ``write_labels`` and ``load_labels`` (evaluate) for the
+assignment files.  With a fixed seed, repeated runs produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -18,11 +23,11 @@ import numpy as np
 
 from . import cluster as clustering
 from . import decompose, evaluate, idspace, simindex
-from .corpus import Corpus, Identifier, StopLists, corpus_stats, default_stop_lists
+from .corpus import Corpus, StopLists, corpus_stats
 from .corpus import drop_sparse_documents, load_corpus, load_stop_list
 from .errors import ConfigError, StageError
 from .extraction import NEAREST_NOUN, PATTERN, RANKER, RankerParams, Relation
-from .extraction import extract_relations, prepare_corpus
+from .extraction import extract_relations, prepare_corpus, read_relations, write_relations
 from .namespaces import HierarchyScheme, build_namespace, map_to_hierarchy
 from .textproc import Lexicon
 
@@ -144,6 +149,9 @@ class PipelineConfig:
     hierarchy_min_matches: int = 2
     baseline: Optional[dict] = None  # empty or absent: no random baseline
     ranker_params: Optional[RankerParams] = field(init=False, default=None)
+    # read from the files above, or the packaged ones, at construction
+    stops: StopLists = field(init=False, repr=False, compare=False)
+    lexicon: Lexicon = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f in fields(self):
@@ -166,6 +174,18 @@ class PipelineConfig:
                 self.ranker_params = RankerParams(**weights)
             except ValueError as exc:
                 raise ConfigError(f"extraction: {exc}") from exc
+        data = Path(__file__).parent / "data"
+        try:
+            self.stops = StopLists(
+                load_stop_list(self.symbol_stop or data / "symbol_stop.txt"),
+                load_stop_list(self.definition_stop or data / "definition_stop.txt"),
+            )
+            self.lexicon = Lexicon.load(
+                self.lexicon_path or data / "lexicon.tsv",
+                self.suffix_rules_path or data / "suffix_rules.tsv",
+            )
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path, seed: int | None = None, out: str | Path | None = None):
@@ -203,30 +223,13 @@ class PipelineConfig:
             raise ConfigError(f"config: unknown key {unknown[0]!r}")
         return cls(**paths, seed=seed, output_dir=out_dir, **options)
 
-    def stop_lists(self) -> StopLists:
-        stops = default_stop_lists()
-        if self.symbol_stop is not None:
-            stops.symbol_stop = load_stop_list(self.symbol_stop)
-        if self.definition_stop is not None:
-            stops.definition_stop = load_stop_list(self.definition_stop)
-        return stops
-
-    def lexicon(self) -> Lexicon:
-        if self.lexicon_path is not None or self.suffix_rules_path is not None:
-            data = Path(__file__).parent / "data"
-            return Lexicon.load(
-                self.lexicon_path or data / "lexicon.tsv",
-                self.suffix_rules_path or data / "suffix_rules.tsv",
-            )
-        return Lexicon.default()
-
 
 def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _load_corpus(config: PipelineConfig) -> Corpus:
-    corpus = load_corpus(config.corpus_path, config.stop_lists())
+    corpus = load_corpus(config.corpus_path, config.stops)
     return drop_sparse_documents(corpus, config.min_identifier_occurrences)
 
 
@@ -237,12 +240,10 @@ def _labels(config: PipelineConfig, corpus: Corpus) -> dict[str, str]:
 
 
 def _extract_all(config: PipelineConfig, corpus: Corpus) -> list[Relation]:
-    lexicon = config.lexicon()
-    stops = config.stop_lists()
-    method = config.extraction["method"]
+    method, stop = config.extraction["method"], config.stops.definition_stop
     relations: list[Relation] = []
-    for doc in prepare_corpus(corpus, lexicon):
-        relations.extend(extract_relations(doc, method, config.ranker_params, stops.definition_stop))
+    for doc in prepare_corpus(corpus, config.lexicon):
+        relations.extend(extract_relations(doc, method, config.ranker_params, stop))
     return relations
 
 
@@ -254,99 +255,17 @@ def stage_stats(config: PipelineConfig) -> None:
 
 
 def stage_extract(config: PipelineConfig) -> None:
-    corpus = _load_corpus(config)
-    relations = _extract_all(config, corpus)
-    lines = []
-    for rel in sorted(
-        relations, key=lambda r: (r.doc_id, r.identifier.key, r.definition)
-    ):
-        lines.append(
-            json.dumps(
-                {
-                    "doc_id": rel.doc_id,
-                    "identifier": rel.identifier.base,
-                    "subscript": rel.identifier.subscript,
-                    "definition": rel.definition,
-                    "score": rel.score,
-                    "method": rel.method,
-                },
-                sort_keys=True,
-            )
-        )
-    (config.output_dir / "relations.jsonl").write_text(
-        "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
-    )
-
-
-def _read_relations(config: PipelineConfig) -> list[Relation]:
-    path = config.output_dir / "relations.jsonl"
-    relations = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        ident = Identifier(
-            base=rec["identifier"], subscript=rec.get("subscript"), display=rec["identifier"]
-        )
-        relations.append(
-            Relation(
-                identifier=ident,
-                definition=rec["definition"],
-                score=rec["score"],
-                method=rec["method"],
-                doc_id=rec["doc_id"],
-            )
-        )
-    return relations
+    write_relations(config.output_dir, _extract_all(config, _load_corpus(config)))
 
 
 def stage_vectorize(config: PipelineConfig) -> None:
     corpus = _load_corpus(config)
-    relations = _read_relations(config)
+    relations = read_relations(config.output_dir)
     vocab = idspace.build_vocabulary(
         relations, corpus, config.association, config.min_df
     )
     dm = idspace.vectorize(corpus, relations, vocab, config.weighting, normalize=True)
-    dm.export_matrix_market(config.output_dir / "matrix.mtx")
-    _dump_json(
-        config.output_dir / "matrix_meta.json",
-        {
-            "doc_ids": list(dm.doc_ids),
-            "dims": list(vocab.dims),
-            "df": [int(x) for x in vocab.df],
-            "n_docs": vocab.n_docs,
-            "mode": vocab.mode,
-            "weighting": config.weighting,
-            "row_norm": dm.row_norm,
-            "empty_docs": list(dm.empty_docs),
-        },
-    )
-
-
-def _read_matrix(config: PipelineConfig) -> idspace.DocMatrix:
-    meta = json.loads((config.output_dir / "matrix_meta.json").read_text(encoding="utf-8"))
-    lines = (config.output_dir / "matrix.mtx").read_text(encoding="utf-8").splitlines()
-    m, n, nnz = (int(x) for x in lines[1].split())
-    rows, cols, vals = [], [], []
-    for line in lines[2 : 2 + nnz]:
-        i, j, v = line.split()
-        rows.append(int(i) - 1)
-        cols.append(int(j) - 1)
-        vals.append(float(v))
-    matrix = idspace._CSR.from_coo(rows, cols, np.array(vals), (m, n))
-    vocab = idspace.Vocabulary(
-        dims=tuple(meta["dims"]),
-        mode=meta["mode"],
-        df=np.array(meta["df"], dtype=np.int64),
-        n_docs=meta["n_docs"],
-    )
-    return idspace.DocMatrix(
-        doc_ids=tuple(meta["doc_ids"]),
-        vocab=vocab,
-        matrix=matrix,
-        row_norm=meta["row_norm"],
-        empty_docs=tuple(meta["empty_docs"]),
-    )
+    dm.save(config.output_dir)
 
 
 def _grid(config: PipelineConfig) -> list[dict]:
@@ -398,26 +317,20 @@ def _run_clustering(config: PipelineConfig, X, factors, K: Optional[int]):
             X, K=opts["neighbors"], measure=opts["measure"], eps=opts["eps"], minpts=opts["minpts"]
         )
     if algorithm == "dbscan":
-        # Jaccard counts nonzero entries here, as simindex.jaccard does.
-        index = simindex.SimilarityIndex(idspace._as_csr(X).without_zeros(), opts["measure"])
+        index = simindex.SimilarityIndex(X, opts["measure"])
         return clustering.dbscan(index.within, index.n_docs, opts["eps"], opts["minpts"])
     return decompose.nmf_assign(factors)  # nmf_direct
 
 
-def _write_assignment(path: Path, doc_ids, labels) -> None:
-    lines = [f"{doc_id}\t{int(label)}" for doc_id, label in zip(doc_ids, labels)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def stage_cluster(config: PipelineConfig) -> None:
-    dm = _read_matrix(config).drop_empty()
+    dm = idspace.DocMatrix.load(config.output_dir).drop_empty()
     combos = _grid(config)
     manifest = []
     for combo in combos:
         X, factors = _embed(config, dm, combo["k"])
         assignment = _run_clustering(config, X, factors, combo["K"])
         fname = f"assignment_{combo['id']}.tsv"
-        _write_assignment(config.output_dir / fname, dm.doc_ids, assignment.labels)
+        evaluate.write_labels(config.output_dir / fname, dm.doc_ids, assignment.labels.tolist())
         manifest.append(
             {
                 "id": combo["id"],
@@ -480,7 +393,7 @@ def stage_namespaces(config: PipelineConfig) -> None:
     corpus = _load_corpus(config)
     labels = _labels(config, corpus)
     titles = {doc.doc_id: doc.title for doc in corpus.documents}
-    relations = _read_relations(config)
+    relations = read_relations(config.output_dir)
     doc_ids, assignment = _read_assignment(config.output_dir / "assignment.tsv")
     chosen = evaluate.namespace_defining(
         assignment, doc_ids, labels, config.purity_threshold, config.min_cluster_size
@@ -522,16 +435,7 @@ def stage_namespaces(config: PipelineConfig) -> None:
                 min_cos=config.hierarchy_min_cos,
                 min_matches=config.hierarchy_min_matches,
             )
-            mapping.append(
-                {
-                    "namespace": ns.name,
-                    "cluster_id": ns.cluster_id,
-                    "top": hit.top,
-                    "second": hit.second,
-                    "cosine": hit.cosine,
-                    "matched_keywords": hit.matched_keywords,
-                }
-            )
+            mapping.append({"namespace": ns.name, "cluster_id": ns.cluster_id, **asdict(hit)})
     _dump_json(
         config.output_dir / "hierarchy_map.json",
         {"scheme": str(config.hierarchy_path) if config.hierarchy_path else None,

@@ -117,13 +117,16 @@ def _products(a: _CSR, cols: _CSR, s: int, e: int) -> tuple[np.ndarray, np.ndarr
 
 
 class SimilarityIndex:
-    """Exact kNN and threshold queries through one blocked sparse product."""
+    """Exact kNN and threshold queries through one blocked sparse product.
+    Under Jaccard it indexes only the nonzero entries, as ``jaccard`` binarizes."""
 
     def __init__(self, matrix, measure: str = COSINE):
         if measure not in MEASURES:
             raise ValueError(f"unknown measure {measure!r}")
         self.measure = measure
         self.csr = _as_csr(matrix)
+        if measure == JACCARD:  # of the binarized vectors, as ``jaccard`` is
+            self.csr = self.csr.without_zeros()
         self.csc = self.csr.recompress()
         self.n_docs = self.csr.shape[0]
         sq = self.csr.sq_sums(axis=1)

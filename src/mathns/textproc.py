@@ -14,7 +14,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
-from .corpus import PLACEHOLDER_PREFIX, Identifier
+from .corpus import PLACEHOLDER_PREFIX, Identifier, read_lines
 from .errors import UnknownPlaceholder, UnterminatedLink
 
 NN = "NN"
@@ -40,12 +40,15 @@ class TaggedToken(NamedTuple):
 
 
 def _read_pairs(path: str | Path) -> list[tuple[str, str]]:
-    """The tab-separated pairs of a file, one a line; ``#`` starts a comment."""
+    """The tab-separated pairs of a UTF-8 file, one a line; ``#`` starts a
+    comment.  A ValueError names the line that is not a pair."""
     pairs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for n, line in enumerate(read_lines(path), start=1):
         if line := line.split("#", 1)[0].rstrip():
-            first, second = line.split("\t")
-            pairs.append((first, second))
+            pair = tuple(line.split("\t"))
+            if len(pair) != 2:
+                raise ValueError(f"{path}, line {n}: expected two fields split by one tab")
+            pairs.append(pair)
     return pairs
 
 

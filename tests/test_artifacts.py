@@ -1,0 +1,224 @@
+"""The stage artifacts' readers and writers against the hand-written code
+they replaced, kept here as oracles: the same bytes, records and arrays."""
+
+import json
+import struct
+from dataclasses import asdict
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from mathns.corpus import Identifier
+from mathns.extraction import METHODS, Relation, read_relations, write_relations
+from mathns.idspace import DocMatrix, Vocabulary, _CSR
+from mathns.namespaces import HierarchyAssignment
+
+
+def old_write_relations(path, relations) -> None:
+    lines = []
+    for rel in sorted(relations, key=lambda r: (r.doc_id, r.identifier.key, r.definition)):
+        lines.append(
+            json.dumps(
+                {
+                    "doc_id": rel.doc_id,
+                    "identifier": rel.identifier.base,
+                    "subscript": rel.identifier.subscript,
+                    "definition": rel.definition,
+                    "score": rel.score,
+                    "method": rel.method,
+                },
+                sort_keys=True,
+            )
+        )
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def old_read_relations(path) -> list[Relation]:
+    relations = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        rec = json.loads(line)
+        ident = Identifier(
+            base=rec["identifier"], subscript=rec.get("subscript"), display=rec["identifier"]
+        )
+        relations.append(
+            Relation(
+                identifier=ident,
+                definition=rec["definition"],
+                score=rec["score"],
+                method=rec["method"],
+                doc_id=rec["doc_id"],
+            )
+        )
+    return relations
+
+
+def old_save_matrix(out_dir, dm: DocMatrix) -> None:
+    rows, cols = dm.matrix.coords()
+    order = np.lexsort((cols, rows))
+    lines = ["%%MatrixMarket matrix coordinate real general"]
+    lines.append(f"{dm.shape[0]} {dm.shape[1]} {dm.matrix.nnz}")
+    for k in order:
+        lines.append(f"{rows[k] + 1} {cols[k] + 1} {float(dm.matrix.data[k])!r}")
+    (out_dir / "matrix.mtx").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    meta = {
+        "doc_ids": list(dm.doc_ids),
+        "dims": list(dm.vocab.dims),
+        "df": [int(x) for x in dm.vocab.df],
+        "n_docs": dm.vocab.n_docs,
+        "mode": dm.vocab.mode,
+        "weighting": dm.weighting,
+        "row_norm": dm.row_norm,
+        "empty_docs": list(dm.empty_docs),
+    }
+    text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    (out_dir / "matrix_meta.json").write_text(text, encoding="utf-8")
+
+
+def old_read_matrix(out_dir) -> DocMatrix:
+    meta = json.loads((out_dir / "matrix_meta.json").read_text(encoding="utf-8"))
+    lines = (out_dir / "matrix.mtx").read_text(encoding="utf-8").splitlines()
+    m, n, nnz = (int(x) for x in lines[1].split())
+    rows, cols, vals = [], [], []
+    for line in lines[2 : 2 + nnz]:
+        i, j, v = line.split()
+        rows.append(int(i) - 1)
+        cols.append(int(j) - 1)
+        vals.append(float(v))
+    matrix = _CSR.from_coo(rows, cols, np.array(vals), (m, n))
+    vocab = Vocabulary(
+        dims=tuple(meta["dims"]),
+        mode=meta["mode"],
+        df=np.array(meta["df"], dtype=np.int64),
+        n_docs=meta["n_docs"],
+    )
+    return DocMatrix(
+        doc_ids=tuple(meta["doc_ids"]),
+        vocab=vocab,
+        matrix=matrix,
+        row_norm=meta["row_norm"],
+        weighting=meta["weighting"],
+        empty_docs=tuple(meta["empty_docs"]),
+    )
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+SCORES = st.one_of(
+    st.sampled_from([5e-324, 0.1 + 0.2, 1e308, -0.0, 0.0, 1.0, 0.4, 2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+SYMBOLS = st.sampled_from(["x", "E", "sigma", "Gamma", "nabla", "ω", "x_1"])
+
+
+@st.composite
+def relation_lists(draw):
+    doc_ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4))
+    relations = []
+    for _ in range(draw(st.integers(0, 12))):
+        subscript = draw(st.one_of(st.none(), st.sampled_from(["1", "i,j", "max", "α"]),
+                                   st.text(max_size=3)))
+        base = draw(SYMBOLS)
+        relations.append(Relation(
+            identifier=Identifier(base, subscript, display=base),
+            definition=draw(st.text(max_size=20)),  # any Unicode, controls and line breaks too
+            score=draw(SCORES),
+            method=draw(st.sampled_from(METHODS)),
+            doc_id=draw(st.sampled_from(doc_ids)),
+        ))
+    return relations
+
+
+class TestRelationsFile:
+    @given(relation_lists())
+    def test_same_bytes_and_records_as_the_old_code(self, tmp_path_factory, relations):
+        out = tmp_path_factory.mktemp("rel")
+        write_relations(out, relations)
+        old = out / "old.jsonl"
+        old_write_relations(old, relations)
+        path = out / "relations.jsonl"
+        assert path.read_bytes() == old.read_bytes()
+        got, want = read_relations(out), old_read_relations(path)
+        assert got == want
+        assert [_bits(r.score) for r in got] == [_bits(r.score) for r in want]
+        written = sorted(relations, key=lambda r: (r.doc_id, r.identifier.key, r.definition))
+        assert [_bits(r.score) for r in got] == [_bits(r.score) for r in written]
+
+    def test_no_relations_is_an_empty_file(self, tmp_path):
+        write_relations(tmp_path, [])
+        assert (tmp_path / "relations.jsonl").read_bytes() == b""
+        assert read_relations(tmp_path) == []
+
+
+@st.composite
+def doc_matrices(draw):
+    """Canonical matrices with empty rows and values from 1e-8 to 1e8."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stored = rng.random((m, n)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    stored[rng.random(m) < 0.3] = False  # empty rows
+    rows, cols = np.nonzero(stored)
+    values = rng.choice([-1.0, 1.0], len(rows)) * 10.0 ** rng.uniform(-8, 8, len(rows))
+    doc_ids = tuple(f"d{i}" for i in range(m))
+    vocab = Vocabulary(
+        dims=tuple(sorted(draw(st.sets(st.text(min_size=1, max_size=5), min_size=n, max_size=n)))),
+        mode=draw(st.sampled_from(["identifiers", "weak", "strong"])),
+        df=rng.integers(1, 50, n),
+        n_docs=m,
+    )
+    empty = tuple(doc_ids[i] for i in range(m) if not stored[i].any())
+    return DocMatrix(
+        doc_ids=doc_ids,
+        vocab=vocab,
+        matrix=_CSR.from_coo(rows, cols, values, (m, n)),
+        row_norm=draw(st.booleans()),
+        weighting=draw(st.sampled_from(["binary", "tf", "sublinear_tf", "tfidf"])),
+        empty_docs=empty,
+    )
+
+
+class TestMatrixFiles:
+    @given(doc_matrices())
+    def test_same_bytes_and_arrays_as_the_old_code(self, tmp_path_factory, dm):
+        new, old = tmp_path_factory.mktemp("new"), tmp_path_factory.mktemp("old")
+        dm.save(new)
+        old_save_matrix(old, dm)
+        for name in ("matrix.mtx", "matrix_meta.json"):
+            assert (new / name).read_bytes() == (old / name).read_bytes()
+        got, want = DocMatrix.load(new), old_read_matrix(new)
+        for X in (got.matrix, dm.matrix):
+            assert X.shape == want.matrix.shape
+            assert X.indptr.tobytes() == want.matrix.indptr.tobytes()
+            assert X.indices.tobytes() == want.matrix.indices.tobytes()
+            assert X.data.tobytes() == want.matrix.data.tobytes()
+        assert got.vocab.df.tobytes() == want.vocab.df.tobytes()
+        assert (got.doc_ids, got.vocab.dims, got.vocab.mode, got.vocab.n_docs) == (
+            want.doc_ids, want.vocab.dims, want.vocab.mode, want.vocab.n_docs)
+        assert (got.row_norm, got.weighting, got.empty_docs) == (
+            want.row_norm, want.weighting, want.empty_docs)
+
+
+def old_hierarchy_entry(name, cluster_id, hit) -> dict:
+    return {
+        "namespace": name,
+        "cluster_id": cluster_id,
+        "top": hit.top,
+        "second": hit.second,
+        "cosine": hit.cosine,
+        "matched_keywords": hit.matched_keywords,
+    }
+
+
+class TestHierarchyEntry:
+    @given(st.text(), st.integers(0, 10**6), st.text(), st.text(),
+           st.floats(0.0, 1.0), st.integers(0, 100))
+    def test_asdict_entry_is_the_hand_built_one(self, name, cluster_id, top, second, cos, hits):
+        hit = HierarchyAssignment(top, second, cos, hits)
+        entry = {"namespace": name, "cluster_id": cluster_id, **asdict(hit)}
+        assert entry == old_hierarchy_entry(name, cluster_id, hit)
+        want = json.dumps([old_hierarchy_entry(name, cluster_id, hit)], sort_keys=True, indent=2)
+        assert json.dumps([entry], sort_keys=True, indent=2) == want

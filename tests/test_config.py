@@ -307,3 +307,49 @@ class TestConfigErrors:
         _config(reduction={"kind": "svd", "k": 1}, clustering={"K": [1, 2]},
                 baseline={"cluster_size": 1, "trials": 1})
         _config(clustering={"algorithm": "snn_dbscan", "neighbors": 1, "eps": 0})
+
+
+# (id, config key, file bytes, the file's bad line and what the error says of it)
+BAD_DATA_FILES = [
+    ("lexicon-line-without-tab", "lexicon", b"the\tDT\n# a comment\nmatrix NN\n",
+     3, "expected two fields split by one tab"),
+    ("suffix-rule-with-two-tabs", "suffix_rules", b"ness\tNN\ning\tVB\tNN\n",
+     2, "expected two fields split by one tab"),
+    ("lexicon-not-utf-8", "lexicon", b"the\tDT\nr\xe9sum\xe9\tNN\n", 2, "not UTF-8"),
+    ("symbol-stop-not-utf-8", "symbol_stop", b"d\n# \xe9\n", 2, "not UTF-8"),
+    ("definition-stop-not-utf-8", "definition_stop", b"\xff\nvalue\n", 1, "not UTF-8"),
+]
+
+
+class TestDataFilesAtLoad:
+    """Stop lists and the lexicon are read once, when the config loads; a bad
+    file names itself and its line, and the run stops before any output."""
+
+    @pytest.mark.parametrize(
+        "key,data,line,needle", [c[1:] for c in BAD_DATA_FILES], ids=[c[0] for c in BAD_DATA_FILES]
+    )
+    def test_bad_file_fails_at_load(self, tmp_path, capsys, key, data, line, needle):
+        bad = tmp_path / f"{key}.txt"
+        bad.write_bytes(data)
+        cfg = _toy_config(tmp_path, **{key: str(bad)})
+        with pytest.raises(ConfigError) as info:
+            PipelineConfig.load(cfg)
+        assert f"{bad}, line {line}: {needle}" in str(info.value)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and f"{bad}, line {line}" in err
+        assert not out.exists()
+
+    def test_files_are_read_into_the_config(self, tmp_path):
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("zeta\tJJ\n", encoding="utf-8")
+        stop = tmp_path / "stop.txt"
+        stop.write_text("Foo  # comment\n\nbar\n", encoding="utf-8")
+        config = _config(lexicon_path=lexicon, definition_stop=stop)
+        assert config.lexicon.tag_word("zeta") == "JJ"
+        assert dict(config.lexicon.words) == {"zeta": "JJ"}
+        assert config.stops.definition_stop == frozenset({"foo", "bar"})
+        default = _config()
+        assert config.stops.symbol_stop == default.stops.symbol_stop != frozenset()
+        assert config.lexicon.suffix_rules == default.lexicon.suffix_rules != ()

@@ -208,12 +208,14 @@ class TestVectorize:
         corpus, relations = emc_corpus
         vocab = build_vocabulary(relations, corpus, WEAK, min_df=1)
         dm = vectorize(corpus, relations, vocab, TFIDF, normalize=True)
-        path = tmp_path / "m.mtx"
-        dm.export_matrix_market(path)
-        lines = path.read_text().splitlines()
+        dm.save(tmp_path)
+        lines = (tmp_path / "matrix.mtx").read_text().splitlines()
         m, n, nnz = (int(x) for x in lines[1].split())
         assert (m, n) == dm.shape
         assert nnz == dm.matrix.nnz
+        back = DocMatrix.load(tmp_path)
+        assert back.matrix.data.tobytes() == dm.matrix.data.tobytes()
+        assert (back.doc_ids, back.weighting, back.row_norm) == (dm.doc_ids, TFIDF, True)
 
 
 def old_vectorize(corpus, relations, vocab, weighting=TFIDF, normalize=True):
@@ -245,7 +247,7 @@ def old_vectorize(corpus, relations, vocab, weighting=TFIDF, normalize=True):
         norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
         scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
         matrix = sp.csr_matrix(sp.diags(scale) @ matrix)
-    return DocMatrix(doc_ids, vocab, matrix, normalize, tuple(empty))
+    return DocMatrix(doc_ids, vocab, matrix, normalize, weighting, tuple(empty))
 
 
 SYMBOLS = ["x", "y", "E", "m", r"\sigma", "x_1"]

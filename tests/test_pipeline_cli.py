@@ -11,14 +11,8 @@ import pytest
 
 from mathns.cli import main
 from mathns.errors import ConfigError
-from mathns.evaluate import load_labels
-from mathns.pipeline import (
-    STAGES,
-    PipelineConfig,
-    _read_assignment,
-    _write_assignment,
-    run_pipeline,
-)
+from mathns.evaluate import load_labels, write_labels
+from mathns.pipeline import STAGES, PipelineConfig, _read_assignment, run_pipeline
 
 from conftest import REPO
 
@@ -99,11 +93,11 @@ class TestPipelineArtifacts:
 
     def test_assignment_is_read_back_through_the_labels_reader(self, tmp_path):
         path = tmp_path / "assignment.tsv"
-        _write_assignment(path, ["d2", "d10", "d1"], np.array([1, 0, 1]))
+        write_labels(path, ["d2", "d10", "d1"], np.array([1, 0, 1]))
         doc_ids, assignment = _read_assignment(path)
         assert doc_ids == ["d2", "d10", "d1"] == list(load_labels(path))
         assert assignment.labels.tolist() == [1, 0, 1] and assignment.K == 2
-        _write_assignment(tmp_path / "again.tsv", doc_ids, assignment.labels)
+        write_labels(tmp_path / "again.tsv", doc_ids, assignment.labels.tolist())
         assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
 

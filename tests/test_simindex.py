@@ -416,6 +416,18 @@ class TestKernelMatchesLoops:
             assert index.query(0, 2).neighbors == ((1, 0.0), (2, 0.0))
             assert index.query(0, 2) == loop_query(index, 0, 2)
 
+    def test_jaccard_indexes_only_nonzeros(self):
+        """Stored zeros are no sharers under Jaccard, which binarizes the values."""
+        X = kernel_case("explicit_zeros", 1)
+        dense = np.asarray(X.todense())
+        index = SimilarityIndex(X, JACCARD)
+        assert index.csr.nnz == np.count_nonzero(dense) < X.nnz
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroVectorWarning)
+            for i in range(dense.shape[0]):
+                for j, score in index.query(i, 5).neighbors:
+                    assert score == pytest.approx(similarity(JACCARD, dense[i], dense[j]))
+
     def test_negative_sharer_outranks_non_sharer(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         index = SimilarityIndex(X, COSINE)
