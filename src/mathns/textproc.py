@@ -147,7 +147,8 @@ def annotate_math(
     A placeholder whose formula holds more than one identifier keeps the
     MATH tag; with exactly one identifier the token is replaced by that
     identifier and tagged ID.  Plain tokens matching a known document
-    identifier are re-tagged ID as well.
+    identifier are re-tagged ID as well, unless the lexicon tags them DT:
+    the articles "a" and "A" stay articles beside identifiers a and A.
     """
     out = []
     for sentence in tagged:
@@ -165,7 +166,7 @@ def annotate_math(
                     row.append(tok._replace(text=ident.key, tag=ID, identifier=ident))
                 else:
                     row.append(tok._replace(tag=MATH))
-            elif tok.text in doc_identifiers and tok.tag not in (LINK, NOUN_PHRASE):
+            elif tok.text in doc_identifiers and tok.tag not in (DT, LINK, NOUN_PHRASE):
                 row.append(tok._replace(tag=ID, identifier=doc_identifiers[tok.text]))
             else:
                 row.append(tok)

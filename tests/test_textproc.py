@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mathns.corpus import Identifier
+from mathns.corpus import Identifier, extract_identifiers, parse_document
 from mathns.errors import UnknownPlaceholder, UnterminatedLink
+from mathns.extraction import prepare_document
 from mathns.textproc import (
     DT,
     ID,
@@ -183,6 +184,19 @@ class TestAnnotateMath:
         tagged = tag_text("see FORMULA_7 here.")
         with pytest.raises(UnknownPlaceholder):
             annotate_math(tagged, [], {})
+
+    def test_articles_stay_determiners(self):
+        """Regression: with ``$a$`` and ``$A$`` in the document, the prose
+        articles "a" and a sentence-initial "A" were re-tagged ID."""
+        doc = parse_document({"doc_id": "d", "text": (
+            "A body moves with acceleration $a$. Let $A$ denote a matrix. A force acts."
+        )})
+        ids = [extract_identifiers(f) for f in doc.formulas]
+        prepared = prepare_document(doc, ids, LEX)
+        tokens = [t for sentence in prepared.sentences for t in sentence if t.text in ("a", "A")]
+        assert [(t.text, t.tag) for t in tokens] == [
+            ("A", DT), ("a", ID), ("A", ID), ("a", DT), ("A", DT),
+        ]
 
     def test_id_texts_are_known_identifiers(self):
         known = {"E": Identifier("E"), "m": Identifier("m")}
