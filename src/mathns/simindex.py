@@ -118,14 +118,17 @@ def _products(a: _CSR, cols: _CSR, s: int, e: int) -> tuple[np.ndarray, np.ndarr
 
 class SimilarityIndex:
     """Exact kNN and threshold queries through one blocked sparse product.
-    Under Jaccard it indexes only the nonzero entries, as ``jaccard`` binarizes."""
+
+    Under Jaccard it indexes only the nonzero entries, as ``jaccard``
+    binarizes its vectors; the other measures keep every stored entry.
+    """
 
     def __init__(self, matrix, measure: str = COSINE):
         if measure not in MEASURES:
             raise ValueError(f"unknown measure {measure!r}")
         self.measure = measure
         self.csr = _as_csr(matrix)
-        if measure == JACCARD:  # of the binarized vectors, as ``jaccard`` is
+        if measure == JACCARD:
             self.csr = self.csr.without_zeros()
         self.csc = self.csr.recompress()
         self.n_docs = self.csr.shape[0]
