@@ -271,18 +271,24 @@ def snn_dbscan(
     return dbscan(region_query, n, eps, minpts)
 
 
-def linkage_merges(X, linkage: str) -> list[tuple[int, int, float]]:
+def linkage_merges(
+    X, linkage: str, max_points: Optional[int] = None
+) -> list[tuple[int, int, float]]:
     """Full merge history of agglomerative clustering.
 
     Returns (i, j, dissimilarity) per merge, where i < j are current
     cluster representatives (smallest original index of each cluster).
     Uses Lance-Williams updates; Ward operates on squared distances.
+    Refuses inputs beyond ``max_points``, as the distance matrix is
+    quadratic in memory.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
     X = _unwrap(X)
     X = np.asarray(X.toarray() if isinstance(X, _CSR) else X, dtype=float)
     n = X.shape[0]
+    if max_points is not None and n > max_points:
+        raise TooManyDocuments(f"n={n} exceeds the cap of {max_points}")
     d = np.empty((n, n))
     # blocks of rows keep the difference tensor near BLOCK_CELLS cells
     rows = max(1, BLOCK_CELLS // max(n * X.shape[1], 1))
@@ -324,16 +330,9 @@ def linkage_merges(X, linkage: str) -> list[tuple[int, int, float]]:
     return merges
 
 
-def agglomerative(X, linkage: str, K: int, max_points: int = 1000) -> ClusterAssignment:
-    """Merge clusters bottom-up until K remain.
-
-    Refuses inputs beyond ``max_points`` because the similarity matrix
-    is quadratic in memory.
-    """
-    X = _unwrap(X)
-    n = X.shape[0]
-    if n > max_points:
-        raise TooManyDocuments(f"n={n} exceeds the cap of {max_points}")
+def cut_merges(merges: list[tuple[int, int, float]], n: int, K: int) -> ClusterAssignment:
+    """The K clusters left after the first n - K merges of a history over n
+    points: every K cuts the one dendrogram ``linkage_merges`` gives."""
     if K > n:
         raise KTooLarge(f"K={K} > n={n}")
     parent = list(range(n))
@@ -344,6 +343,12 @@ def agglomerative(X, linkage: str, K: int, max_points: int = 1000) -> ClusterAss
             a = parent[a]
         return a
 
-    for i, j, _ in linkage_merges(X, linkage)[: n - K]:
+    for i, j, _ in merges[: n - K]:
         parent[find(j)] = find(i)
     return ClusterAssignment(labels=[find(p) for p in range(n)], K=K).compact()
+
+
+def agglomerative(X, linkage: str, K: int, max_points: int = 1000) -> ClusterAssignment:
+    """Merge clusters bottom-up until K remain: the merge history cut at K."""
+    X = _unwrap(X)
+    return cut_merges(linkage_merges(X, linkage, max_points), X.shape[0], K)

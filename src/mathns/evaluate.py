@@ -15,6 +15,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .cluster import NOISE, ClusterAssignment
+from .corpus import read_lines
 from .errors import EmptyCluster
 
 
@@ -225,11 +226,13 @@ def write_labels(path: str | Path, doc_ids: Sequence[str], labels: Sequence) -> 
 
 
 def load_labels(path: str | Path) -> dict[str, str]:
-    """Read a labels file: TSV doc_id<TAB>category."""
+    """Read a labels file: TSV doc_id<TAB>category, blank lines skipped.
+    A ValueError names the line that is not two tab-separated fields."""
     labels = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        doc_id, _, category = line.partition("\t")
-        labels[doc_id] = category.strip()
+    for n, line in enumerate(read_lines(path), start=1):
+        if line.strip():
+            pair = line.split("\t")
+            if len(pair) != 2:
+                raise ValueError(f"{path}, line {n}: expected two fields split by one tab")
+            labels[pair[0]] = pair[1].strip()
     return labels

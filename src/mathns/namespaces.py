@@ -8,6 +8,7 @@ Raw score sums are squashed to (0, 1) with tanh(x/2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,9 +112,30 @@ class DefinitionGroup:
     score: float
 
 
+class FuzzyMemo:
+    """Each definition's tokens and each unordered pair's decision at one
+    threshold, for the ``merge_fuzzy`` calls of one namespaces stage."""
+
+    def __init__(self, threshold: float):
+        self.threshold = threshold
+        self.tokens = functools.cache(lambda d: frozenset(definition_tokens(d)))
+        self.decisions: dict[tuple[str, str], bool] = {}
+
+    def near(self, a: str, b: str) -> bool:
+        """Does the token-set ratio of ``a`` and ``b`` reach the threshold?"""
+        pair = (a, b) if a <= b else (b, a)  # the decision is symmetric
+        if pair not in self.decisions:
+            self.decisions[pair] = any(
+                _ratio_at_least(x, y, self.threshold)
+                for x, y in _token_set_pairs(*pair, *map(self.tokens, pair))
+            )
+        return self.decisions[pair]
+
+
 def merge_fuzzy(
     merged: Mapping[str, list[tuple[str, float]]],
     ratio_threshold: float = 0.85,
+    memo: Optional[FuzzyMemo] = None,
 ) -> dict[str, list[DefinitionGroup]]:
     """Group near-duplicate definitions of each identifier.
 
@@ -122,19 +144,21 @@ def merge_fuzzy(
     label the highest-scoring member, ties lexicographic.
 
     These are the groups of ``token_set_ratio`` over all pairs, found
-    with less work: each distinct definition is tokenized once; a pair
-    already in one group is skipped, as its union would be a no-op; and
+    with less work: ``memo`` (the namespaces stage's, else a fresh one)
+    tokenizes each definition and decides each pair once; a pair already
+    in one group is skipped, as its union would be a no-op; and
     ``_ratio_at_least`` decides the rest, in closed form when the length
     gap rejects the pair or one string is a prefix of the other (which
     covers token-set containment, ratio 1.0), else by a cut-off DP.
     """
+    if memo is None:
+        memo = FuzzyMemo(ratio_threshold)
+    elif memo.threshold != ratio_threshold:
+        raise ValueError(f"memo decides at {memo.threshold}, not {ratio_threshold}")
     out: dict[str, list[DefinitionGroup]] = {}
-    tokens: dict[str, frozenset[str]] = {}
     for key, defs in merged.items():
         n = len(defs)
         parent = list(range(n))
-        for d in {d for d, _ in defs} - tokens.keys():
-            tokens[d] = frozenset(definition_tokens(d))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -144,12 +168,8 @@ def merge_fuzzy(
 
         for i, (a, _) in enumerate(defs):
             for j in range(i + 1, n):
-                b = defs[j][0]
                 ri, rj = find(i), find(j)
-                if ri != rj and any(
-                    _ratio_at_least(x, y, ratio_threshold)
-                    for x, y in _token_set_pairs(a, b, tokens[a], tokens[b])
-                ):
+                if ri != rj and memo.near(a, defs[j][0]):
                     parent[max(ri, rj)] = min(ri, rj)
         groups: dict[int, list[tuple[str, float]]] = {}
         for i in range(n):
@@ -216,13 +236,14 @@ def build_namespace(
     labels: Mapping[str, str],
     fuzzy_threshold: float = 0.85,
     cluster_id: int = 0,
+    memo: Optional[FuzzyMemo] = None,
 ) -> Namespace:
     """Exact merge, fuzzy merge, per-identifier argmax, squash, name.
 
     An identifier keeps at most one definition: the label of its
     highest-scoring group (ties to the lexicographically smaller
     label).  The namespace is named after the majority category of the
-    member documents.
+    member documents.  ``memo`` is the namespaces stage's ``FuzzyMemo``.
     """
     doc_set = set(cluster_docs)
     cluster_relations = [r for r in relations if r.doc_id in doc_set]
@@ -231,7 +252,7 @@ def build_namespace(
     identifiers: dict[str, Identifier] = {}
     for rel in cluster_relations:
         identifiers.setdefault(rel.identifier.key, rel.identifier)
-    grouped = merge_fuzzy(merge_exact(cluster_relations), fuzzy_threshold)
+    grouped = merge_fuzzy(merge_exact(cluster_relations), fuzzy_threshold, memo)
     entries = []
     for key in sorted(grouped):
         best = grouped[key][0]  # merge_fuzzy sorts groups by (-score, label)

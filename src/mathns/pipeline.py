@@ -13,6 +13,7 @@ byte-identical artifacts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import asdict, dataclass, field, fields
@@ -28,7 +29,7 @@ from .corpus import drop_sparse_documents, load_corpus, load_stop_list
 from .errors import ConfigError, StageError
 from .extraction import NEAREST_NOUN, PATTERN, RANKER, RankerParams, Relation
 from .extraction import extract_relations, prepare_corpus, read_relations, write_relations
-from .namespaces import HierarchyScheme, build_namespace, map_to_hierarchy
+from .namespaces import FuzzyMemo, HierarchyScheme, build_namespace, map_to_hierarchy
 from .textproc import Lexicon
 
 STAGES = ("stats", "extract", "vectorize", "cluster", "evaluate", "namespaces")
@@ -152,6 +153,7 @@ class PipelineConfig:
     # read from the files above, or the packaged ones, at construction
     stops: StopLists = field(init=False, repr=False, compare=False)
     lexicon: Lexicon = field(init=False, repr=False, compare=False)
+    labels: Optional[dict[str, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f in fields(self):
@@ -166,8 +168,17 @@ class PipelineConfig:
         self.reduction = _check_section("reduction", self.reduction)
         self.clustering = _check_section("clustering", self.clustering)
         self.baseline = _check_section("baseline", self.baseline) if self.baseline else None
-        if self.clustering["algorithm"] == "nmf_direct" and self.reduction["kind"] != "nmf":
+        for key in ("purity_threshold", "fuzzy_threshold"):
+            if not 0.0 <= getattr(self, key) <= 1.0:  # NaN fails too
+                raise ConfigError(f"{key}: must be in [0, 1], got {getattr(self, key)!r}")
+        algorithm, opts = self.clustering["algorithm"], self.clustering
+        if algorithm == "nmf_direct" and self.reduction["kind"] != "nmf":
             raise ConfigError("clustering: algorithm 'nmf_direct' needs reduction kind 'nmf'")
+        if algorithm == "snn_dbscan" and opts["eps"] >= opts["neighbors"]:
+            raise ConfigError(
+                f"clustering: snn_dbscan needs eps below neighbors, "
+                f"got eps {opts['eps']} and neighbors {opts['neighbors']}"
+            )
         if self.extraction["method"] == RANKER:
             weights = {k: v for k, v in self.extraction.items() if k != "method"}
             try:
@@ -184,6 +195,7 @@ class PipelineConfig:
                 self.lexicon_path or data / "lexicon.tsv",
                 self.suffix_rules_path or data / "suffix_rules.tsv",
             )
+            self.labels = evaluate.load_labels(self.labels_path) if self.labels_path else None
         except (OSError, ValueError) as exc:
             raise ConfigError(f"config: {exc}") from exc
 
@@ -234,8 +246,8 @@ def _load_corpus(config: PipelineConfig) -> Corpus:
 
 
 def _labels(config: PipelineConfig, corpus: Corpus) -> dict[str, str]:
-    if config.labels_path is not None:
-        return evaluate.load_labels(config.labels_path)
+    if config.labels is not None:
+        return config.labels
     return {doc.doc_id: doc.category for doc in corpus.documents}
 
 
@@ -310,8 +322,6 @@ def _run_clustering(config: PipelineConfig, X, factors, K: Optional[int]):
             iters=opts["iters"],
             seed=config.seed,
         )
-    if algorithm == "agglomerative":
-        return clustering.agglomerative(X, opts["linkage"], int(K), max_points=opts["max_points"])
     if algorithm == "snn_dbscan":
         return clustering.snn_dbscan(
             X, K=opts["neighbors"], measure=opts["measure"], eps=opts["eps"], minpts=opts["minpts"]
@@ -322,13 +332,31 @@ def _run_clustering(config: PipelineConfig, X, factors, K: Optional[int]):
     return decompose.nmf_assign(factors)  # nmf_direct
 
 
+def _assignments(config: PipelineConfig, dm: idspace.DocMatrix) -> list[tuple]:
+    """Every grid combo with its assignment, in ``_grid`` order.  What does
+    not depend on K is computed once: the seeded embedding per k and, for
+    agglomerative, the merge history per embedding, which each K cuts."""
+    opts = config.clustering
+    embed = functools.cache(lambda k: _embed(config, dm, k))
+    merges = functools.cache(
+        lambda k: clustering.linkage_merges(embed(k)[0], opts["linkage"], opts["max_points"])
+    )
+    out = []
+    for combo in _grid(config):
+        if opts["algorithm"] == "agglomerative":
+            n = embed(combo["k"])[0].shape[0]
+            assignment = clustering.cut_merges(merges(combo["k"]), n, int(combo["K"]))
+        else:
+            assignment = _run_clustering(config, *embed(combo["k"]), combo["K"])
+        out.append((combo, assignment))
+    return out
+
+
 def stage_cluster(config: PipelineConfig) -> None:
+    """Write the assignments and ``grid.json`` once every combo has run."""
     dm = idspace.DocMatrix.load(config.output_dir).drop_empty()
-    combos = _grid(config)
     manifest = []
-    for combo in combos:
-        X, factors = _embed(config, dm, combo["k"])
-        assignment = _run_clustering(config, X, factors, combo["K"])
+    for combo, assignment in _assignments(config, dm):
         fname = f"assignment_{combo['id']}.tsv"
         evaluate.write_labels(config.output_dir / fname, dm.doc_ids, assignment.labels.tolist())
         manifest.append(
@@ -402,6 +430,7 @@ def stage_namespaces(config: PipelineConfig) -> None:
     docs_with_relations = {r.doc_id for r in relations}
     namespaces = []
     skipped = []
+    memo = FuzzyMemo(config.fuzzy_threshold)  # the clusters share definitions
     for cluster_id in chosen:
         members = [str(d) for d in doc_ids_arr[assignment.labels == cluster_id]]
         if docs_with_relations.isdisjoint(members):
@@ -414,6 +443,7 @@ def stage_namespaces(config: PipelineConfig) -> None:
                 labels,
                 config.fuzzy_threshold,
                 cluster_id=cluster_id,
+                memo=memo,
             )
         )
     _dump_json(

@@ -11,11 +11,9 @@ from mathns.cli import main
 from mathns.errors import ConfigError
 from mathns.pipeline import (
     PipelineConfig,
-    _embed,
+    _assignments,
     _extract_all,
-    _grid,
     _load_corpus,
-    _run_clustering,
     run_pipeline,
     run_stage,
 )
@@ -45,7 +43,7 @@ BASELINE_DEFAULTS = {"cluster_size": 3, "trials": 200}
 
 
 class _Matrix:
-    """The one attribute of a ``DocMatrix`` that ``_embed`` reads."""
+    """The one attribute of a ``DocMatrix`` that ``_assignments`` reads."""
 
     def __init__(self, matrix):
         self.matrix = matrix
@@ -65,13 +63,7 @@ def _config(**sections) -> PipelineConfig:
 
 
 def _labels_per_combo(config: PipelineConfig) -> list:
-    dm = _doc_matrix()
-    out = []
-    for combo in _grid(config):
-        X, factors = _embed(config, dm, combo["k"])
-        assignment = _run_clustering(config, X, factors, combo["K"])
-        out.append((combo["id"], assignment.labels.tolist()))
-    return out
+    return [(combo["id"], a.labels.tolist()) for combo, a in _assignments(config, _doc_matrix())]
 
 
 def _omissions():
@@ -177,7 +169,7 @@ def _toy_config(tmp_path: Path, **patch) -> Path:
     return path
 
 
-# (id, section, value, text the error must contain besides the section name)
+# (id, section or top-level key, value, text the error must contain besides its name)
 BAD_SECTIONS = [
     ("misspelt-neighbors", "clustering",
      {"algorithm": "snn_dbscan", "neighbours": 7}, "'neighbours'"),
@@ -234,6 +226,19 @@ BAD_SECTIONS = [
      "'k' must be at least 1, got -1"),
     ("neighbors-0", "clustering", {"algorithm": "snn_dbscan", "neighbors": 0},
      "'neighbors' must be at least 1, got 0"),
+    # each of these failed only in the cluster stage, after three stages had written
+    ("snn-eps-equal-to-neighbors", "clustering",
+     {"algorithm": "snn_dbscan", "neighbors": 5, "eps": 5},
+     "snn_dbscan needs eps below neighbors, got eps 5 and neighbors 5"),
+    ("snn-eps-above-default-neighbors", "clustering", {"algorithm": "snn_dbscan", "eps": 12},
+     "got eps 12 and neighbors 10"),
+    # each of these ran to exit 0: a NaN purity threshold gave no namespace,
+    # and a NaN fuzzy threshold merged no definition
+    ("purity-threshold-negative", "purity_threshold", -1, "must be in [0, 1], got -1.0"),
+    ("purity-threshold-nan", "purity_threshold", float("nan"), "must be in [0, 1], got nan"),
+    ("fuzzy-threshold-above-1", "fuzzy_threshold", 2.0, "must be in [0, 1], got 2.0"),
+    ("fuzzy-threshold-nan", "fuzzy_threshold", float("nan"), "must be in [0, 1], got nan"),
+    ("fuzzy-threshold-infinite", "fuzzy_threshold", float("-inf"), "must be in [0, 1], got -inf"),
     ("cluster_size-0", "baseline", {"cluster_size": 0}, "'cluster_size' must be at least 1, got 0"),
     ("trials-0", "baseline", {"trials": 0}, "'trials' must be at least 1, got 0"),
 ]
@@ -307,6 +312,8 @@ class TestConfigErrors:
         _config(reduction={"kind": "svd", "k": 1}, clustering={"K": [1, 2]},
                 baseline={"cluster_size": 1, "trials": 1})
         _config(clustering={"algorithm": "snn_dbscan", "neighbors": 1, "eps": 0})
+        _config(purity_threshold=0, fuzzy_threshold=1)
+        _config(purity_threshold=1, fuzzy_threshold=0.0)
 
 
 # (id, config key, file bytes, the file's bad line and what the error says of it)
@@ -318,6 +325,12 @@ BAD_DATA_FILES = [
     ("lexicon-not-utf-8", "lexicon", b"the\tDT\nr\xe9sum\xe9\tNN\n", 2, "not UTF-8"),
     ("symbol-stop-not-utf-8", "symbol_stop", b"d\n# \xe9\n", 2, "not UTF-8"),
     ("definition-stop-not-utf-8", "definition_stop", b"\xff\nvalue\n", 1, "not UTF-8"),
+    # a space-separated line used to become doc id "d2 physics" with no category
+    ("labels-line-without-tab", "labels", b"d1\tphysics\n\nd2 physics\n",
+     3, "expected two fields split by one tab"),
+    ("labels-line-with-two-tabs", "labels", b"d1\tphysics\tmechanics\n",
+     1, "expected two fields split by one tab"),
+    ("labels-not-utf-8", "labels", b"d1\tphysics\nd2\tm\xe9canique\n", 2, "not UTF-8"),
 ]
 
 
@@ -353,3 +366,11 @@ class TestDataFilesAtLoad:
         default = _config()
         assert config.stops.symbol_stop == default.stops.symbol_stop != frozenset()
         assert config.lexicon.suffix_rules == default.lexicon.suffix_rules != ()
+        assert default.labels is None
+
+    def test_labels_are_read_into_the_config(self, tmp_path):
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("d1\tphysics \n\nd 2\t\n", encoding="utf-8")
+        config = _config(labels_path=labels)
+        labels.unlink()  # no stage reads the file again
+        assert config.labels == {"d1": "physics", "d 2": ""}

@@ -304,3 +304,16 @@ class TestLoadLabels:
         path = tmp_path / "labels.tsv"
         path.write_text("d1\tphysics\nd2\tmath\n", encoding="utf-8")
         assert load_labels(path) == {"d1": "physics", "d2": "math"}
+
+    def test_blank_lines_and_empty_categories(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("\nd1\tphysics \n  \nd2\t\n", encoding="utf-8")
+        assert load_labels(path) == {"d1": "physics", "d2": ""}
+
+    @pytest.mark.parametrize("line", ["d1 physics", "d1", "d1\tphysics\tmath", "\td1\t"])
+    def test_line_that_is_not_two_fields_names_itself(self, tmp_path, line):
+        # "d1 physics" used to read as doc id "d1 physics" with no category
+        path = tmp_path / "labels.tsv"
+        path.write_text(f"d0\tmath\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}, line 2: expected two fields"):
+            load_labels(path)

@@ -16,6 +16,7 @@ from mathns.errors import EmptyScheme, NoRelationsInCluster
 from mathns.extraction import Relation, extract_relations, prepare_corpus
 from mathns.namespaces import (
     OTHERS,
+    FuzzyMemo,
     HierarchyScheme,
     build_namespace,
     levenshtein,
@@ -431,6 +432,60 @@ class TestPrunedKernels:
         assert as_tuples(merge_fuzzy(merged, t)) == oracle_merge_fuzzy(merged, t)
 
 
+# repeats across calls, the empty string, prefixes, equal lengths and near misses
+SHARED = ["", "mean", "mean value", "the mean", "means", "variance", "varianc", "variance of x",
+          "rate", "rats", "error", "errors", "ab", "ba", "Mean"]
+shared_definitions = st.one_of(st.sampled_from(SHARED), definitions)
+
+
+class TestSharedMemo:
+    """The namespaces stage passes one ``FuzzyMemo`` to every cluster's
+    ``merge_fuzzy``; each call must return what a fresh call returns."""
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(shared_definitions, st.floats(0.1, 1.0)),
+                max_size=7,
+                unique_by=lambda kv: kv[0],
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([0.0, 0.85, 1.0]),
+    )
+    def test_shared_memo_returns_what_fresh_calls_return(self, calls, t):
+        memo = FuzzyMemo(t)
+        # each call again with its definitions in reverse: every pair repeats swapped
+        for defs in calls + [defs[::-1] for defs in calls]:
+            merged = {"z": defs, "y": defs[1:]}
+            shared = merge_fuzzy(merged, t, memo)
+            assert shared == merge_fuzzy(merged, t)
+            assert as_tuples(shared) == oracle_merge_fuzzy(merged, t)
+
+    @settings(max_examples=300)
+    @given(shared_definitions, shared_definitions, st.sampled_from([0.0, 0.85, 1.0]))
+    def test_decision_is_the_ratio_in_either_order(self, a, b, t):
+        expected = oracle_token_set_ratio(a, b) >= t
+        assert FuzzyMemo(t).near(a, b) == FuzzyMemo(t).near(b, a) == expected
+        memo = FuzzyMemo(t)
+        assert memo.near(a, b) == memo.near(b, a) == expected
+        assert len(memo.decisions) == 1
+
+    def test_a_repeated_call_decides_nothing_new(self):
+        merged = {"z": [("mean", 1.0), ("mean value", 0.5), ("rate", 0.2), ("rats", 0.1)]}
+        memo = FuzzyMemo(0.85)
+        first = merge_fuzzy(merged, 0.85, memo)
+        decided = dict(memo.decisions)
+        assert merge_fuzzy({"w": merged["z"]}, 0.85, memo)["w"] == first["z"]
+        assert memo.decisions == decided
+
+    def test_memo_at_another_threshold_is_refused(self):
+        with pytest.raises(ValueError, match="memo decides at 0.5, not 0.85"):
+            merge_fuzzy({"z": [("mean", 1.0)]}, 0.85, FuzzyMemo(0.5))
+
+
 @pytest.fixture(scope="module")
 def toy_relations(toy_corpus_path):
     corpus = load_corpus(toy_corpus_path)
@@ -444,6 +499,8 @@ def test_toy_clusters_match_all_pairs_oracle(toy_relations):
     clusters = {None: relations}  # the whole corpus, then each category
     for r in relations:
         clusters.setdefault(labels[r.doc_id], []).append(r)
+    memo = FuzzyMemo(0.85)
     for members in clusters.values():
         merged = merge_exact(members)
         assert as_tuples(merge_fuzzy(merged)) == oracle_merge_fuzzy(merged)
+        assert merge_fuzzy(merged, 0.85, memo) == merge_fuzzy(merged)
