@@ -34,7 +34,7 @@ def main():
         ids = [ident.key for ident in corpus.formula_identifiers["demo"][i]]
         print(f"  [{i}] {formula!r} -> identifiers {ids}")
 
-    prepared = prepare_corpus(corpus)[0]
+    prepared = next(prepare_corpus(corpus))
     print("\ntagged sentences (after math annotation and chunking):")
     for sentence in prepared.sentences:
         print("  " + " ".join(f"{t.text}/{t.tag}" for t in sentence))

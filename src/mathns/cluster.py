@@ -94,6 +94,9 @@ def kmeans(
     n = X.shape[0]
     if K > n:
         raise KTooLarge(f"K={K} > n={n}")
+    for name, count in (("max_iter", max_iter), ("n_restarts", n_restarts)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     x_sq = _row_sq_norms(X)
     best: Optional[ClusterAssignment] = None
     for restart in range(n_restarts):
@@ -145,8 +148,8 @@ def minibatch_kmeans(
     n = X.shape[0]
     if K > n:
         raise KTooLarge(f"K={K} > n={n}")
-    if batch_size > n:
-        raise ValueError(f"batch_size={batch_size} > n={n}")
+    if not 1 <= batch_size <= n:
+        raise ValueError(f"batch_size must be in [1, n={n}], got {batch_size}")
     rng = np.random.default_rng(seed)
     centers = _rows_dense(X, rng.choice(n, size=K, replace=False))
     counts = np.zeros(K, dtype=np.int64)

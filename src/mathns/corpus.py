@@ -443,14 +443,18 @@ def build_corpus(records: Iterable[dict], stops: StopLists | None = None) -> Cor
 
 
 def load_corpus(path: str | Path, stops: StopLists | None = None) -> Corpus:
-    """Load a JSONL corpus file."""
+    """Load a JSONL corpus file; a ValueError names the line that is not JSON."""
 
     def records():
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
+            for n, line in enumerate(fh, start=1):
+                if line.strip():
+                    try:  # a string cut at the newline reads "Unterminated string"
+                        record = json.loads(line.rstrip("\n"))
+                    except json.JSONDecodeError as exc:
+                        message = f"{path}, line {n}: {exc.msg} (column {exc.colno})"
+                        raise ValueError(message) from None
+                    yield record
 
     return build_corpus(records(), stops)
 

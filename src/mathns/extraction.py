@@ -15,10 +15,9 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import textproc
 from .corpus import Corpus, Document, Identifier
@@ -74,9 +73,9 @@ def read_relations(out_dir: str | Path) -> list[Relation]:
     return relations
 
 
-@dataclass
+@dataclass(frozen=True)
 class RankerParams:
-    """Weights and widths of the probabilistic ranking formula."""
+    """Ranking weights and widths; frozen, so the derived weight, width_d and width_s hold."""
 
     alpha: float = 1.0
     beta: float = 1.0
@@ -91,11 +90,12 @@ class RankerParams:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("weights must be non-negative")
-        if self.alpha + self.beta + self.gamma <= 0:
+        object.__setattr__(self, "weight", self.alpha + self.beta + self.gamma)
+        if self.weight <= 0:
             raise ValueError("at least one weight must be positive")
         if self.sigma_d <= 0 or self.sigma_s <= 0:
             raise ValueError("Gaussian widths must be positive")
-        for name in ("sigma_d", "sigma_s"):
+        for name, width_name in (("sigma_d", "width_d"), ("sigma_s", "width_s")):
             sigma = getattr(self, name)
             try:
                 width = 2.0 * sigma**2
@@ -103,6 +103,7 @@ class RankerParams:
                 width = math.inf
             if not 0.0 < width < math.inf:  # the rankers divide by it
                 raise ValueError(f"{name} must have 2*{name}**2 finite and nonzero, got {sigma!r}")
+            object.__setattr__(self, width_name, width)
         if not 0.0 <= self.retain_threshold <= 1.0:
             raise ValueError("retain_threshold must be in [0, 1]")
 
@@ -119,30 +120,34 @@ class PreparedDocument:
         """Tokens in reading order with their global positions."""
         return list(enumerate(tok for sentence in self.sentences for tok in sentence))
 
-    @cached_property
-    def ranking_table(self) -> tuple[list[int], list, list[int], dict, Callable]:
-        """For the ranker: the noun-like candidates' positions and tokens, the
-        index of each sentence's first candidate (one more entry closes the
-        last range), per identifier key the sentence of its first occurrence
-        and its sorted positions, and a ``tf`` of a candidate that counts
-        each sentence's tokens once, when first asked."""
-        positions, tokens, occurrences, counts = [], [], {}, {}
-        for pos, tok in self.flat_tokens():
-            if tok.tag == ID:
-                occurrences.setdefault(tok.text, (tok.sentence_idx, []))[1].append(pos)
-            elif tok.tag in _DEF_TAGS:
-                positions.append(pos)
-                tokens.append(tok)
-        sentence_of = [tok.sentence_idx for tok in tokens]
-        starts = [bisect_left(sentence_of, s) for s in range(len(self.sentences) + 1)]
 
-        def tf(tok: TaggedToken) -> float:
-            s = tok.sentence_idx
-            if s not in counts:
-                counts[s] = Counter(t.text for t in self.sentences[s])
-            return counts[s][tok.text] / len(self.sentences[s])
+class _RankingTable(NamedTuple):
+    positions: list[int]  # of the noun-like candidates, ascending
+    tokens: list[TaggedToken]  # the candidates
+    starts: list[int]  # index of each sentence's first candidate, and one past the last
+    occurrences: dict[str, tuple[int, list[int]]]  # key: (first sentence, sorted positions)
+    tf: Callable[[TaggedToken], float]  # counts each sentence's tokens once, when first asked
 
-        return positions, tokens, starts, occurrences, tf
+
+def _ranking_table(doc: PreparedDocument) -> _RankingTable:
+    """The ranker's view of ``doc``; callers keep it in a local, so it goes with the call."""
+    positions, tokens, occurrences, counts = [], [], {}, {}
+    for pos, tok in doc.flat_tokens():
+        if tok.tag == ID:
+            occurrences.setdefault(tok.text, (tok.sentence_idx, []))[1].append(pos)
+        elif tok.tag in _DEF_TAGS:
+            positions.append(pos)
+            tokens.append(tok)
+    sentence_of = [tok.sentence_idx for tok in tokens]
+    starts = [bisect_left(sentence_of, s) for s in range(len(doc.sentences) + 1)]
+
+    def tf(tok: TaggedToken) -> float:
+        s = tok.sentence_idx
+        if s not in counts:
+            counts[s] = Counter(t.text for t in doc.sentences[s])
+        return counts[s][tok.text] / len(doc.sentences[s])
+
+    return _RankingTable(positions, tokens, starts, occurrences, tf)
 
 
 def prepare_document(
@@ -164,13 +169,12 @@ def prepare_document(
     return PreparedDocument(document=doc, sentences=chunked, identifiers=identifiers)
 
 
-def prepare_corpus(corpus: Corpus, lexicon: Lexicon | None = None) -> list[PreparedDocument]:
+def prepare_corpus(corpus: Corpus, lexicon: Lexicon | None = None) -> Iterator[PreparedDocument]:
+    """Each document prepared in corpus order, only when the caller asks for it."""
     if lexicon is None:
         lexicon = Lexicon.default()
-    return [
-        prepare_document(doc, corpus.formula_identifiers[doc.doc_id], lexicon)
-        for doc in corpus.documents
-    ]
+    for doc in corpus.documents:
+        yield prepare_document(doc, corpus.formula_identifiers[doc.doc_id], lexicon)
 
 
 def _identifier_of(tok: TaggedToken) -> Identifier:
@@ -293,27 +297,25 @@ def ranker_score(delta: float, n_sentences: float, tf: float, params: RankerPara
     The Gaussians are exp(-x^2 / (2 sigma^2)), so both equal 1 at
     distance zero and the result stays in [0, 1] for tf in [0, 1].
     """
-    r_d = math.exp(-(delta**2) / (2.0 * params.sigma_d**2))
-    r_s = math.exp(-(n_sentences**2) / (2.0 * params.sigma_s**2))
+    r_d = math.exp(-(delta**2) / params.width_d)
+    r_s = math.exp(-(n_sentences**2) / params.width_s)
     total = params.alpha * r_d + params.beta * r_s + params.gamma * tf
-    return total / (params.alpha + params.beta + params.gamma)
+    return total / params.weight
 
 
-def _scores(doc: PreparedDocument, key: str, params: RankerParams, indices: Iterable[int]):
-    """``(score, delta, pos, token)`` of the ``doc.ranking_table`` candidates at ``indices``.
+def _scores(table: _RankingTable, key: str, params: RankerParams, indices: Iterable[int]):
+    """``(score, delta, pos, token)`` of the ``table``'s candidates at ``indices``.
 
     ``delta`` is to the nearer of the two occurrences that bisection puts
     around the candidate, so it is the minimum over all of them.  The
-    score is ``ranker_score``'s expression, bit for bit, with its
-    denominators computed once: a table of Gaussians per distinct
-    distance was measured no faster, since a dict lookup costs about as
-    much as ``math.exp``.
+    score is ``ranker_score``'s expression, bit for bit: a table of
+    Gaussians per distinct distance was measured no faster, since a dict
+    lookup costs about as much as ``math.exp``.
     """
-    positions, tokens, _, occurrences, tf = doc.ranking_table
+    positions, tokens, _, occurrences, tf = table
     first_sentence, occ_positions = occurrences[key]
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
-    weight = alpha + beta + gamma
-    width_d, width_s = 2.0 * params.sigma_d**2, 2.0 * params.sigma_s**2
+    weight, width_d, width_s = params.weight, params.width_d, params.width_s
     for i in indices:
         pos, tok = positions[i], tokens[i]
         at = bisect_left(occ_positions, pos)
@@ -339,12 +341,11 @@ def rank_candidates(
     """
     if params is None:
         params = RankerParams()
-    positions, _, _, occurrences, _ = doc.ranking_table
-    if identifier_key not in occurrences:
+    table = _ranking_table(doc)
+    if identifier_key not in table.occurrences:
         raise IdentifierNotInDocument(identifier_key)
-    every = range(len(positions))
-    scored = sorted(_scores(doc, identifier_key, params, every), key=lambda c: (-c[0], c[1], c[2]))
-    return [(tok, score) for score, _, _, tok in scored]
+    scored = _scores(table, identifier_key, params, range(len(table.positions)))
+    return [(tok, s) for s, _, _, tok in sorted(scored, key=lambda c: (-c[0], c[1], c[2]))]
 
 
 def _reach(n_sentences: int, params: RankerParams) -> tuple[int, float]:
@@ -357,23 +358,21 @@ def _reach(n_sentences: int, params: RankerParams) -> tuple[int, float]:
     that passes at another s, sqrt(ln(alpha / need) * 2 sigma_d^2), or -1.0.
     ``need`` is lowered by 1e-9 W, far above the rounding on either side.
     """
-    alpha, beta, weight = params.alpha, params.beta, params.alpha + params.beta + params.gamma
-    width_d, width_s = 2.0 * params.sigma_d**2, 2.0 * params.sigma_s**2
-    floor = params.retain_threshold * weight - params.gamma - 1e-9 * weight
+    floor = params.retain_threshold * params.weight - params.gamma - 1e-9 * params.weight
     free, radius = 0, -1.0
     for s in range(n_sentences):
-        need = floor - beta * math.exp(-(s**2) / width_s)
+        need = floor - params.beta * math.exp(-(s**2) / params.width_s)
         if need <= 0:
             free = s + 1
-        elif need <= alpha:
-            radius = max(radius, math.sqrt(math.log(alpha / need) * width_d))
+        elif need <= params.alpha:
+            radius = max(radius, math.sqrt(math.log(params.alpha / need) * params.width_d))
     return free, radius
 
 
-def _within_reach(doc: PreparedDocument, identifier_key: str, free: int, radius: float) -> set:
+def _within_reach(table: _RankingTable, identifier_key: str, free: int, radius: float) -> set:
     """Indices of the candidates fewer than ``free`` sentences from the first
     occurrence, or at most ``radius`` tokens from any (none when it is -1)."""
-    positions, _, starts, occurrences, _ = doc.ranking_table
+    positions, _, starts, occurrences, _ = table
     first, occ_positions = occurrences[identifier_key]
     near = set(range(starts[max(0, first - free + 1)], starts[min(first + free, len(starts) - 1)]))
     for q in occ_positions:
@@ -406,14 +405,14 @@ def extract_relations(
         if params is None:
             params = RankerParams()
         free, radius = _reach(len(doc.sentences), params)
-        for key in sorted(doc.ranking_table[3]):
+        table = _ranking_table(doc)
+        for key in sorted(table.occurrences):
             ident = doc.identifiers.get(key) or Identifier(base=key, display=key)
             # in any order: on equal scores the maximum below keeps equal relations
-            near = _within_reach(doc, key, free, radius)
-            for score, _, _, tok in _scores(doc, key, params, near):
+            near = _within_reach(table, key, free, radius)
+            for score, _, _, tok in _scores(table, key, params, near):
                 if score >= params.retain_threshold:
                     found.append((ident, tok.text, score, RANKER))
-        del doc.ranking_table  # needed only while this document is ranked
     best: dict[tuple[str, str], tuple[Identifier, float, str]] = {}
     for ident, definition, score, how in found:
         definition = definition.strip()

@@ -9,6 +9,7 @@ Raw score sums are squashed to (0, 1) with tanh(x/2).
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -304,9 +305,24 @@ class HierarchyScheme:
 
     @classmethod
     def load(cls, path: str | Path):
-        import json
-
-        records = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a hierarchy file: a non-empty JSON list of objects with string
+        ``top`` and ``second`` and an optional list of string ``keywords``.
+        A ValueError names the file and what is wrong in it."""
+        try:
+            records = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {exc}") from None
+        if not isinstance(records, list) or not records:
+            raise ValueError(f"{path}: expected a non-empty JSON list of categories")
+        for n, rec in enumerate(records, start=1):
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}: category {n} is not an object")
+            for key in ("top", "second"):
+                if not isinstance(rec.get(key), str):
+                    raise ValueError(f"{path}: category {n}: {key!r} must be a string")
+            keywords = rec.get("keywords", [])
+            if not (isinstance(keywords, list) and all(isinstance(kw, str) for kw in keywords)):
+                raise ValueError(f"{path}: category {n}: 'keywords' must be a list of strings")
         return cls.from_records(records)
 
 

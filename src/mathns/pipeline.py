@@ -64,7 +64,8 @@ _SECTIONS = {
     "baseline": (None, None, {None: {"cluster_size": 3, "trials": 200}}),
 }
 # options whose value must be at least 1; a grid axis needs one value or more, each at least 1
-_COUNTS = {"K", "k", "neighbors", "cluster_size", "trials"}
+_COUNTS = {"K", "k", "neighbors", "cluster_size", "trials",
+           "max_iter", "n_restarts", "batch_size", "max_points"}
 # options whose value must be one of a fixed set
 _CHOICES = {"measure": simindex.MEASURES, "linkage": clustering.LINKAGES}
 # path keys of the JSON file and the fields they set
@@ -154,6 +155,7 @@ class PipelineConfig:
     stops: StopLists = field(init=False, repr=False, compare=False)
     lexicon: Lexicon = field(init=False, repr=False, compare=False)
     labels: Optional[dict[str, str]] = field(init=False, repr=False, compare=False)
+    hierarchy: Optional[HierarchyScheme] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f in fields(self):
@@ -168,9 +170,12 @@ class PipelineConfig:
         self.reduction = _check_section("reduction", self.reduction)
         self.clustering = _check_section("clustering", self.clustering)
         self.baseline = _check_section("baseline", self.baseline) if self.baseline else None
-        for key in ("purity_threshold", "fuzzy_threshold"):
+        for key in ("purity_threshold", "fuzzy_threshold", "hierarchy_min_cos"):
             if not 0.0 <= getattr(self, key) <= 1.0:  # NaN fails too
                 raise ConfigError(f"{key}: must be in [0, 1], got {getattr(self, key)!r}")
+        for key in ("seed", "hierarchy_min_matches"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key}: must be at least 0, got {getattr(self, key)!r}")
         algorithm, opts = self.clustering["algorithm"], self.clustering
         if algorithm == "nmf_direct" and self.reduction["kind"] != "nmf":
             raise ConfigError("clustering: algorithm 'nmf_direct' needs reduction kind 'nmf'")
@@ -196,6 +201,9 @@ class PipelineConfig:
                 self.suffix_rules_path or data / "suffix_rules.tsv",
             )
             self.labels = evaluate.load_labels(self.labels_path) if self.labels_path else None
+            self.hierarchy = (
+                HierarchyScheme.load(self.hierarchy_path) if self.hierarchy_path else None
+            )
         except (OSError, ValueError) as exc:
             raise ConfigError(f"config: {exc}") from exc
 
@@ -454,12 +462,11 @@ def stage_namespaces(config: PipelineConfig) -> None:
         },
     )
     mapping = []
-    if config.hierarchy_path is not None:
-        scheme = HierarchyScheme.load(config.hierarchy_path)
+    if config.hierarchy is not None:
         for ns in namespaces:
             hit = map_to_hierarchy(
                 ns,
-                scheme,
+                config.hierarchy,
                 labels,
                 titles,
                 min_cos=config.hierarchy_min_cos,

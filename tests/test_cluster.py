@@ -106,6 +106,13 @@ class TestKmeans:
         with pytest.raises(KTooLarge):
             kmeans(np.zeros((3, 2)), 4, seed=0)
 
+    @pytest.mark.parametrize("name", ["max_iter", "n_restarts"])
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_counts_below_one_raise(self, name, count):
+        # n_restarts 0 returned None, and max_iter 0 failed on an empty trace
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got {count}"):
+            kmeans(np.eye(4), 2, seed=0, **{name: count})
+
     @pytest.mark.parametrize("seed", range(10))
     def test_inertia_non_increasing(self, seed):
         rng = np.random.default_rng(seed)
@@ -199,6 +206,12 @@ class TestMiniBatch:
     def test_batch_size_guard(self):
         with pytest.raises(ValueError):
             minibatch_kmeans(np.zeros((3, 1)), 1, batch_size=10, iters=1, seed=0)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_raises(self, batch_size):
+        # a negative batch failed inside numpy, "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match=f"batch_size must be in .*, got {batch_size}"):
+            minibatch_kmeans(np.eye(4), 2, batch_size=batch_size, iters=1, seed=0)
 
 
 def loop_norm_fraction(v: np.ndarray, f: float) -> np.ndarray:

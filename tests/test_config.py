@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from mathns.cli import main
 from mathns.errors import ConfigError
+from mathns.namespaces import HierarchyScheme
 from mathns.pipeline import (
     PipelineConfig,
     _assignments,
@@ -232,6 +233,15 @@ BAD_SECTIONS = [
      "snn_dbscan needs eps below neighbors, got eps 5 and neighbors 5"),
     ("snn-eps-above-default-neighbors", "clustering", {"algorithm": "snn_dbscan", "eps": 12},
      "got eps 12 and neighbors 10"),
+    ("kmeans-n_restarts-0", "clustering", {"algorithm": "kmeans", "n_restarts": 0},
+     "'n_restarts' must be at least 1, got 0"),
+    ("kmeans-max_iter-0", "clustering", {"algorithm": "kmeans", "max_iter": 0},
+     "'max_iter' must be at least 1, got 0"),
+    ("minibatch-batch_size-negative", "clustering",
+     {"algorithm": "minibatch_kmeans", "batch_size": -3},
+     "'batch_size' must be at least 1, got -3"),
+    ("agglomerative-max_points-0", "clustering", {"algorithm": "agglomerative", "max_points": 0},
+     "'max_points' must be at least 1, got 0"),
     # each of these ran to exit 0: a NaN purity threshold gave no namespace,
     # and a NaN fuzzy threshold merged no definition
     ("purity-threshold-negative", "purity_threshold", -1, "must be in [0, 1], got -1.0"),
@@ -241,6 +251,11 @@ BAD_SECTIONS = [
     ("fuzzy-threshold-infinite", "fuzzy_threshold", float("-inf"), "must be in [0, 1], got -inf"),
     ("cluster_size-0", "baseline", {"cluster_size": 0}, "'cluster_size' must be at least 1, got 0"),
     ("trials-0", "baseline", {"trials": 0}, "'trials' must be at least 1, got 0"),
+    # these ran to exit 0 as well: a cosine cut above 1 mapped every namespace to OTHERS,
+    # and with NaN the cut never applied
+    ("hierarchy-min-cos-above-1", "hierarchy_min_cos", 2.0, "must be in [0, 1], got 2.0"),
+    ("hierarchy-min-cos-nan", "hierarchy_min_cos", float("nan"), "must be in [0, 1], got nan"),
+    ("hierarchy-min-matches-negative", "hierarchy_min_matches", -3, "must be at least 0, got -3"),
 ]
 
 
@@ -295,6 +310,18 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"error: config: path '{key}'")
         assert not out.exists()
 
+    def test_negative_seed(self, tmp_path, capsys):
+        # --seed -1 ran four stages, then stopped in evaluate
+        cfg = _toy_config(tmp_path)
+        for config_seed, cli_seed in ((-1, None), (1, -1)):
+            with pytest.raises(ConfigError, match="seed: must be at least 0, got -1"):
+                PipelineConfig.load(_toy_config(tmp_path, seed=config_seed), seed=cli_seed)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed: must be at least 0, got -1\n"
+        assert not out.exists()
+        assert PipelineConfig.load(cfg, seed=0).seed == 0
+
     @pytest.mark.parametrize("key,value", [("min_df", "two"), ("purity_threshold", [0.8])])
     def test_top_level_number_is_checked(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=f"'{key}'"):
@@ -314,6 +341,11 @@ class TestConfigErrors:
         _config(clustering={"algorithm": "snn_dbscan", "neighbors": 1, "eps": 0})
         _config(purity_threshold=0, fuzzy_threshold=1)
         _config(purity_threshold=1, fuzzy_threshold=0.0)
+        _config(hierarchy_min_cos=0, hierarchy_min_matches=0)
+        _config(hierarchy_min_cos=1.0)
+        _config(clustering={"algorithm": "kmeans", "max_iter": 1, "n_restarts": 1})
+        _config(clustering={"algorithm": "minibatch_kmeans", "batch_size": 1})
+        _config(clustering={"algorithm": "agglomerative", "max_points": 1})
 
 
 # (id, config key, file bytes, the file's bad line and what the error says of it)
@@ -331,6 +363,25 @@ BAD_DATA_FILES = [
     ("labels-line-with-two-tabs", "labels", b"d1\tphysics\tmechanics\n",
      1, "expected two fields split by one tab"),
     ("labels-not-utf-8", "labels", b"d1\tphysics\nd2\tm\xe9canique\n", 2, "not UTF-8"),
+]
+
+
+# (id, hierarchy file bytes, what the error says of it); each of these, where
+# the toy run has namespaces, stopped only in the namespaces stage
+BAD_HIERARCHIES = [
+    ("category-without-second", b'[{"top": "Statistics"}]',
+     "category 1: 'second' must be a string"),
+    ("not-json", b"{not json", "Expecting property name"),
+    ("empty-list", b"[]", "expected a non-empty JSON list of categories"),
+    ("an-object", b'{"top": "A", "second": "B"}', "expected a non-empty JSON list of categories"),
+    ("category-not-an-object", b'[["A", "B"]]', "category 1 is not an object"),
+    ("top-not-a-string", b'[{"top": 3, "second": "B"}]', "category 1: 'top' must be a string"),
+    # a string of keywords was read one character at a time
+    ("keywords-a-string", b'[{"top": "A", "second": "B", "keywords": "force"}]',
+     "category 1: 'keywords' must be a list of strings"),
+    ("keyword-not-a-string", b'[{"top": "A", "second": "B"}, {"top": "C", "second": "D", '
+     b'"keywords": ["heat", null]}]', "category 2: 'keywords' must be a list of strings"),
+    ("not-utf-8", b'[{"top": "A", "second": "m\xe9canique"}]', "can't decode byte 0xe9"),
 ]
 
 
@@ -367,6 +418,31 @@ class TestDataFilesAtLoad:
         assert config.stops.symbol_stop == default.stops.symbol_stop != frozenset()
         assert config.lexicon.suffix_rules == default.lexicon.suffix_rules != ()
         assert default.labels is None
+
+    @pytest.mark.parametrize(
+        "data,needle", [c[1:] for c in BAD_HIERARCHIES], ids=[c[0] for c in BAD_HIERARCHIES]
+    )
+    def test_bad_hierarchy_fails_at_load(self, tmp_path, capsys, data, needle):
+        bad = tmp_path / "hierarchy.json"
+        bad.write_bytes(data)
+        cfg = _toy_config(tmp_path, hierarchy=str(bad))
+        with pytest.raises(ConfigError) as info:
+            PipelineConfig.load(cfg)
+        assert str(info.value).startswith(f"config: {bad}: ") and needle in str(info.value)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {bad}: ") and needle in err
+        assert not out.exists()
+
+    def test_hierarchy_is_read_into_the_config(self, tmp_path):
+        hierarchy = tmp_path / "hierarchy.json"
+        hierarchy.write_bytes(TOY_HIERARCHY.read_bytes())
+        config = _config(hierarchy_path=hierarchy)
+        hierarchy.unlink()  # no stage reads the file again
+        assert config.hierarchy == HierarchyScheme.load(TOY_HIERARCHY)
+        assert len(config.hierarchy.categories) > 1
+        assert _config().hierarchy is None
 
     def test_labels_are_read_into_the_config(self, tmp_path):
         labels = tmp_path / "labels.tsv"

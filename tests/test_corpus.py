@@ -14,6 +14,7 @@ from mathns.corpus import (
     default_stop_lists,
     drop_sparse_documents,
     extract_identifiers,
+    load_corpus,
     normalize_identifier,
     parse_document,
     scan_formula,
@@ -355,3 +356,21 @@ class TestIdentifierKey:
 
     def test_key_plain(self):
         assert Identifier(base="sigma").key == "sigma"
+
+
+class TestLoadCorpus:
+    def test_line_that_is_not_json_is_named(self, tmp_path, toy_corpus_path):
+        # the error named "line 1 column 14" of the broken fragment, not the corpus line
+        lines = toy_corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = lines[3][:13] + "\n"  # '{"category": '
+        bad = tmp_path / "corpus.jsonl"
+        bad.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_corpus(bad, STOPS)
+        assert str(info.value) == f"{bad}, line 4: Expecting value (column 14)"
+
+    def test_blank_lines_count(self, tmp_path):
+        bad = tmp_path / "corpus.jsonl"
+        bad.write_text('{"doc_id": "a", "text": "$x$ and $y$"}\n\n  \n  {"doc_id": "b",\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}, line 4: "):
+            load_corpus(bad, STOPS)

@@ -1,7 +1,9 @@
 """Relation extraction: nearest noun, patterns, probabilistic ranker."""
 
+import gc
 import math
-from dataclasses import replace
+import weakref
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +24,7 @@ from mathns.extraction import (
     rank_candidates,
     ranker_score,
 )
+from mathns import pipeline
 from mathns.textproc import ID, LINK, NN, NNS, NOUN_PHRASE
 
 STOPS = default_stop_lists()
@@ -29,7 +32,7 @@ STOPS = default_stop_lists()
 
 def prepare_one(text: str, doc_id: str = "d"):
     corpus = build_corpus([{"doc_id": doc_id, "text": text}], STOPS)
-    return prepare_corpus(corpus)[0]
+    return next(prepare_corpus(corpus))
 
 
 class TestNearestNoun:
@@ -152,6 +155,19 @@ class TestRankerScore:
         with pytest.raises(ValueError):
             RankerParams(sigma_d=-1.0)
 
+    @pytest.mark.parametrize(
+        "params",
+        [RankerParams(), RankerParams(0.0, 1.3, 0.45, 3.3, 0.9), RankerParams(sigma_d=1e150)],
+    )
+    def test_derived_values_keep_the_bits_of_their_expressions(self, params):
+        # every score divides by these, so each must equal the expression it replaced
+        assert params.weight.hex() == (params.alpha + params.beta + params.gamma).hex()
+        assert params.width_d.hex() == (2.0 * params.sigma_d**2).hex()
+        assert params.width_s.hex() == (2.0 * params.sigma_s**2).hex()
+        assert replace(params, sigma_s=3.0).width_s == 18.0
+        with pytest.raises(FrozenInstanceError):  # so they cannot go stale
+            params.sigma_d = 1.0
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "name", ["alpha", "beta", "gamma", "sigma_d", "sigma_s", "retain_threshold"]
@@ -253,7 +269,7 @@ REPEATING_SENTENCES = st.lists(
 class TestRankCandidatesOracle:
     @pytest.fixture(scope="class")
     def toy_docs(self, toy_corpus_path):
-        return prepare_corpus(load_corpus(toy_corpus_path))
+        return list(prepare_corpus(load_corpus(toy_corpus_path)))
 
     @pytest.mark.parametrize(
         "params",
@@ -292,10 +308,33 @@ class TestRankCandidatesOracle:
         with pytest.raises(IdentifierNotInDocument):
             rank_candidates(toy_docs[0], "not-an-identifier")
 
-    def test_extract_relations_drops_the_table(self, toy_docs):
+    def test_ranking_leaves_the_document_as_it_was(self, toy_docs):
         doc = toy_docs[1]
+        before = dict(vars(doc))
         assert extract_relations(doc, RANKER)
-        assert "ranking_table" not in vars(doc)
+        key = next(tok.text for _, tok in doc.flat_tokens() if tok.tag == ID)
+        assert rank_candidates(doc, key)
+        assert vars(doc) == before
+
+
+def test_extract_all_holds_one_prepared_document(monkeypatch, toy_config_path):
+    """When ``_extract_all`` extracts document i, no earlier document's
+    ``PreparedDocument`` can be reached: ``prepare_corpus`` prepares each
+    one when asked for it, and extraction keeps nothing of it."""
+    config = pipeline.PipelineConfig.load(toy_config_path)
+    corpus = pipeline._load_corpus(config)
+    extract, earlier, alive = pipeline.extract_relations, [], []
+
+    def tracked(doc, *args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in earlier))
+        earlier.append(weakref.ref(doc))
+        return extract(doc, *args)
+
+    monkeypatch.setattr(pipeline, "extract_relations", tracked)
+    assert pipeline._extract_all(config, corpus)
+    assert len(alive) == len(corpus.documents) > 1
+    assert alive == [0] * len(alive)
 
 
 def old_extract_ranker(doc, params, definition_stop=frozenset()):
