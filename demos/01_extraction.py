@@ -31,7 +31,7 @@ def main():
 
     print("formulas found:")
     for i, formula in enumerate(doc.formulas):
-        ids = [ident.key for ident in corpus.formula_identifiers["demo"][i]]
+        ids = [ident.key for ident in doc.identifiers[i]]
         print(f"  [{i}] {formula!r} -> identifiers {ids}")
 
     prepared = next(prepare_corpus(corpus))

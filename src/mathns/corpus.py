@@ -112,12 +112,13 @@ class StopLists:
 
 def read_lines(path: str | Path) -> list[str]:
     """The lines of a UTF-8 text file; a ValueError names the line of a
-    byte that is not UTF-8."""
+    byte that is not UTF-8, counting lines as text mode does."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from None
 
 
@@ -141,14 +142,15 @@ def default_stop_lists() -> StopLists:
 
 @dataclass
 class Document:
-    """One identifier-bearing text unit of the corpus."""
+    """One identifier-bearing text unit of the corpus and its formulas' identifiers."""
 
     doc_id: str
     title: str
-    text: str
     category: str
     formulas: tuple[str, ...]
     body: str  # text with each formula replaced by a placeholder token
+    identifiers: tuple[tuple[Identifier, ...], ...] = ()  # one tuple per formula
+    identifier_counts: Counter = field(default_factory=Counter)
 
 
 def parse_document(raw: dict) -> Document:
@@ -179,7 +181,6 @@ def parse_document(raw: dict) -> Document:
     return Document(
         doc_id=str(raw["doc_id"]),
         title="" if raw.get("title") is None else str(raw["title"]),  # null counts as absent
-        text=text,
         category="" if raw.get("category") is None else str(raw["category"]),
         formulas=tuple(formulas),
         body="".join(chunks),
@@ -390,10 +391,9 @@ def extract_identifiers(formula: str, stops: StopLists | None = None) -> list[Id
 
 @dataclass
 class Corpus:
-    """Parsed documents plus their per-formula identifier lists."""
+    """Parsed documents, each carrying its formulas' identifiers."""
 
     documents: list[Document] = field(default_factory=list)
-    formula_identifiers: dict[str, list[list[Identifier]]] = field(default_factory=dict)
     skipped_fragments: int = 0
 
     def __len__(self) -> int:
@@ -402,29 +402,21 @@ class Corpus:
     def __iter__(self):
         return iter(self.documents)
 
-    def identifier_counts(self, doc_id: str) -> Counter:
-        """Occurrence counts of identifier keys in one document."""
-        counts: Counter = Counter()
-        for formula_ids in self.formula_identifiers.get(doc_id, []):
-            counts.update(ident.key for ident in formula_ids)
-        return counts
-
 
 def build_corpus(records: Iterable[dict], stops: StopLists | None = None) -> Corpus:
     """Parse records into a corpus, extracting formula identifiers.
 
     Each distinct formula is scanned once per call: corpora repeat the
     same short formulas, and ``scan_formula`` depends only on the formula
-    and ``stops``.  Every occurrence still gets its own list (the frozen
-    identifiers in it are shared) and adds its skipped fragments.  The
-    memo lives for this call only, since another call may use other
-    stop lists.
+    and ``stops``.  Every occurrence shares the formula's one tuple of
+    identifiers and adds its skipped fragments.  The memo lives for this
+    call only, since another call may use other stop lists.
     """
     if stops is None:
         stops = default_stop_lists()
     corpus = Corpus()
     seen: set[str] = set()
-    scanned: dict[str, tuple[list[Identifier], int]] = {}
+    scanned: dict[str, tuple[tuple[Identifier, ...], int]] = {}
     for raw in records:
         doc = parse_document(raw)
         if doc.doc_id in seen:
@@ -433,28 +425,35 @@ def build_corpus(records: Iterable[dict], stops: StopLists | None = None) -> Cor
         per_formula = []
         for formula in doc.formulas:
             if formula not in scanned:
-                scanned[formula] = scan_formula(formula, stops)
+                ids, skipped = scan_formula(formula, stops)
+                scanned[formula] = tuple(ids), skipped
             ids, skipped = scanned[formula]
-            per_formula.append(list(ids))
+            per_formula.append(ids)
+            doc.identifier_counts.update(ident.key for ident in ids)
             corpus.skipped_fragments += skipped
+        doc.identifiers = tuple(per_formula)
         corpus.documents.append(doc)
-        corpus.formula_identifiers[doc.doc_id] = per_formula
     return corpus
 
 
 def load_corpus(path: str | Path, stops: StopLists | None = None) -> Corpus:
-    """Load a JSONL corpus file; a ValueError names the line that is not JSON."""
+    """Load a JSONL corpus file; a ValueError names the line that is not
+    JSON or holds a byte that is not UTF-8."""
 
     def records():
         with open(path, encoding="utf-8") as fh:
-            for n, line in enumerate(fh, start=1):
-                if line.strip():
-                    try:  # a string cut at the newline reads "Unterminated string"
-                        record = json.loads(line.rstrip("\n"))
-                    except json.JSONDecodeError as exc:
-                        message = f"{path}, line {n}: {exc.msg} (column {exc.colno})"
-                        raise ValueError(message) from None
-                    yield record
+            try:
+                for n, line in enumerate(fh, start=1):
+                    if line.strip():
+                        try:  # a string cut at the newline reads "Unterminated string"
+                            record = json.loads(line.rstrip("\n"))
+                        except json.JSONDecodeError as exc:
+                            message = f"{path}, line {n}: {exc.msg} (column {exc.colno})"
+                            raise ValueError(message) from None
+                        yield record
+            except UnicodeDecodeError:  # its position counts from a read buffer
+                read_lines(path)  # raises, naming the line
+                raise
 
     return build_corpus(records(), stops)
 
@@ -465,13 +464,8 @@ def drop_sparse_documents(corpus: Corpus, min_occurrences: int = 2) -> Corpus:
     Documents that keep only one identifier occurrence after cleaning
     carry no clustering signal and are discarded.
     """
-    kept = Corpus(skipped_fragments=corpus.skipped_fragments)
-    for doc in corpus.documents:
-        total = sum(corpus.identifier_counts(doc.doc_id).values())
-        if total >= min_occurrences:
-            kept.documents.append(doc)
-            kept.formula_identifiers[doc.doc_id] = corpus.formula_identifiers[doc.doc_id]
-    return kept
+    kept = [doc for doc in corpus.documents if doc.identifier_counts.total() >= min_occurrences]
+    return Corpus(documents=kept, skipped_fragments=corpus.skipped_fragments)
 
 
 @dataclass
@@ -503,12 +497,12 @@ def corpus_stats(corpus: Corpus, relations=None) -> StatsReport:
     global_counts: Counter = Counter()
     per_document = []
     for doc in corpus.documents:
-        counts = corpus.identifier_counts(doc.doc_id)
+        counts = doc.identifier_counts
         global_counts.update(counts)
         per_document.append(
             {
                 "doc_id": doc.doc_id,
-                "total": sum(counts.values()),
+                "total": counts.total(),
                 "distinct": len(counts),
             }
         )

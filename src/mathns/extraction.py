@@ -91,6 +91,8 @@ class RankerParams:
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("weights must be non-negative")
         object.__setattr__(self, "weight", self.alpha + self.beta + self.gamma)
+        if not math.isfinite(self.weight):  # ranker_score would be nan
+            raise ValueError(f"alpha + beta + gamma must be finite, got {self.weight!r}")
         if self.weight <= 0:
             raise ValueError("at least one weight must be positive")
         if self.sigma_d <= 0 or self.sigma_s <= 0:
@@ -150,21 +152,17 @@ def _ranking_table(doc: PreparedDocument) -> _RankingTable:
     return _RankingTable(positions, tokens, starts, occurrences, tf)
 
 
-def prepare_document(
-    doc: Document,
-    formula_identifiers: Sequence[Sequence[Identifier]],
-    lexicon: Lexicon | None = None,
-) -> PreparedDocument:
+def prepare_document(doc: Document, lexicon: Lexicon | None = None) -> PreparedDocument:
     """Run the full text pipeline for one document."""
     if lexicon is None:
         lexicon = Lexicon.default()
     identifiers: dict[str, Identifier] = {}
-    for ids in formula_identifiers:
+    for ids in doc.identifiers:
         for ident in ids:
             identifiers.setdefault(ident.key, ident)
     sentences = textproc.tokenize_sentences(doc.body)
     tagged = textproc.pos_tag(sentences, lexicon)
-    annotated = textproc.annotate_math(tagged, formula_identifiers, identifiers)
+    annotated = textproc.annotate_math(tagged, doc.identifiers, identifiers)
     chunked = textproc.chunk_phrases(annotated)
     return PreparedDocument(document=doc, sentences=chunked, identifiers=identifiers)
 
@@ -174,7 +172,7 @@ def prepare_corpus(corpus: Corpus, lexicon: Lexicon | None = None) -> Iterator[P
     if lexicon is None:
         lexicon = Lexicon.default()
     for doc in corpus.documents:
-        yield prepare_document(doc, corpus.formula_identifiers[doc.doc_id], lexicon)
+        yield prepare_document(doc, lexicon)
 
 
 def _identifier_of(tok: TaggedToken) -> Identifier:

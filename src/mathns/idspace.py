@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, Document
 from .errors import EmptyVocabulary, WeightDomainError
 from .extraction import Relation
 from .stemming import definition_tokens
@@ -229,16 +229,11 @@ def _relations_by_doc(relations: Iterable[Relation]) -> dict[str, list[Relation]
     return grouped
 
 
-def doc_features(
-    corpus: Corpus,
-    doc_id: str,
-    doc_relations: Sequence[Relation],
-    mode: str,
-) -> Counter:
+def doc_features(doc: Document, doc_relations: Sequence[Relation], mode: str) -> Counter:
     """Feature counts of one document under an association mode."""
     features: Counter = Counter()
     if mode in (IDENTIFIERS_ONLY, WEAK):
-        features.update(corpus.identifier_counts(doc_id))
+        features.update(doc.identifier_counts)
     if mode == WEAK:
         for rel in doc_relations:
             features.update(definition_tokens(rel.definition))
@@ -263,7 +258,7 @@ def build_vocabulary(
     grouped = _relations_by_doc(relations)
     df: Counter = Counter()
     for doc in corpus.documents:
-        features = doc_features(corpus, doc.doc_id, grouped.get(doc.doc_id, []), mode)
+        features = doc_features(doc, grouped.get(doc.doc_id, []), mode)
         df.update(features.keys())
     dims = tuple(sorted(dim for dim, count in df.items() if count >= min_df))
     if not dims:
@@ -364,7 +359,7 @@ def vectorize(
     data: list[float] = []
     doc_ids = tuple(doc.doc_id for doc in corpus.documents)
     for i, doc in enumerate(corpus.documents):
-        features = doc_features(corpus, doc.doc_id, grouped.get(doc.doc_id, []), vocab.mode)
+        features = doc_features(doc, grouped.get(doc.doc_id, []), vocab.mode)
         for dim, count in features.items():
             j = vocab.index.get(dim)
             if j is not None:

@@ -76,10 +76,15 @@ _PATH_KEYS = {"corpus": "corpus_path", "symbol_stop": "symbol_stop",
 
 
 def _number(section: str, key: str, value, kind: type):
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}: {key!r} must be a number: {exc}") from exc
+    """``value`` as ``kind``: a JSON number, not a bool, and integral for an int."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and (kind is float or value % 1 == 0):  # NaN and inf are not integral
+        try:
+            return kind(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{section}: {key!r} must be {what}, got {value!r}")
 
 
 def _check_path(key: str, value):
@@ -109,16 +114,18 @@ def _check_section(section: str, given) -> dict:
         value = given.get(key, default)
         if default is _REQUIRED and given.get(key) is None:
             raise ConfigError(f"{section}: {selector} {choice!r} needs {key!r}")
-        if isinstance(default, (int, float)) and key not in _GRID_AXES:
-            value = _number(section, key, value, type(default))
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise ConfigError(f"{section}: unknown {key} {value!r}")
         if key in _COUNTS:
             if value == []:
                 raise ConfigError(f"{section}: grid axis {key!r} has no values")
             for v in value if isinstance(value, list) else [value]:
                 if not (isinstance(v, (int, float)) and v >= 1):
                     raise ConfigError(f"{section}: {key!r} must be at least 1, got {v!r}")
+        if key in _GRID_AXES and isinstance(value, list):
+            value = [_number(section, key, v, int) for v in value]
+        elif key in _GRID_AXES or isinstance(default, (int, float)):
+            value = _number(section, key, value, int if key in _GRID_AXES else type(default))
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ConfigError(f"{section}: unknown {key} {value!r}")
         filled[key] = value
     return filled
 
@@ -161,7 +168,7 @@ class PipelineConfig:
         for f in fields(self):
             if f.type in ("int", "float"):
                 kind = int if f.type == "int" else float
-                setattr(self, f.name, _number("config", f.name, getattr(self, f.name), kind))
+                setattr(self, f.name, _number(f.name, f.name, getattr(self, f.name), kind))
         if self.association not in idspace.MODES:
             raise ConfigError(f"config: unknown association mode {self.association!r}")
         if self.weighting not in idspace.WEIGHTINGS:

@@ -139,7 +139,7 @@ def pos_tag(sentences: Sequence[Sequence[str]], lexicon: Lexicon) -> list[list[T
 
 def annotate_math(
     tagged: Sequence[Sequence[TaggedToken]],
-    formula_identifiers: Sequence[Sequence[Identifier]],
+    per_formula: Sequence[Sequence[Identifier]],
     doc_identifiers: dict[str, Identifier],
 ) -> list[list[TaggedToken]]:
     """Resolve placeholders and re-tag identifier tokens.
@@ -158,7 +158,7 @@ def annotate_math(
                 suffix = tok.text[len(PLACEHOLDER_PREFIX) :]
                 try:
                     idx = int(suffix)
-                    ids = formula_identifiers[idx]
+                    ids = per_formula[idx]
                 except (ValueError, IndexError):
                     raise UnknownPlaceholder(tok.text) from None
                 if len(ids) == 1:

@@ -256,6 +256,38 @@ BAD_SECTIONS = [
     ("hierarchy-min-cos-above-1", "hierarchy_min_cos", 2.0, "must be in [0, 1], got 2.0"),
     ("hierarchy-min-cos-nan", "hierarchy_min_cos", float("nan"), "must be in [0, 1], got nan"),
     ("hierarchy-min-matches-negative", "hierarchy_min_matches", -3, "must be at least 0, got -3"),
+    # weights summing to inf made every ranker score nan: exit 0, no relations
+    ("ranker-weights-overflow", "extraction", {"alpha": 1e308, "beta": 1e308},
+     "alpha + beta + gamma must be finite, got inf"),
+    # an integer option truncated a fraction and read a bool as 0 or 1: K 2.5 ran
+    # K 2 as assignment_K2.5.tsv, and K true ran K 1 as assignment_KTrue.tsv
+    ("K-fractional", "clustering", {"K": 2.5}, "'K' must be an integer, got 2.5"),
+    ("K-bool", "clustering", {"K": True}, "'K' must be an integer, got True"),
+    ("K-grid-fractional", "clustering", {"K": [2, 2.5]}, "'K' must be an integer, got 2.5"),
+    ("svd-k-fractional", "reduction", {"kind": "svd", "k": 2.5}, "'k' must be an integer, got 2.5"),
+    ("snn-eps-fractional", "clustering", {"algorithm": "snn_dbscan", "eps": 2.5},
+     "'eps' must be an integer, got 2.5"),
+    ("kmeans-max_iter-fraction-below-1", "clustering", {"algorithm": "kmeans", "max_iter": 0.5},
+     "'max_iter' must be at least 1, got 0.5"),
+    ("kmeans-max_iter-fractional", "clustering", {"algorithm": "kmeans", "max_iter": 1.5},
+     "'max_iter' must be an integer, got 1.5"),
+    ("minpts-string", "clustering", {"algorithm": "dbscan", "minpts": "3"},
+     "'minpts' must be an integer, got '3'"),
+    ("trials-fractional", "baseline", {"trials": 2.5}, "'trials' must be an integer, got 2.5"),
+    ("min_df-fractional", "min_df", 2.5, "'min_df' must be an integer, got 2.5"),
+    ("min_df-bool", "min_df", True, "'min_df' must be an integer, got True"),
+    # int(inf) raised OverflowError, at load for min_df and in the cluster stage for K
+    ("min_df-infinite", "min_df", float("inf"), "'min_df' must be an integer, got inf"),
+    ("K-infinite", "clustering", {"K": float("inf")}, "'K' must be an integer, got inf"),
+    # a float option read true as 1.0 and "0.5" as 0.5
+    ("ranker-weight-bool", "extraction", {"alpha": True}, "'alpha' must be a number, got True"),
+    ("ranker-weight-string", "extraction", {"beta": "1.0"}, "'beta' must be a number, got '1.0'"),
+    # float() raised OverflowError for an integer above the float range
+    ("ranker-weight-huge-int", "extraction", {"gamma": 10**400}, "'gamma' must be a number, got 1000"),
+    ("dbscan-eps-bool", "clustering", {"algorithm": "dbscan", "eps": False},
+     "'eps' must be a number, got False"),
+    ("purity-threshold-bool", "purity_threshold", True,
+     "'purity_threshold' must be a number, got True"),
 ]
 
 
@@ -346,6 +378,12 @@ class TestConfigErrors:
         _config(clustering={"algorithm": "kmeans", "max_iter": 1, "n_restarts": 1})
         _config(clustering={"algorithm": "minibatch_kmeans", "batch_size": 1})
         _config(clustering={"algorithm": "agglomerative", "max_points": 1})
+        integral = _config(clustering={"K": [3.0, 4], "max_iter": 3.0}, min_df=3.0,
+                           reduction={"kind": "svd", "k": 3.0}, baseline={"trials": 3.0})
+        assert integral.clustering["K"] == [3, 4] and integral.reduction["k"] == 3
+        assert all(type(v) is int for v in (*integral.clustering["K"], integral.reduction["k"],
+                                            integral.clustering["max_iter"], integral.min_df,
+                                            integral.baseline["trials"]))
 
 
 # (id, config key, file bytes, the file's bad line and what the error says of it)

@@ -1,6 +1,7 @@
 """Corpus parsing, identifier extraction and statistics."""
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -303,6 +304,11 @@ def scan_each_occurrence(records, stops):
     return identifiers, skipped
 
 
+def formula_identifiers(corpus):
+    """Each document's identifiers by doc_id, one list per formula."""
+    return {doc.doc_id: [list(ids) for ids in doc.identifiers] for doc in corpus}
+
+
 class TestFormulaMemo:
     RECORDS = [
         {"doc_id": "a", "text": " and ".join(f"${f}$" for f in REPEATED_FORMULAS)},
@@ -313,7 +319,7 @@ class TestFormulaMemo:
     def test_matches_a_scan_per_occurrence(self):
         corpus = build_corpus(self.RECORDS, STOPS)
         identifiers, skipped = scan_each_occurrence(self.RECORDS, STOPS)
-        assert corpus.formula_identifiers == identifiers
+        assert formula_identifiers(corpus) == identifiers
         assert corpus.skipped_fragments == skipped > 0
 
     @given(
@@ -330,23 +336,24 @@ class TestFormulaMemo:
         ]
         corpus = build_corpus(records, STOPS)
         identifiers, skipped = scan_each_occurrence(records, STOPS)
-        assert corpus.formula_identifiers == identifiers
+        assert formula_identifiers(corpus) == identifiers
         assert corpus.skipped_fragments == skipped
+        for doc in corpus:
+            recount = Counter(i.key for ids in identifiers[doc.doc_id] for i in ids)
+            assert doc.identifier_counts == recount
 
-    def test_each_occurrence_has_its_own_list(self):
-        corpus = build_corpus(self.RECORDS, STOPS)
-        before = {k: [list(ids) for ids in v] for k, v in corpus.formula_identifiers.items()}
-        corpus.formula_identifiers["a"][0].append(Identifier(base="q"))
-        # a's last formula and b's first are the same "x" as a's first
-        assert corpus.formula_identifiers["a"][1:] == before["a"][1:]
-        assert corpus.formula_identifiers["b"] == before["b"]
+    def test_occurrences_of_one_formula_share_one_tuple(self):
+        a, b, _ = build_corpus(self.RECORDS, STOPS)
+        # a's last formula and b's first and last are the same "x" as a's first
+        assert isinstance(a.identifiers[0], tuple)
+        assert a.identifiers[0] is a.identifiers[5] is b.identifiers[0] is b.identifiers[3]
 
     def test_memo_does_not_outlive_a_call(self):
         records = [{"doc_id": "a", "text": "$x + y$"}]
         plain = build_corpus(records, StopLists())
         stopped = build_corpus(records, StopLists(symbol_stop=frozenset({"x"})))
-        assert [i.key for i in plain.formula_identifiers["a"][0]] == ["x", "y"]
-        assert [i.key for i in stopped.formula_identifiers["a"][0]] == ["y"]
+        assert [i.key for i in plain.documents[0].identifiers[0]] == ["x", "y"]
+        assert [i.key for i in stopped.documents[0].identifiers[0]] == ["y"]
         assert (plain.skipped_fragments, stopped.skipped_fragments) == (0, 1)
 
 
@@ -374,3 +381,14 @@ class TestLoadCorpus:
         bad.write_text('{"doc_id": "a", "text": "$x$ and $y$"}\n\n  \n  {"doc_id": "b",\n')
         with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}, line 4: "):
             load_corpus(bad, STOPS)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_byte_that_is_not_utf8_is_named(self, tmp_path, toy_corpus_path, newline):
+        # the error gave a position in a read buffer: "... byte 0xe9 in position 3362"
+        lines = [line.encode("utf-8") for line in toy_corpus_path.read_text("utf-8").splitlines()]
+        lines[2] = lines[2].replace(b'"text": "', b'"text": "caf\xe9 ', 1)
+        bad = tmp_path / "corpus.jsonl"
+        bad.write_bytes(newline.encode().join(lines) + newline.encode())
+        with pytest.raises(ValueError) as info:
+            load_corpus(bad, STOPS)
+        assert str(info.value) == f"{bad}, line 3: not UTF-8 (invalid continuation byte)"

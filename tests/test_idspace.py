@@ -226,7 +226,7 @@ def old_vectorize(corpus, relations, vocab, weighting=TFIDF, normalize=True):
     indices, data, empty = [], [], []
     doc_ids = tuple(doc.doc_id for doc in corpus.documents)
     for doc in corpus.documents:
-        features = doc_features(corpus, doc.doc_id, grouped.get(doc.doc_id, []), vocab.mode)
+        features = doc_features(doc, grouped.get(doc.doc_id, []), vocab.mode)
         cols = sorted(
             (vocab.index[dim], count) for dim, count in features.items() if dim in vocab
         )

@@ -1,6 +1,7 @@
 """Tokenizer, tagger, math annotation and chunking."""
 
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -192,7 +193,7 @@ class TestAnnotateMath:
             "A body moves with acceleration $a$. Let $A$ denote a matrix. A force acts."
         )})
         ids = [extract_identifiers(f) for f in doc.formulas]
-        prepared = prepare_document(doc, ids, LEX)
+        prepared = prepare_document(replace(doc, identifiers=tuple(map(tuple, ids))), LEX)
         tokens = [t for sentence in prepared.sentences for t in sentence if t.text in ("a", "A")]
         assert [(t.text, t.tag) for t in tokens] == [
             ("A", DT), ("a", ID), ("A", ID), ("a", DT), ("A", DT),
