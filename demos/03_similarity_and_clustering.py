@@ -8,13 +8,13 @@ cluster purity next to the shuffled random baseline.
 from pathlib import Path
 
 from mathns import (
+    SimilarityIndex,
     build_snn_graph,
     build_vocabulary,
     default_stop_lists,
     drop_sparse_documents,
     extract_relations,
     kmeans,
-    knn,
     load_corpus,
     prepare_corpus,
     purity_report,
@@ -41,7 +41,7 @@ def main():
     print(f"corpus: {len(corpus)} documents, {len(vocab)} dimensions")
 
     probe = 0
-    neighbors = knn(dm, probe, 4, "cosine")
+    neighbors = SimilarityIndex(dm, "cosine").query(probe, 4)
     print(f"\nnearest neighbors of {dm.doc_ids[probe]} ({labels[dm.doc_ids[probe]]}):")
     for idx, score in neighbors.neighbors:
         print(f"  {score:.3f}  {dm.doc_ids[idx]}  ({labels[dm.doc_ids[idx]]})")

@@ -9,14 +9,11 @@ namespace mapped onto a category hierarchy.
 from .cluster import (
     NOISE,
     ClusterAssignment,
-    NormFraction,
-    TopC,
     agglomerative,
     dbscan,
     kmeans,
     minibatch_kmeans,
     snn_dbscan,
-    truncate_centroid,
 )
 from .corpus import (
     Corpus,
@@ -27,7 +24,6 @@ from .corpus import (
     corpus_stats,
     default_stop_lists,
     drop_sparse_documents,
-    extract_identifiers,
     load_corpus,
     normalize_identifier,
     parse_document,
@@ -75,9 +71,7 @@ from .simindex import (
     NeighborList,
     SimilarityIndex,
     build_snn_graph,
-    knn,
     similarity,
-    snn_similarity,
 )
 from .textproc import Lexicon, TaggedToken, chunk_phrases, pos_tag, tokenize_sentences
 

@@ -169,47 +169,6 @@ def minibatch_kmeans(
     return ClusterAssignment(labels=labels, K=K, inertia=inertia)
 
 
-@dataclass(frozen=True)
-class TopC:
-    """Keep the c largest-magnitude centroid entries."""
-
-    c: int
-
-
-@dataclass(frozen=True)
-class NormFraction:
-    """Drop small entries while retaining a fraction of the L2 norm."""
-
-    f: float
-
-    def __post_init__(self):
-        if not 0.0 < self.f <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-
-
-def truncate_centroid(c: np.ndarray, policy) -> np.ndarray:
-    """Sparsify a centroid vector under a truncation policy."""
-    v = np.asarray(c, dtype=float)
-    out = v.copy()
-    if isinstance(policy, TopC):
-        if policy.c >= len(v):
-            return out
-        order = np.argsort(-np.abs(v), kind="stable")
-        out[order[policy.c :]] = 0.0
-        return out
-    if isinstance(policy, NormFraction):
-        total_sq = float(np.sum(v * v))
-        if total_sq == 0.0:
-            return out
-        order = np.argsort(np.abs(v), kind="stable")  # smallest first
-        # cumsum adds sequentially, so each running total is the loop's own
-        dropped = np.cumsum(v[order] * v[order])
-        budget = (1.0 - policy.f**2) * total_sq
-        out[order[: np.searchsorted(dropped, budget, side="right")]] = 0.0
-        return out
-    raise TypeError(f"unknown truncation policy {policy!r}")
-
-
 RegionQuery = Callable[[int, float], Iterable[int]]
 
 

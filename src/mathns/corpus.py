@@ -384,11 +384,6 @@ def scan_formula(
     return ids, skipped
 
 
-def extract_identifiers(formula: str, stops: StopLists | None = None) -> list[Identifier]:
-    """Return the identifiers of one formula, superscripts ignored."""
-    return scan_formula(formula, stops)[0]
-
-
 @dataclass
 class Corpus:
     """Parsed documents, each carrying its formulas' identifiers."""

@@ -37,10 +37,6 @@ class WeightDomainError(MathnsError):
     """TF-IDF inputs outside the valid domain (tf = 0 or df = 0)."""
 
 
-class LengthMismatch(MathnsError):
-    """Two neighbor lists of different length were compared."""
-
-
 class RankTooLarge(MathnsError):
     """Requested factorization rank exceeds min(m, n)."""
 

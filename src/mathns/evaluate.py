@@ -177,18 +177,6 @@ def _baseline_assignment(n_docs: int, cluster_size: int, rng) -> np.ndarray:
     return slots
 
 
-def count_pure_clusters(
-    assignment_vector: Sequence[int],
-    categories: Sequence[str],
-    purity_threshold: float = 0.8,
-    min_size: int = 3,
-) -> int:
-    """Pure-cluster count of one flat assignment vector."""
-    _, codes = _encode(categories)
-    table = _table(assignment_vector, codes)
-    return int(np.count_nonzero(table.pure(purity_threshold, min_size)))
-
-
 def random_baseline(
     n_docs: int,
     categories: Sequence[str],

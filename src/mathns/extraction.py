@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -93,8 +94,8 @@ class RankerParams:
         object.__setattr__(self, "weight", self.alpha + self.beta + self.gamma)
         if not math.isfinite(self.weight):  # ranker_score would be nan
             raise ValueError(f"alpha + beta + gamma must be finite, got {self.weight!r}")
-        if self.weight <= 0:
-            raise ValueError("at least one weight must be positive")
+        if self.weight < sys.float_info.min:  # below it, _reach's margin 1e-9 * W underflows
+            raise ValueError(f"alpha + beta + gamma must be a normal float, got {self.weight!r}")
         if self.sigma_d <= 0 or self.sigma_s <= 0:
             raise ValueError("Gaussian widths must be positive")
         for name, width_name in (("sigma_d", "width_d"), ("sigma_s", "width_s")):

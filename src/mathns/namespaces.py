@@ -333,10 +333,6 @@ class HierarchyAssignment:
     cosine: float
     matched_keywords: int
 
-    @property
-    def is_others(self) -> bool:
-        return self.top == OTHERS
-
 
 def namespace_keywords(
     ns: Namespace,

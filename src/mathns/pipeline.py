@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import shutil
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -498,15 +499,19 @@ _STAGE_FUNCS = {
 
 
 def run_stage(config: PipelineConfig, stage: str) -> None:
-    """Run a single stage, tagging any failure with the stage name."""
+    """Run a single stage, tagging any failure with the stage name.  A stage
+    that fails removes the output directory if this call created it."""
     if stage not in _STAGE_FUNCS:
         raise ConfigError(f"unknown stage {stage!r}")
+    created = not config.output_dir.exists()
     config.output_dir.mkdir(parents=True, exist_ok=True)
     try:
         _STAGE_FUNCS[stage](config)
-    except StageError:
-        raise
     except Exception as exc:
+        if created:
+            shutil.rmtree(config.output_dir)
+        if isinstance(exc, StageError):
+            raise
         raise StageError(stage, str(exc)) from exc
 
 

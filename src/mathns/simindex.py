@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch
 from .idspace import _CSR, _as_csr, _ranges, _sums, _unwrap
 
 COSINE = "cosine"
@@ -95,12 +94,6 @@ class NeighborList:
 
     owner: int
     neighbors: tuple[tuple[int, float], ...]
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
-
-    def ids(self) -> frozenset[int]:
-        return frozenset(idx for idx, _ in self.neighbors)
 
 
 def _products(a: _CSR, cols: _CSR, s: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,18 +202,6 @@ class SimilarityIndex:
         hits = scores <= threshold if self.measure in DISTANCE_MEASURES else scores >= threshold
         hits[i] = False
         return np.flatnonzero(hits).tolist()
-
-
-def knn(matrix, i: int, K: int, measure: str = COSINE) -> NeighborList:
-    """One-shot exact top-K query; builds a throwaway index."""
-    return SimilarityIndex(matrix, measure).query(i, K)
-
-
-def snn_similarity(p: NeighborList, q: NeighborList) -> int:
-    """Number of shared members between two K-neighbor lists."""
-    if len(p) != len(q):
-        raise LengthMismatch(f"{len(p)} vs {len(q)}")
-    return len(p.ids() & q.ids())
 
 
 def build_snn_graph(matrix, K: int, measure: str = COSINE) -> _CSR:

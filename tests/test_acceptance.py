@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mathns.cluster import NOISE, dbscan, kmeans, snn_dbscan
+from mathns.cluster import NOISE, ClusterAssignment, dbscan, kmeans, snn_dbscan
 from mathns.corpus import Identifier, build_corpus
 from mathns.decompose import nmf, randomized_svd
 from mathns.evaluate import (
     cluster_purity,
-    count_pure_clusters,
     purity_report,
     random_baseline,
 )
@@ -320,8 +319,6 @@ def test_purity_criteria():
         cats = {f"d{i}": f"c{rng.integers(0, 5)}" for i in range(n)}
         doc_ids = list(cats)
         assignment = rng.integers(0, 4, n)
-        from mathns.cluster import ClusterAssignment
-
         before = purity_report(
             ClusterAssignment(labels=assignment.copy(), K=4), doc_ids, cats
         ).overall
@@ -338,10 +335,13 @@ def test_purity_criteria():
 @criterion(12, "random baseline simulation matches exhaustive enumeration")
 def test_baseline_criteria():
     categories = ["a", "a", "a", "b", "b", "b"]
+    doc_ids = [f"d{i}" for i in range(6)]
+    labels = dict(zip(doc_ids, categories))
     counts = []
     for positions in itertools.combinations(range(6), 3):
         vector = [0 if i in positions else 1 for i in range(6)]
-        counts.append(count_pure_clusters(vector, categories))
+        assignment = ClusterAssignment(labels=vector, K=2)
+        counts.append(purity_report(assignment, doc_ids, labels).n_pure)
     exact_mean = sum(counts) / len(counts)
     simulated = random_baseline(6, categories, trials=10_000, seed=0)
     assert simulated.mean == pytest.approx(exact_mean, rel=0.02)

@@ -1,4 +1,4 @@
-"""K-Means, MiniBatch, DBSCAN, SNN-DBSCAN, agglomerative, truncation."""
+"""K-Means, MiniBatch, DBSCAN, SNN-DBSCAN, agglomerative."""
 
 import itertools
 import tracemalloc
@@ -17,15 +17,12 @@ from mathns.cluster import (
     SINGLE,
     WARD,
     ClusterAssignment,
-    NormFraction,
-    TopC,
     agglomerative,
     dbscan,
     kmeans,
     linkage_merges,
     minibatch_kmeans,
     snn_dbscan,
-    truncate_centroid,
 )
 from mathns.errors import EpsNotBelowK, KTooLarge, TooManyDocuments
 
@@ -212,55 +209,6 @@ class TestMiniBatch:
         # a negative batch failed inside numpy, "negative dimensions are not allowed"
         with pytest.raises(ValueError, match=f"batch_size must be in .*, got {batch_size}"):
             minibatch_kmeans(np.eye(4), 2, batch_size=batch_size, iters=1, seed=0)
-
-
-def loop_norm_fraction(v: np.ndarray, f: float) -> np.ndarray:
-    """The drop loop that ``truncate_centroid(NormFraction)`` replaced."""
-    out = v.copy()
-    total_sq = float(np.sum(v * v))
-    if total_sq == 0.0:
-        return out
-    dropped = 0.0
-    budget = (1.0 - f**2) * total_sq
-    for idx in np.argsort(np.abs(v), kind="stable"):
-        contribution = float(v[idx] * v[idx])
-        if dropped + contribution > budget:
-            break
-        dropped += contribution
-        out[idx] = 0.0
-    return out
-
-
-class TestTruncateCentroid:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_norm_fraction_matches_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(0, 40))
-        v = rng.standard_normal(n) * (rng.uniform(size=n) < 0.6)
-        if seed % 2:
-            v = np.round(v * 2)  # integers: ties in |v| and exact running sums
-        for f in (0.1, 0.5, 0.6, 0.8, 0.9, 0.99, 1.0):
-            np.testing.assert_array_equal(
-                truncate_centroid(v, NormFraction(f)), loop_norm_fraction(v, f)
-            )
-
-    def test_norm_fraction_one_is_identity(self):
-        v = np.array([0.3, -0.2, 0.0, 0.9])
-        np.testing.assert_array_equal(truncate_centroid(v, NormFraction(1.0)), v)
-
-    def test_top_c(self):
-        v = np.array([3.0, 4.0, 0.01])
-        np.testing.assert_array_equal(truncate_centroid(v, TopC(2)), [3.0, 4.0, 0.0])
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_norm_fraction_retains_norm(self, seed):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(40) * (rng.uniform(size=40) < 0.4)
-        out = truncate_centroid(v, NormFraction(0.9))
-        assert np.linalg.norm(out) >= 0.9 * np.linalg.norm(v) - 1e-12
-        # only zeroing happened
-        changed = out != v
-        assert np.all(out[changed] == 0.0)
 
 
 class TestDbscan:

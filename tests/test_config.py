@@ -259,6 +259,9 @@ BAD_SECTIONS = [
     # weights summing to inf made every ranker score nan: exit 0, no relations
     ("ranker-weights-overflow", "extraction", {"alpha": 1e308, "beta": 1e308},
      "alpha + beta + gamma must be finite, got inf"),
+    # a subnormal weight sum underflowed the bounded ranker's margin: no relations
+    ("ranker-weights-subnormal", "extraction", {"alpha": 5e-324, "beta": 0.0, "gamma": 0.0},
+     "alpha + beta + gamma must be a normal float, got 5e-324"),
     # an integer option truncated a fraction and read a bool as 0 or 1: K 2.5 ran
     # K 2 as assignment_K2.5.tsv, and K true ran K 1 as assignment_KTrue.tsv
     ("K-fractional", "clustering", {"K": 2.5}, "'K' must be an integer, got 2.5"),

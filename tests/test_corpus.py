@@ -14,7 +14,6 @@ from mathns.corpus import (
     corpus_stats,
     default_stop_lists,
     drop_sparse_documents,
-    extract_identifiers,
     load_corpus,
     normalize_identifier,
     parse_document,
@@ -163,27 +162,27 @@ class TestParseDocument:
 
 class TestExtractIdentifiers:
     def test_emc2(self):
-        ids = extract_identifiers("E = mc^2", STOPS)
+        ids = scan_formula("E = mc^2", STOPS)[0]
         assert [i.key for i in ids] == ["E", "m", "c"]
 
     def test_superscript_ignored(self):
-        assert [i.key for i in extract_identifiers("x^2", STOPS)] == ["x"]
+        assert [i.key for i in scan_formula("x^2", STOPS)[0]] == ["x"]
 
     def test_sigma_subscript_and_operator(self):
-        got = [i.key for i in extract_identifiers(r"\sigma_d + \sin(y)", STOPS)]
+        got = [i.key for i in scan_formula(r"\sigma_d + \sin(y)", STOPS)[0]]
         assert got == oracle_scan(r"\sigma_d + \sin(y)")
         assert got == ["sigma_d", "y"]
 
     def test_braced_subscript(self):
-        ids = extract_identifiers(r"x_{slope} + \beta_{\theta}", STOPS)
+        ids = scan_formula(r"x_{slope} + \beta_{\theta}", STOPS)[0]
         assert [i.key for i in ids] == ["x_slope", "beta_theta"]
 
     def test_wrapper_commands_unwrapped(self):
-        ids = extract_identifiers(r"\mathbf{w} + \bar X + \vec{v}_1", STOPS)
+        ids = scan_formula(r"\mathbf{w} + \bar X + \vec{v}_1", STOPS)[0]
         assert [i.key for i in ids] == ["w", "X", "v_1"]
 
     def test_display_round_trips_source(self):
-        ids = extract_identifiers(r"\sigma_d", STOPS)
+        ids = scan_formula(r"\sigma_d", STOPS)[0]
         assert ids[0].display == r"\sigma_d"
 
     def test_operator_names_dropped_and_counted(self):
@@ -200,7 +199,7 @@ class TestExtractIdentifiers:
     )
     def test_matches_oracle_on_random_formulas(self, parts):
         formula = " + ".join(parts)
-        got = [i.key for i in extract_identifiers(formula, STOPS)]
+        got = [i.key for i in scan_formula(formula, STOPS)[0]]
         assert got == oracle_scan(formula)
 
     @given(st.lists(st.sampled_from(TEX_FRAGMENTS), max_size=12))
@@ -244,7 +243,7 @@ class TestNormalizeIdentifier:
         assert once.base == twice.base
 
     def test_no_extracted_base_is_stopped(self):
-        ids = extract_identifiers(r"E + \sin x + where", STOPS)
+        ids = scan_formula(r"E + \sin x + where", STOPS)[0]
         assert all(not STOPS.is_stopped_symbol(i.base) for i in ids)
 
 

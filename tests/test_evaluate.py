@@ -15,7 +15,6 @@ from mathns.evaluate import (
     _baseline_assignment,
     category_of,
     cluster_purity,
-    count_pure_clusters,
     load_labels,
     namespace_defining,
     purity_report,
@@ -113,7 +112,7 @@ class TestNamespaceDefining:
 
 
 def loop_count_pure_clusters(vector, categories, purity_threshold=0.8, min_size=3) -> int:
-    """The dict and Counter loop that ``count_pure_clusters`` replaced."""
+    """The dict and Counter loop that the contingency table's pure count replaced."""
     members: dict[int, list[str]] = {}
     for label, cat in zip(vector, categories):
         members.setdefault(int(label), []).append(cat)
@@ -135,12 +134,13 @@ class TestRandomBaseline:
         vector = rng.integers(-1, int(rng.integers(1, 15)), size=n) * 7
         pool = ["a", "b", "", "a b", "ab"][: int(rng.integers(1, 6))]
         categories = [pool[k] for k in rng.integers(0, len(pool), size=n)]
-        if seed % 2:  # unlabeled documents as their own categories
-            categories = [c or f"__unlabeled__{i}" for i, c in enumerate(categories)]
+        doc_ids = [f"d{i}" for i in range(n)]
+        labels = dict(zip(doc_ids, categories))
+        assignment = ClusterAssignment(labels=vector, K=len(set(vector.tolist())))
+        categories = [category_of(d, labels) for d in doc_ids]
         for threshold, min_size in ((0.8, 3), (0.5, 1), (2 / 3, 3), (1.0, 2)):
-            assert count_pure_clusters(vector, categories, threshold, min_size) == (
-                loop_count_pure_clusters(vector, categories, threshold, min_size)
-            )
+            report = purity_report(assignment, doc_ids, labels, threshold, min_size)
+            assert report.n_pure == loop_count_pure_clusters(vector, categories, threshold, min_size)
 
     def test_all_same_category(self):
         n = 9
@@ -150,10 +150,13 @@ class TestRandomBaseline:
     def test_exhaustive_enumeration_n6(self):
         """Mean pure-cluster count over all 20 assignments is exactly 0.2."""
         categories = ["a", "a", "a", "b", "b", "b"]
+        doc_ids = [f"d{i}" for i in range(6)]
+        labels = dict(zip(doc_ids, categories))
         counts = []
         for positions in itertools.combinations(range(6), 3):
             vector = [0 if i in positions else 1 for i in range(6)]
-            counts.append(count_pure_clusters(vector, categories))
+            assignment = ClusterAssignment(labels=vector, K=2)
+            counts.append(purity_report(assignment, doc_ids, labels).n_pure)
         exact_mean = sum(counts) / len(counts)
         assert exact_mean == pytest.approx(0.2)
         simulated = random_baseline(6, categories, trials=10_000, seed=0)
@@ -266,21 +269,12 @@ class TestTableMatchesLoops:
         assert report.noise_fraction == (1.0 if clusters else 0.0)
         assert namespace_defining(assignment, doc_ids, {}) == []
 
-    @given(st.lists(st.tuples(st.integers(-2, 5), CATEGORIES), max_size=30),
-           THRESHOLDS, st.integers(0, 4))
-    def test_count_pure_clusters(self, pairs, threshold, min_size):
-        vector = [c for c, _ in pairs]
-        categories = [cat for _, cat in pairs]
-        assert count_pure_clusters(vector, categories, threshold, min_size) == (
-            loop_count_pure_clusters(vector, categories, threshold, min_size)
-        )
-
     @given(st.integers(0, 6), st.integers(0, 6))
-    def test_count_pure_clusters_raises_on_unequal_lengths(self, n, m):
+    def test_random_baseline_raises_on_unequal_lengths(self, n, m):
         if n == m:
             m += 1
         with pytest.raises(ValueError):
-            count_pure_clusters([0] * n, ["a"] * m)
+            random_baseline(n, ["a"] * m)
 
     @given(st.lists(CATEGORIES, max_size=20), st.integers(1, 4), st.integers(0, 2**16),
            THRESHOLDS, st.integers(1, 4))

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import sys
 import weakref
 from dataclasses import FrozenInstanceError, replace
 
@@ -407,7 +408,7 @@ class TestBoundedRanker:
     def test_matches_ranking_every_candidate(
         self, text, alpha, beta, gamma, sigma_d, sigma_s, data
     ):
-        assume(alpha + beta + gamma > 0)
+        assume(alpha + beta + gamma >= sys.float_info.min)
         doc = prepare_one(text)
         params = RankerParams(alpha, beta, gamma, sigma_d, sigma_s)
         keys = {tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}
@@ -418,6 +419,21 @@ class TestBoundedRanker:
         params = replace(params, retain_threshold=threshold)
         got = extract_relations(doc, RANKER, params)
         assert with_bits(got) == with_bits(old_extract_ranker(doc, params))
+
+    def test_subnormal_weight_sum_is_rejected(self):
+        # with W = 5e-324, _reach's margin 1e-9 * W underflowed to 0: the bound
+        # dropped ("x", "energy"), which the full ranking keeps at exactly 1.0
+        with pytest.raises(ValueError, match="must be a normal float, got 5e-324"):
+            RankerParams(alpha=5e-324, beta=0.0, gamma=0.0, retain_threshold=1.0)
+        doc = prepare_one("energy $x$")
+        params = RankerParams(alpha=sys.float_info.min, beta=0.0, gamma=0.0)
+        score = rank_candidates(doc, "x", params)[0][1]
+        for threshold in (score, 1.0):
+            params = replace(params, retain_threshold=threshold)
+            got = extract_relations(doc, RANKER, params)
+            assert with_bits(got) == with_bits(old_extract_ranker(doc, params))
+        assert [(r.identifier.key, r.definition) for r in extract_relations(
+            doc, RANKER, replace(params, retain_threshold=score))] == [("x", "energy")]
 
     def test_radius_is_the_largest_over_sentence_distances(self):
         # with the defaults, sentence distance 2 passes tokens up to 10.03 away

@@ -278,7 +278,6 @@ class TestMapToHierarchy:
             ["Z1"], [rel("Z1", "z", "zither", 0.9)], {"Z1": "Music"}
         )
         hit = map_to_hierarchy(ns, self.SCHEME, {"Z1": "Music"})
-        assert hit.is_others
         assert hit.top == OTHERS
 
     def test_single_keyword_match_goes_to_others(self):
@@ -288,7 +287,7 @@ class TestMapToHierarchy:
         hit = map_to_hierarchy(ns, self.SCHEME, {"M1": "Mechanics"})
         # only "mechanics" overlaps with the fluid-mechanics keywords
         assert hit.matched_keywords <= 1
-        assert hit.is_others
+        assert hit.top == OTHERS
 
     def test_empty_scheme(self):
         ns = self._logic_namespace()

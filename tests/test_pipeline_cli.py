@@ -222,6 +222,15 @@ class TestCli:
         assert code == 1
         assert "[evaluate]" in capsys.readouterr().err
 
+    def test_failed_stage_removes_only_the_directory_it_created(self, tmp_path, toy_config_path):
+        out, kept = tmp_path / "out", tmp_path / "kept"
+        kept.mkdir()
+        for target in (out, kept):
+            code = main(["evaluate", "--config", str(toy_config_path), "--out", str(target)])
+            assert code == 1
+        assert not out.exists()
+        assert kept.is_dir()
+
 
 class TestStageList:
     def test_expected_order(self):

@@ -1,4 +1,4 @@
-"""Similarity measures, blocked-kernel kNN and SNN similarity."""
+"""Similarity measures, blocked-kernel kNN and the SNN graph."""
 
 import warnings
 from pathlib import Path
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from mathns import simindex
 from mathns.cluster import dbscan, snn_dbscan
 from mathns.decompose import lsa_embed
-from mathns.errors import LengthMismatch
 from mathns.pipeline import PipelineConfig, _run_clustering
 from mathns.simindex import (
     COSINE,
@@ -24,9 +23,7 @@ from mathns.simindex import (
     SimilarityIndex,
     ZeroVectorWarning,
     build_snn_graph,
-    knn,
     similarity,
-    snn_similarity,
 )
 
 from conftest import as_scipy
@@ -119,23 +116,23 @@ class TestSimilarity:
 class TestKnn:
     def test_identical_docs(self):
         X = sp.csr_matrix(np.ones((3, 4)))
-        result = knn(X, 0, 2, COSINE)
+        result = SimilarityIndex(X, COSINE).query(0, 2)
         assert [s for _, s in result.neighbors] == pytest.approx([1.0, 1.0])
 
     def test_orthogonal_doc_fills_with_zero(self):
         X = sp.csr_matrix(np.array([[1.0, 0], [1.0, 0], [0, 1.0]]))
-        result = knn(X, 2, 1, COSINE)
+        result = SimilarityIndex(X, COSINE).query(2, 1)
         assert result.neighbors == ((0, 0.0),)
 
     def test_k_must_be_below_n(self):
         X = sp.csr_matrix(np.eye(3))
         with pytest.raises(ValueError):
-            knn(X, 0, 3, COSINE)
+            SimilarityIndex(X, COSINE).query(0, 3)
 
     def test_owner_not_in_neighbors(self):
         X = sp.csr_matrix(np.ones((4, 2)))
-        result = knn(X, 1, 3, COSINE)
-        assert 1 not in result.ids()
+        result = SimilarityIndex(X, COSINE).query(1, 3)
+        assert 1 not in {j for j, _ in result.neighbors}
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -168,34 +165,6 @@ class TestKnn:
             got = index.query(i, K).neighbors
             expected = brute_force_knn(dense, i, n - 1, measure)
             assert_same_topk(got, expected)
-
-
-class TestSnn:
-    def nl(self, owner, ids):
-        return NeighborList(owner, tuple((i, 1.0) for i in ids))
-
-    def test_identical_lists(self):
-        assert snn_similarity(self.nl(0, [1, 2, 3]), self.nl(4, [1, 2, 3])) == 3
-
-    def test_disjoint_lists(self):
-        assert snn_similarity(self.nl(0, [1, 2]), self.nl(3, [4, 5])) == 0
-
-    def test_three_shared(self):
-        p = self.nl(0, [1, 2, 3, 4])
-        q = self.nl(5, [2, 3, 4, 6])
-        assert snn_similarity(p, q) == 3
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            snn_similarity(self.nl(0, [1]), self.nl(2, [1, 3]))
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_bounded_by_k(self, seed):
-        rng = np.random.default_rng(seed)
-        K = int(rng.integers(1, 6))
-        p = self.nl(0, rng.choice(20, size=K, replace=False).tolist())
-        q = self.nl(1, rng.choice(20, size=K, replace=False).tolist())
-        assert 0 <= snn_similarity(p, q) <= K
 
 
 class TestSnnGraph:
@@ -320,7 +289,7 @@ def loop_snn_graph(matrix, K: int, measure: str) -> sp.csr_matrix:
     n = index.n_docs
     listers: dict = {}
     for nl in lists:
-        for x in nl.ids():
+        for x in {j for j, _ in nl.neighbors}:
             listers.setdefault(x, []).append(nl.owner)
     counts: dict = {}
     for owners in listers.values():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mathns.corpus import Identifier, extract_identifiers, parse_document
+from mathns.corpus import Identifier, parse_document, scan_formula
 from mathns.errors import UnknownPlaceholder, UnterminatedLink
 from mathns.extraction import prepare_document
 from mathns.textproc import (
@@ -192,7 +192,7 @@ class TestAnnotateMath:
         doc = parse_document({"doc_id": "d", "text": (
             "A body moves with acceleration $a$. Let $A$ denote a matrix. A force acts."
         )})
-        ids = [extract_identifiers(f) for f in doc.formulas]
+        ids = [scan_formula(f)[0] for f in doc.formulas]
         prepared = prepare_document(replace(doc, identifiers=tuple(map(tuple, ids))), LEX)
         tokens = [t for sentence in prepared.sentences for t in sentence if t.text in ("a", "A")]
         assert [(t.text, t.tag) for t in tokens] == [
