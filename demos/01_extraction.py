@@ -31,7 +31,7 @@ def main():
 
     print("formulas found:")
     for i, formula in enumerate(doc.formulas):
-        ids = [ident.key for ident in doc.identifiers[i]]
+        ids = list(doc.identifiers[i])
         print(f"  [{i}] {formula!r} -> identifiers {ids}")
 
     prepared = next(prepare_corpus(corpus))
@@ -45,7 +45,7 @@ def main():
         )
         print(f"\n{method} relations:")
         for rel in rels:
-            print(f"  ({rel.identifier.key}, {rel.definition!r})  score={rel.score:.3f}")
+            print(f"  ({rel.identifier}, {rel.definition!r})  score={rel.score:.3f}")
 
     print("\nranker candidates for E, best first:")
     for token, score in rank_candidates(prepared, "E")[:5]:

@@ -8,12 +8,12 @@ shows what TF-IDF weighting does to a slightly larger corpus.
 
 import numpy as np
 
-from mathns import Identifier, Relation, build_corpus, build_vocabulary, vectorize
+from mathns import Relation, build_corpus, build_vocabulary, vectorize
 from mathns.idspace import BINARY, IDENTIFIERS_ONLY, STRONG, TFIDF, WEAK
 
 
 def rel(doc, ident, definition):
-    return Relation(Identifier(base=ident, display=ident), definition, 1.0, "pattern", doc)
+    return Relation(ident, definition, 1.0, "pattern", doc)
 
 
 def show(corpus, relations, mode):

@@ -9,7 +9,6 @@ from pathlib import Path
 
 from mathns import (
     HierarchyScheme,
-    Identifier,
     Relation,
     build_namespace,
     map_to_hierarchy,
@@ -17,12 +16,13 @@ from mathns import (
     merge_fuzzy,
     squash_score,
 )
+from mathns.namespaces import FuzzyMemo
 
 DATA = Path(__file__).parent / "data"
 
 
 def rel(doc, base, definition, score):
-    return Relation(Identifier(base=base, display=base), definition, score, "ranker", doc)
+    return Relation(base, definition, score, "ranker", doc)
 
 
 RELATIONS = [
@@ -48,7 +48,8 @@ def main():
     for ident, defs in merged.items():
         print(f"  {ident}: {[(d, round(s, 2)) for d, s in defs]}")
 
-    grouped = merge_fuzzy(merged, ratio_threshold=0.85)
+    memo = FuzzyMemo(0.85)  # the threshold of near-duplicate definitions
+    grouped = merge_fuzzy(merged, memo)
     print("\nafter fuzzy grouping (near-duplicates pooled):")
     for ident, groups in grouped.items():
         for g in groups:
@@ -58,10 +59,10 @@ def main():
     for raw in (0.86, 1.91, 2.84):
         print(f"  raw {raw:.2f} -> {squash_score(raw):.2f}")
 
-    ns = build_namespace(["A", "B", "C"], RELATIONS, LABELS, cluster_id=0)
+    ns = build_namespace(["A", "B", "C"], RELATIONS, LABELS, memo, cluster_id=0)
     print(f"\nnamespace {ns.name!r}:")
     for entry in ns.entries:
-        print(f"  ({entry.identifier.key}, {entry.definition!r}, {entry.score:.2f})")
+        print(f"  ({entry.identifier}, {entry.definition!r}, {entry.score:.2f})")
 
     scheme = HierarchyScheme.load(DATA / "toy_hierarchy.json")
     hit = map_to_hierarchy(ns, scheme, LABELS)

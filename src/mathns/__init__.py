@@ -18,15 +18,16 @@ from .cluster import (
 from .corpus import (
     Corpus,
     Document,
-    Identifier,
     StopLists,
     build_corpus,
     corpus_stats,
     default_stop_lists,
     drop_sparse_documents,
+    identifier_key,
     load_corpus,
     normalize_identifier,
     parse_document,
+    split_key,
 )
 from .decompose import NmfFactors, SvdFactors, lsa_embed, nmf, nmf_assign, randomized_svd
 from .evaluate import (

@@ -16,11 +16,13 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .errors import DuplicateDocId, ExcludedSymbol, UnbalancedFormulaDelimiter
 
-PLACEHOLDER_PREFIX = "FORMULA_"
+# the body's token for formula i is PLACEHOLDER_PREFIX + str(i); the body is
+# split on "$", so no prose can spell one
+PLACEHOLDER_PREFIX = "$"
 
 _GREEK_LOWER = (
     "alpha beta gamma delta epsilon zeta eta theta iota kappa lambda mu nu "
@@ -85,18 +87,18 @@ _LETTERLIKE_FIXES = {
 _ASCII_OPERATORS = frozenset("=+-*/^_'(){}[]<>|,.;:!?~&%$#@\"`\\ \t\n")
 
 
-class Identifier(NamedTuple):
-    """A normalized single-symbol identifier, e.g. x, sigma or x_1."""
+def identifier_key(base: str, subscript: Optional[str] = None) -> str:
+    """The key of a normalized identifier, e.g. x, sigma or x_1, by which
+    every stage past ``scan_formula`` knows it."""
+    return f"{base}_{subscript}" if subscript else base
 
-    base: str
-    subscript: Optional[str] = None
-    display: str = ""
 
-    @property
-    def key(self) -> str:
-        if self.subscript:
-            return f"{self.base}_{self.subscript}"
-        return self.base
+def split_key(key: str) -> tuple[str, Optional[str]]:
+    """``(base, subscript or None)`` of an ``identifier_key``.  It inverts
+    that, as no base (all letters) and no subscript (see ``_subscript_text``)
+    holds ``_``."""
+    base, _, subscript = key.partition("_")
+    return base, subscript or None
 
 
 @dataclass
@@ -149,14 +151,14 @@ class Document:
     category: str
     formulas: tuple[str, ...]
     body: str  # text with each formula replaced by a placeholder token
-    identifiers: tuple[tuple[Identifier, ...], ...] = ()  # one tuple per formula
+    identifiers: tuple[tuple[str, ...], ...] = ()  # keys, one tuple per formula
     identifier_counts: Counter = field(default_factory=Counter)
 
 
 def parse_document(raw: dict) -> Document:
     """Parse one corpus record, locating ``$...$`` formula spans.
 
-    Each formula is replaced in the body text by ``FORMULA_<i>`` so the
+    Each formula is replaced in the body text by ``$<i>`` so the
     tokenizer can treat it as a single token.
     """
     if not isinstance(raw, dict) or raw.get("doc_id") is None or "text" not in raw:
@@ -202,8 +204,8 @@ def _in_excluded_block(ch: str) -> bool:
     return any(lo <= cp <= hi for lo, hi in _EXCLUDED_BLOCKS)
 
 
-def normalize_identifier(symbol: str, stops: StopLists | None = None) -> Identifier:
-    """Normalize one symbol from a formula into an :class:`Identifier`.
+def normalize_identifier(symbol: str, stops: StopLists | None = None) -> str:
+    """Normalize one symbol from a formula into an identifier's base.
 
     Mathematical Alphanumeric Symbols and Letterlike Symbols fold to
     Basic Latin / Greek; bar/hat/vec diacritics are stripped; characters
@@ -237,7 +239,7 @@ def normalize_identifier(symbol: str, stops: StopLists | None = None) -> Identif
         base = folded
     if stops is not None and stops.is_stopped_symbol(base):
         raise ExcludedSymbol(f"{symbol!r} normalizes to a stop-listed base")
-    return Identifier(base=base, subscript=None, display=symbol)
+    return base
 
 
 _WRAPPER_GROUP_RE = re.compile(
@@ -292,23 +294,22 @@ def _subscript_text(raw: str) -> Optional[str]:
     return text or None
 
 
-def scan_formula(
-    formula: str, stops: StopLists | None = None
-) -> tuple[list[Identifier], int]:
+def scan_formula(formula: str, stops: StopLists | None = None) -> tuple[list[str], int]:
     """Extract identifiers from a formula; also count skipped fragments.
 
-    Returns ``(identifiers, skipped)`` where ``skipped`` counts unknown
-    commands, stop-listed letter runs and excluded symbols.
+    Returns ``(keys, skipped)``: the ``identifier_key`` of each identifier
+    in order, and the count of unknown commands, stop-listed letter runs
+    and excluded symbols.
     """
     if stops is None:
         stops = StopLists()
     s = _strip_wrappers(formula)
-    ids: list[Identifier] = []
+    ids: list[str] = []
     skipped = 0
     pos = 0
     n = len(s)
 
-    def attach_script(base: str, start: int, p: int) -> int:
+    def attach_script(base: str, p: int) -> int:
         """Parse optional _ / ^ after an identifier at position p."""
         subscript = None
         while p < n and s[p] in "_^":
@@ -316,8 +317,7 @@ def scan_formula(
             group, p = _read_group(s, p + 1)
             if mark == "_" and subscript is None:
                 subscript = _subscript_text(group)
-        display = s[start:p].strip()
-        ids.append(Identifier(base=base, subscript=subscript, display=display))
+        ids.append(identifier_key(base, subscript))
         return p
 
     while pos < n:
@@ -338,7 +338,7 @@ def scan_formula(
                     skipped += 1
                     pos = after
                 else:
-                    pos = attach_script(base, pos, after)
+                    pos = attach_script(base, after)
             else:
                 skipped += 1  # operator or unknown command
                 pos = after
@@ -356,9 +356,9 @@ def scan_formula(
                     skipped += 1
                     continue
                 if i == len(run) - 1:
-                    pos = attach_script(letter, pos + i, after)
+                    pos = attach_script(letter, after)
                 else:
-                    ids.append(Identifier(base=letter, display=letter))
+                    ids.append(letter)
             else:
                 pos = max(pos, after)
             continue
@@ -375,12 +375,12 @@ def scan_formula(
             continue
         # a bare non-ASCII symbol (unicode identifier or noise)
         try:
-            ident = normalize_identifier(ch, stops)
+            base = normalize_identifier(ch, stops)
         except ExcludedSymbol:
             skipped += 1
             pos += 1
             continue
-        pos = attach_script(ident.base, pos, pos + 1)
+        pos = attach_script(base, pos + 1)
     return ids, skipped
 
 
@@ -411,7 +411,7 @@ def build_corpus(records: Iterable[dict], stops: StopLists | None = None) -> Cor
         stops = default_stop_lists()
     corpus = Corpus()
     seen: set[str] = set()
-    scanned: dict[str, tuple[tuple[Identifier, ...], int]] = {}
+    scanned: dict[str, tuple[tuple[str, ...], int]] = {}
     for raw in records:
         doc = parse_document(raw)
         if doc.doc_id in seen:
@@ -424,7 +424,7 @@ def build_corpus(records: Iterable[dict], stops: StopLists | None = None) -> Cor
                 scanned[formula] = tuple(ids), skipped
             ids, skipped = scanned[formula]
             per_formula.append(ids)
-            doc.identifier_counts.update(ident.key for ident in ids)
+            doc.identifier_counts.update(ids)
             corpus.skipped_fragments += skipped
         doc.identifiers = tuple(per_formula)
         corpus.documents.append(doc)

@@ -15,13 +15,13 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import textproc
-from .corpus import Corpus, Document, Identifier
+from .corpus import Corpus, Document, identifier_key, split_key
 from .errors import IdentifierNotInDocument
 from .textproc import DT, ID, JJ, LINK, NN, NNS, NOUN_PHRASE, Lexicon, TaggedToken
 
@@ -36,9 +36,9 @@ _RUN_TAGS = frozenset({DT, JJ, NN, NNS, NOUN_PHRASE})
 
 
 class Relation(NamedTuple):
-    """An (identifier, definition) pair with extraction score."""
+    """An (identifier key, definition) pair with extraction score."""
 
-    identifier: Identifier
+    identifier: str
     definition: str
     score: float
     method: str
@@ -55,8 +55,8 @@ def write_relations(out_dir: str | Path, relations: Iterable[Relation]) -> None:
     """Write ``relations.jsonl``: one JSON object a line, sorted by document,
     identifier key and definition.  ``read_relations`` reads it back."""
     records = (
-        (r.doc_id, r.identifier.base, r.identifier.subscript, r.definition, r.score, r.method)
-        for r in sorted(relations, key=lambda r: (r.doc_id, r.identifier.key, r.definition))
+        (r.doc_id, *split_key(r.identifier), r.definition, r.score, r.method)
+        for r in sorted(relations, key=lambda r: (r.doc_id, r.identifier, r.definition))
     )
     lines = [json.dumps(dict(zip(_RELATION_KEYS, rec)), sort_keys=True) + "\n" for rec in records]
     (Path(out_dir) / RELATIONS_FILE).write_text("".join(lines), encoding="utf-8")
@@ -69,8 +69,8 @@ def read_relations(out_dir: str | Path) -> list[Relation]:
         for line in lines:
             if line.strip():
                 doc_id, base, sub, definition, score, method = _record_values(json.loads(line))
-                ident = Identifier(base, sub, display=base)
-                relations.append(Relation(ident, definition, score, method, doc_id))
+                key = identifier_key(base, sub)
+                relations.append(Relation(key, definition, score, method, doc_id))
     return relations
 
 
@@ -117,7 +117,6 @@ class PreparedDocument:
 
     document: Document
     sentences: list[list[TaggedToken]]
-    identifiers: dict[str, Identifier] = field(default_factory=dict)
 
     def flat_tokens(self) -> list[tuple[int, TaggedToken]]:
         """Tokens in reading order with their global positions."""
@@ -157,15 +156,11 @@ def prepare_document(doc: Document, lexicon: Lexicon | None = None) -> PreparedD
     """Run the full text pipeline for one document."""
     if lexicon is None:
         lexicon = Lexicon.default()
-    identifiers: dict[str, Identifier] = {}
-    for ids in doc.identifiers:
-        for ident in ids:
-            identifiers.setdefault(ident.key, ident)
     sentences = textproc.tokenize_sentences(doc.body)
     tagged = textproc.pos_tag(sentences, lexicon)
-    annotated = textproc.annotate_math(tagged, doc.identifiers, identifiers)
+    annotated = textproc.annotate_math(tagged, doc.identifiers, doc.identifier_counts)
     chunked = textproc.chunk_phrases(annotated)
-    return PreparedDocument(document=doc, sentences=chunked, identifiers=identifiers)
+    return PreparedDocument(document=doc, sentences=chunked)
 
 
 def prepare_corpus(corpus: Corpus, lexicon: Lexicon | None = None) -> Iterator[PreparedDocument]:
@@ -174,13 +169,6 @@ def prepare_corpus(corpus: Corpus, lexicon: Lexicon | None = None) -> Iterator[P
         lexicon = Lexicon.default()
     for doc in corpus.documents:
         yield prepare_document(doc, lexicon)
-
-
-def _identifier_of(tok: TaggedToken) -> Identifier:
-    if tok.identifier is not None:
-        return tok.identifier
-    base, _, sub = tok.text.partition("_")
-    return Identifier(base=base, subscript=sub or None, display=tok.text)
 
 
 def nearest_noun(sentence: Sequence[TaggedToken], id_idx: int) -> Optional[Relation]:
@@ -202,7 +190,7 @@ def nearest_noun(sentence: Sequence[TaggedToken], id_idx: int) -> Optional[Relat
         return None
     definition = " ".join(tok.text for tok in run if tok.tag != DT)
     return Relation(
-        identifier=_identifier_of(sentence[id_idx]),
+        identifier=sentence[id_idx].text,
         definition=definition,
         score=1.0,
         method=NEAREST_NOUN,
@@ -281,7 +269,7 @@ def match_patterns(sentence: Sequence[TaggedToken]) -> list[Relation]:
             ide, definition = hit
             found.append(
                 Relation(
-                    identifier=_identifier_of(ide),
+                    identifier=ide.text,
                     definition=definition.text,
                     score=1.0,
                     method=PATTERN,
@@ -406,21 +394,20 @@ def extract_relations(
         free, radius = _reach(len(doc.sentences), params)
         table = _ranking_table(doc)
         for key in sorted(table.occurrences):
-            ident = doc.identifiers.get(key) or Identifier(base=key, display=key)
             # in any order: on equal scores the maximum below keeps equal relations
             near = _within_reach(table, key, free, radius)
             for score, _, _, tok in _scores(table, key, params, near):
                 if score >= params.retain_threshold:
-                    found.append((ident, tok.text, score, RANKER))
-    best: dict[tuple[str, str], tuple[Identifier, float, str]] = {}
+                    found.append((key, tok.text, score, RANKER))
+    best: dict[tuple[str, str], tuple[float, str]] = {}
     for ident, definition, score, how in found:
         definition = definition.strip()
         if not definition or definition.lower() in definition_stop:
             continue
-        key = (ident.key, definition)
-        if key not in best or score > best[key][1]:
-            best[key] = (ident, score, how)
+        pair = (ident, definition)
+        if pair not in best or score > best[pair][0]:
+            best[pair] = (score, how)
     return [
         Relation(ident, definition, score, how, doc.document.doc_id)
-        for (_, definition), (ident, score, how) in sorted(best.items())
+        for (ident, definition), (score, how) in sorted(best.items())
     ]

@@ -239,7 +239,7 @@ def doc_features(doc: Document, doc_relations: Sequence[Relation], mode: str) ->
             features.update(definition_tokens(rel.definition))
     elif mode == STRONG:
         for rel in doc_relations:
-            key = rel.identifier.key
+            key = rel.identifier
             features.update(
                 f"{key}_{tok}" for tok in definition_tokens(rel.definition)
             )

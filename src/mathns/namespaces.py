@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import Identifier
+from .corpus import split_key
 from .errors import EmptyScheme, NoRelationsInCluster
 from .evaluate import cluster_purity
 from .extraction import Relation
@@ -96,7 +96,7 @@ def merge_exact(pairs: Iterable[Relation]) -> dict[str, list[tuple[str, float]]]
     """
     merged: dict[str, dict[str, float]] = {}
     for rel in pairs:
-        per_ident = merged.setdefault(rel.identifier.key, {})
+        per_ident = merged.setdefault(rel.identifier, {})
         per_ident[rel.definition] = per_ident.get(rel.definition, 0.0) + rel.score
     return {
         key: sorted(defs.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -134,28 +134,22 @@ class FuzzyMemo:
 
 
 def merge_fuzzy(
-    merged: Mapping[str, list[tuple[str, float]]],
-    ratio_threshold: float = 0.85,
-    memo: Optional[FuzzyMemo] = None,
+    merged: Mapping[str, list[tuple[str, float]]], memo: FuzzyMemo
 ) -> dict[str, list[DefinitionGroup]]:
     """Group near-duplicate definitions of each identifier.
 
-    Definitions connect when their token-set ratio reaches the
+    Definitions connect when their token-set ratio reaches the memo's
     threshold (transitively); a group's score is the member sum and its
     label the highest-scoring member, ties lexicographic.
 
     These are the groups of ``token_set_ratio`` over all pairs, found
-    with less work: ``memo`` (the namespaces stage's, else a fresh one)
-    tokenizes each definition and decides each pair once; a pair already
-    in one group is skipped, as its union would be a no-op; and
+    with less work: ``memo`` (shared by the namespaces stage) tokenizes
+    each definition and decides each pair once; a pair already in one
+    group is skipped, as its union would be a no-op; and
     ``_ratio_at_least`` decides the rest, in closed form when the length
     gap rejects the pair or one string is a prefix of the other (which
     covers token-set containment, ratio 1.0), else by a cut-off DP.
     """
-    if memo is None:
-        memo = FuzzyMemo(ratio_threshold)
-    elif memo.threshold != ratio_threshold:
-        raise ValueError(f"memo decides at {memo.threshold}, not {ratio_threshold}")
     out: dict[str, list[DefinitionGroup]] = {}
     for key, defs in merged.items():
         n = len(defs)
@@ -200,9 +194,12 @@ def squash_score(raw: float) -> float:
 
 @dataclass(frozen=True)
 class NamespaceEntry:
-    identifier: Identifier
+    identifier: str  # its key
     definition: str
     score: float  # squashed, in (0, 1)
+
+
+_ENTRY_KEYS = ("identifier", "subscript", "definition", "score")
 
 
 @dataclass
@@ -220,12 +217,7 @@ class Namespace:
             "cluster_id": self.cluster_id,
             "docs": list(self.doc_ids),
             "entries": [
-                {
-                    "identifier": e.identifier.base,
-                    "subscript": e.identifier.subscript,
-                    "definition": e.definition,
-                    "score": e.score,
-                }
+                dict(zip(_ENTRY_KEYS, (*split_key(e.identifier), e.definition, e.score)))
                 for e in self.entries
             ],
         }
@@ -235,31 +227,27 @@ def build_namespace(
     cluster_docs: Sequence[str],
     relations: Iterable[Relation],
     labels: Mapping[str, str],
-    fuzzy_threshold: float = 0.85,
+    memo: FuzzyMemo,
     cluster_id: int = 0,
-    memo: Optional[FuzzyMemo] = None,
 ) -> Namespace:
     """Exact merge, fuzzy merge, per-identifier argmax, squash, name.
 
     An identifier keeps at most one definition: the label of its
     highest-scoring group (ties to the lexicographically smaller
     label).  The namespace is named after the majority category of the
-    member documents.  ``memo`` is the namespaces stage's ``FuzzyMemo``.
+    member documents.  ``memo`` decides the fuzzy merge.
     """
     doc_set = set(cluster_docs)
     cluster_relations = [r for r in relations if r.doc_id in doc_set]
     if not cluster_relations:
         raise NoRelationsInCluster(f"cluster {cluster_id} has no relations")
-    identifiers: dict[str, Identifier] = {}
-    for rel in cluster_relations:
-        identifiers.setdefault(rel.identifier.key, rel.identifier)
-    grouped = merge_fuzzy(merge_exact(cluster_relations), fuzzy_threshold, memo)
+    grouped = merge_fuzzy(merge_exact(cluster_relations), memo)
     entries = []
     for key in sorted(grouped):
         best = grouped[key][0]  # merge_fuzzy sorts groups by (-score, label)
         entries.append(
             NamespaceEntry(
-                identifier=identifiers[key],
+                identifier=key,
                 definition=best.label,
                 score=squash_score(best.score),
             )

@@ -453,14 +453,7 @@ def stage_namespaces(config: PipelineConfig) -> None:
             skipped.append(cluster_id)
             continue
         namespaces.append(
-            build_namespace(
-                members,
-                relations,
-                labels,
-                config.fuzzy_threshold,
-                cluster_id=cluster_id,
-                memo=memo,
-            )
+            build_namespace(members, relations, labels, memo, cluster_id=cluster_id)
         )
     _dump_json(
         config.output_dir / "namespaces.json",

@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from pathlib import Path
 from types import MappingProxyType
-from typing import NamedTuple, Optional, Sequence
+from typing import Container, NamedTuple, Sequence
 
-from .corpus import PLACEHOLDER_PREFIX, Identifier, read_lines
+from .corpus import PLACEHOLDER_PREFIX, read_lines
 from .errors import UnknownPlaceholder, UnterminatedLink
 
 NN = "NN"
@@ -32,11 +32,10 @@ NOUN_PHRASE = "NOUN_PHRASE"
 
 
 class TaggedToken(NamedTuple):
-    text: str
+    text: str  # an ID token's is its identifier key
     tag: str
     sentence_idx: int
     token_idx: int
-    identifier: Optional[Identifier] = None
 
 
 def _read_pairs(path: str | Path) -> list[tuple[str, str]]:
@@ -99,7 +98,7 @@ class Lexicon:
 
 
 _SENTENCE_RE = re.compile(r"[^.?!]*[.?!]+(?=\s|$)|[^.?!]+$")
-_TOKEN_RE = re.compile(r"\[\[|\]\]|[\w'-]+|[^\w\s]")
+_TOKEN_RE = re.compile(re.escape(PLACEHOLDER_PREFIX) + r"\d+|\[\[|\]\]|[\w'-]+|[^\w\s]")
 _SYM_RE = re.compile(r"[^\w\s]+")
 
 
@@ -139,16 +138,18 @@ def pos_tag(sentences: Sequence[Sequence[str]], lexicon: Lexicon) -> list[list[T
 
 def annotate_math(
     tagged: Sequence[Sequence[TaggedToken]],
-    per_formula: Sequence[Sequence[Identifier]],
-    doc_identifiers: dict[str, Identifier],
+    per_formula: Sequence[Sequence[str]],
+    doc_identifiers: Container[str],
 ) -> list[list[TaggedToken]]:
     """Resolve placeholders and re-tag identifier tokens.
 
-    A placeholder whose formula holds more than one identifier keeps the
-    MATH tag; with exactly one identifier the token is replaced by that
-    identifier and tagged ID.  Plain tokens matching a known document
-    identifier are re-tagged ID as well, unless the lexicon tags them DT:
-    the articles "a" and "A" stay articles beside identifiers a and A.
+    ``per_formula`` holds each formula's identifier keys, and
+    ``doc_identifiers`` every key of the document.  A placeholder whose
+    formula holds more than one identifier keeps the MATH tag; with
+    exactly one identifier the token is replaced by its key and tagged ID.
+    Plain tokens matching a known document identifier are re-tagged ID as
+    well, unless the lexicon tags them DT: the articles "a" and "A" stay
+    articles beside identifiers a and A.
     """
     out = []
     for sentence in tagged:
@@ -162,12 +163,11 @@ def annotate_math(
                 except (ValueError, IndexError):
                     raise UnknownPlaceholder(tok.text) from None
                 if len(ids) == 1:
-                    ident = ids[0]
-                    row.append(tok._replace(text=ident.key, tag=ID, identifier=ident))
+                    row.append(tok._replace(text=ids[0], tag=ID))
                 else:
                     row.append(tok._replace(tag=MATH))
             elif tok.text in doc_identifiers and tok.tag not in (DT, LINK, NOUN_PHRASE):
-                row.append(tok._replace(tag=ID, identifier=doc_identifiers[tok.text]))
+                row.append(tok._replace(tag=ID))
             else:
                 row.append(tok)
         out.append(row)

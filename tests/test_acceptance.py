@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 from mathns.cluster import NOISE, ClusterAssignment, dbscan, kmeans, snn_dbscan
-from mathns.corpus import Identifier, build_corpus
+from mathns.corpus import build_corpus
 from mathns.decompose import nmf, randomized_svd
 from mathns.evaluate import (
     cluster_purity,
@@ -32,7 +32,7 @@ from mathns.idspace import (
     tfidf_weight,
     vectorize,
 )
-from mathns.namespaces import build_namespace, merge_exact, merge_fuzzy, squash_score
+from mathns.namespaces import FuzzyMemo, build_namespace, merge_exact, merge_fuzzy, squash_score
 from mathns.pipeline import PipelineConfig, run_pipeline
 from mathns.simindex import COSINE, EUCLIDEAN, INNER, JACCARD, SimilarityIndex
 
@@ -64,7 +64,8 @@ def test_namespace_builder_golden():
     relations = golden_relations()
     merged = merge_exact(relations)
     assert dict(merged["theta"])["estimator"] == pytest.approx(2.84, abs=0.005)
-    grouped = merge_fuzzy(merged)
+    memo = FuzzyMemo(0.85)
+    grouped = merge_fuzzy(merged, memo)
     sigma_best = max(grouped["sigma"], key=lambda g: g.score)
     assert sigma_best.score == pytest.approx(3.7, abs=0.005)
     assert set(sigma_best.members) == {"variance", "population variance"}
@@ -73,8 +74,8 @@ def test_namespace_builder_golden():
     assert mu_best.score == pytest.approx(2.67, abs=0.005)
 
     labels = {"A": "Statistics", "B": "Statistics", "C": "Statistics"}
-    ns = build_namespace(["A", "B", "C"], relations, labels)
-    got = {e.identifier.key: e.score for e in ns.entries}
+    ns = build_namespace(["A", "B", "C"], relations, labels, memo)
+    got = {e.identifier: e.score for e in ns.entries}
     expected = {
         "P_theta": 0.41,
         "X": 0.44,
@@ -102,7 +103,7 @@ def test_identifier_space_golden():
     )
 
     def rel(doc, ident, definition):
-        return Relation(Identifier(base=ident, display=ident), definition, 1.0, "pattern", doc)
+        return Relation(ident, definition, 1.0, "pattern", doc)
 
     relations = [
         rel("d1", "E", "energy"),

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mathns.corpus import Identifier
+from mathns.corpus import identifier_key
 from mathns.extraction import METHODS, Relation, read_relations, write_relations
 from mathns.idspace import DocMatrix, Vocabulary, _CSR
 from mathns.namespaces import HierarchyAssignment
@@ -17,13 +17,14 @@ from mathns.namespaces import HierarchyAssignment
 
 def old_write_relations(path, relations) -> None:
     lines = []
-    for rel in sorted(relations, key=lambda r: (r.doc_id, r.identifier.key, r.definition)):
+    for rel in sorted(relations, key=lambda r: (r.doc_id, r.identifier, r.definition)):
+        base, _, subscript = rel.identifier.partition("_")
         lines.append(
             json.dumps(
                 {
                     "doc_id": rel.doc_id,
-                    "identifier": rel.identifier.base,
-                    "subscript": rel.identifier.subscript,
+                    "identifier": base,
+                    "subscript": subscript or None,
                     "definition": rel.definition,
                     "score": rel.score,
                     "method": rel.method,
@@ -40,9 +41,8 @@ def old_read_relations(path) -> list[Relation]:
         if not line.strip():
             continue
         rec = json.loads(line)
-        ident = Identifier(
-            base=rec["identifier"], subscript=rec.get("subscript"), display=rec["identifier"]
-        )
+        subscript = rec.get("subscript")
+        ident = rec["identifier"] + (f"_{subscript}" if subscript else "")
         relations.append(
             Relation(
                 identifier=ident,
@@ -112,7 +112,7 @@ SCORES = st.one_of(
     st.sampled_from([5e-324, 0.1 + 0.2, 1e308, -0.0, 0.0, 1.0, 0.4, 2.2250738585072014e-308]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-SYMBOLS = st.sampled_from(["x", "E", "sigma", "Gamma", "nabla", "ω", "x_1"])
+SYMBOLS = st.sampled_from(["x", "E", "sigma", "Gamma", "nabla", "ω"])
 
 
 @st.composite
@@ -120,11 +120,14 @@ def relation_lists(draw):
     doc_ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4))
     relations = []
     for _ in range(draw(st.integers(0, 12))):
-        subscript = draw(st.one_of(st.none(), st.sampled_from(["1", "i,j", "max", "α"]),
-                                   st.text(max_size=3)))
-        base = draw(SYMBOLS)
+        # neither part of a key holds "_", and a subscript is never empty
+        subscript = draw(st.one_of(
+            st.none(),
+            st.sampled_from(["1", "i,j", "max", "α"]),
+            st.text(st.characters(exclude_characters="_"), min_size=1, max_size=3),
+        ))
         relations.append(Relation(
-            identifier=Identifier(base, subscript, display=base),
+            identifier=identifier_key(draw(SYMBOLS), subscript),
             definition=draw(st.text(max_size=20)),  # any Unicode, controls and line breaks too
             score=draw(SCORES),
             method=draw(st.sampled_from(METHODS)),
@@ -145,8 +148,19 @@ class TestRelationsFile:
         got, want = read_relations(out), old_read_relations(path)
         assert got == want
         assert [_bits(r.score) for r in got] == [_bits(r.score) for r in want]
-        written = sorted(relations, key=lambda r: (r.doc_id, r.identifier.key, r.definition))
+        written = sorted(relations, key=lambda r: (r.doc_id, r.identifier, r.definition))
         assert [_bits(r.score) for r in got] == [_bits(r.score) for r in written]
+
+    def test_a_subscripted_key_is_written_as_two_fields(self, tmp_path):
+        relations = [
+            Relation("sigma_d", "standard deviation", 0.5, METHODS[0], doc_id="d"),
+            Relation("sigma", "variance", 0.25, METHODS[0], doc_id="d"),
+        ]
+        write_relations(tmp_path, relations)
+        lines = (tmp_path / "relations.jsonl").read_text().splitlines()
+        fields = [(rec["identifier"], rec["subscript"]) for rec in map(json.loads, lines)]
+        assert fields == [("sigma", None), ("sigma", "d")]
+        assert read_relations(tmp_path) == relations[::-1]
 
     def test_no_relations_is_an_empty_file(self, tmp_path):
         write_relations(tmp_path, [])

@@ -8,16 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mathns.corpus import (
-    Identifier,
+    GREEK_COMMANDS,
+    PLACEHOLDER_PREFIX,
     StopLists,
     build_corpus,
     corpus_stats,
     default_stop_lists,
     drop_sparse_documents,
+    identifier_key,
     load_corpus,
     normalize_identifier,
     parse_document,
     scan_formula,
+    split_key,
 )
 from mathns.errors import (
     DuplicateDocId,
@@ -108,7 +111,7 @@ class TestParseDocument:
         doc = parse_document({"doc_id": "a", "text": "Let $E = mc^2$."})
         assert len(doc.formulas) == 1
         assert doc.formulas[0] == "E = mc^2"
-        assert "FORMULA_0" in doc.body
+        assert f"{PLACEHOLDER_PREFIX}0" in doc.body
 
     def test_no_math(self):
         doc = parse_document({"doc_id": "a", "text": "no math"})
@@ -163,31 +166,27 @@ class TestParseDocument:
 class TestExtractIdentifiers:
     def test_emc2(self):
         ids = scan_formula("E = mc^2", STOPS)[0]
-        assert [i.key for i in ids] == ["E", "m", "c"]
+        assert ids == ["E", "m", "c"]
 
     def test_superscript_ignored(self):
-        assert [i.key for i in scan_formula("x^2", STOPS)[0]] == ["x"]
+        assert scan_formula("x^2", STOPS)[0] == ["x"]
 
     def test_sigma_subscript_and_operator(self):
-        got = [i.key for i in scan_formula(r"\sigma_d + \sin(y)", STOPS)[0]]
+        got = scan_formula(r"\sigma_d + \sin(y)", STOPS)[0]
         assert got == oracle_scan(r"\sigma_d + \sin(y)")
         assert got == ["sigma_d", "y"]
 
     def test_braced_subscript(self):
         ids = scan_formula(r"x_{slope} + \beta_{\theta}", STOPS)[0]
-        assert [i.key for i in ids] == ["x_slope", "beta_theta"]
+        assert ids == ["x_slope", "beta_theta"]
 
     def test_wrapper_commands_unwrapped(self):
         ids = scan_formula(r"\mathbf{w} + \bar X + \vec{v}_1", STOPS)[0]
-        assert [i.key for i in ids] == ["w", "X", "v_1"]
-
-    def test_display_round_trips_source(self):
-        ids = scan_formula(r"\sigma_d", STOPS)[0]
-        assert ids[0].display == r"\sigma_d"
+        assert ids == ["w", "X", "v_1"]
 
     def test_operator_names_dropped_and_counted(self):
         ids, skipped = scan_formula(r"\sin(x) + \cos(y) + \frac{a}{b}", STOPS)
-        assert [i.key for i in ids] == ["x", "y", "a", "b"]
+        assert ids == ["x", "y", "a", "b"]
         assert skipped >= 3
 
     @given(
@@ -199,7 +198,7 @@ class TestExtractIdentifiers:
     )
     def test_matches_oracle_on_random_formulas(self, parts):
         formula = " + ".join(parts)
-        got = [i.key for i in scan_formula(formula, STOPS)[0]]
+        got = scan_formula(formula, STOPS)[0]
         assert got == oracle_scan(formula)
 
     @given(st.lists(st.sampled_from(TEX_FRAGMENTS), max_size=12))
@@ -208,15 +207,15 @@ class TestExtractIdentifiers:
             ids, skipped = scan_formula("".join(parts), STOPS)
         except MathnsError:
             return
-        assert all(isinstance(i, Identifier) for i in ids) and skipped >= 0
+        assert all(isinstance(i, str) for i in ids) and skipped >= 0
 
 
 class TestNormalizeIdentifier:
     def test_bold_w_folds(self):
-        assert normalize_identifier("\U0001D430").base == "w"
+        assert normalize_identifier("\U0001D430") == "w"
 
     def test_identity(self):
-        assert normalize_identifier("w").base == "w"
+        assert normalize_identifier("w") == "w"
 
     def test_arrow_rejected(self):
         with pytest.raises(ExcludedSymbol):
@@ -225,11 +224,11 @@ class TestNormalizeIdentifier:
     def test_operator_block_rejected_nabla_kept(self):
         with pytest.raises(ExcludedSymbol):
             normalize_identifier("\u2200")  # forall
-        assert normalize_identifier("\u2207").base == "nabla"
+        assert normalize_identifier("\u2207") == "nabla"
 
     def test_greek_letter_named(self):
-        assert normalize_identifier("\u03c3").base == "sigma"
-        assert normalize_identifier("\u03a3").base == "Sigma"
+        assert normalize_identifier("\u03c3") == "sigma"
+        assert normalize_identifier("\u03a3") == "Sigma"
 
     def test_stop_listed_symbol_rejected(self):
         stops = StopLists(symbol_stop=frozenset({"q"}))
@@ -239,12 +238,11 @@ class TestNormalizeIdentifier:
     @given(st.sampled_from("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"))
     def test_idempotent(self, ch):
         once = normalize_identifier(ch)
-        twice = normalize_identifier(once.base)
-        assert once.base == twice.base
+        assert normalize_identifier(once) == once
 
     def test_no_extracted_base_is_stopped(self):
         ids = scan_formula(r"E + \sin x + where", STOPS)[0]
-        assert all(not STOPS.is_stopped_symbol(i.base) for i in ids)
+        assert all(not STOPS.is_stopped_symbol(split_key(i)[0]) for i in ids)
 
 
 class TestCorpusStats:
@@ -338,7 +336,7 @@ class TestFormulaMemo:
         assert formula_identifiers(corpus) == identifiers
         assert corpus.skipped_fragments == skipped
         for doc in corpus:
-            recount = Counter(i.key for ids in identifiers[doc.doc_id] for i in ids)
+            recount = Counter(i for ids in identifiers[doc.doc_id] for i in ids)
             assert doc.identifier_counts == recount
 
     def test_occurrences_of_one_formula_share_one_tuple(self):
@@ -351,17 +349,71 @@ class TestFormulaMemo:
         records = [{"doc_id": "a", "text": "$x + y$"}]
         plain = build_corpus(records, StopLists())
         stopped = build_corpus(records, StopLists(symbol_stop=frozenset({"x"})))
-        assert [i.key for i in plain.documents[0].identifiers[0]] == ["x", "y"]
-        assert [i.key for i in stopped.documents[0].identifiers[0]] == ["y"]
+        assert list(plain.documents[0].identifiers[0]) == ["x", "y"]
+        assert list(stopped.documents[0].identifiers[0]) == ["y"]
         assert (plain.skipped_fragments, stopped.skipped_fragments) == (0, 1)
+
+
+WRAPPERS = [r"\bar", r"\hat", r"\vec", r"\mathbf", r"\mathbb", r"\mathcal", r"\boldsymbol"]
+# one symbol: an ASCII letter run, a Greek command or its var form, or a
+# letter from the Greek, Letterlike, Mathematical Alphanumeric and
+# fullwidth blocks (U+FF3F, a fullwidth "_", folds to "_")
+SYMBOL = st.one_of(
+    st.from_regex(r"[A-Za-z]{1,3}", fullmatch=True),
+    st.sampled_from(sorted("\\" + name for name in GREEK_COMMANDS)),
+    st.characters(min_codepoint=0x0370, max_codepoint=0x03FF),
+    st.characters(min_codepoint=0x2100, max_codepoint=0x214F),
+    st.characters(min_codepoint=0x1D400, max_codepoint=0x1D7FF),
+    st.sampled_from(["\uff3f", "\ufe4d", "\uff41", "_"]),
+)
+# script content: letters, digits, ",+-", "_", spaces, Greek commands,
+# \text and nested braces
+SCRIPT_TEXT = st.recursive(
+    st.one_of(
+        st.from_regex(r"[A-Za-z0-9,+\- _]{0,3}", fullmatch=True),
+        st.sampled_from([r"\theta", r"\varphi", r"\text", r"\mathrm", "\u03b1", "\u00b2"]),
+    ),
+    # a braced group of inner parts, bare or after \text or \mathrm
+    lambda inner: st.tuples(
+        st.sampled_from(["", r"\text", r"\mathrm"]), st.lists(inner, max_size=3)
+    ).map(lambda p: p[0] + "{" + "".join(p[1]) + "}"),
+    max_leaves=6,
+)
+SCRIPT = st.tuples(st.sampled_from("_^"), SCRIPT_TEXT).map("".join)
+
+
+@st.composite
+def formulas(draw):
+    """A formula of wrapped or bare symbols, each with up to two scripts."""
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        symbol = draw(SYMBOL)
+        if draw(st.booleans()):
+            symbol = draw(st.sampled_from(WRAPPERS)) + "{" + symbol + "}"
+        parts.append(symbol + "".join(draw(st.lists(SCRIPT, max_size=2))))
+    return draw(st.sampled_from([" + ", " ", "", "="])).join(parts)
 
 
 class TestIdentifierKey:
     def test_key_with_subscript(self):
-        assert Identifier(base="x", subscript="1").key == "x_1"
+        assert identifier_key("x", "1") == "x_1"
+        assert split_key("x_1") == ("x", "1")
 
     def test_key_plain(self):
-        assert Identifier(base="sigma").key == "sigma"
+        assert identifier_key("sigma") == "sigma"
+        assert split_key("sigma") == ("sigma", None)
+
+    @given(formulas())
+    def test_every_scanned_key_splits_back(self, formula):
+        try:
+            keys, _ = scan_formula(formula, STOPS)
+        except MathnsError:
+            return
+        for key in keys:
+            base, subscript = split_key(key)
+            assert identifier_key(base, subscript) == key
+            assert base and "_" not in base
+            assert subscript is None or (subscript and "_" not in subscript)
 
 
 class TestLoadCorpus:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mathns.corpus import Identifier, build_corpus, default_stop_lists, load_corpus
+from mathns.corpus import build_corpus, default_stop_lists, load_corpus
 from mathns.errors import IdentifierNotInDocument
 from mathns.extraction import (
     NEAREST_NOUN,
@@ -41,7 +41,7 @@ class TestNearestNoun:
         doc = prepare_one(r"In other words, the bijection $\sigma$ normalizes $G$.")
         rels = extract_relations(doc, NEAREST_NOUN)
         assert ("sigma", "bijection") in {
-            (r.identifier.key, r.definition) for r in rels
+            (r.identifier, r.definition) for r in rels
         }
 
     def test_verb_before_identifier_fails(self):
@@ -69,30 +69,30 @@ class TestNearestNoun:
                 if rel is None:
                     continue
                 pattern_hits = {
-                    (r.identifier.key, r.definition) for r in match_patterns(sentence)
+                    (r.identifier, r.definition) for r in match_patterns(sentence)
                 }
-                assert (rel.identifier.key, rel.definition) in pattern_hits
+                assert (rel.identifier, rel.definition) in pattern_hits
 
 
 class TestMatchPatterns:
     def test_ide_is_def(self):
         doc = prepare_one("$E$ is energy.")
-        hits = {(r.identifier.key, r.definition) for r in match_patterns(doc.sentences[0])}
+        hits = {(r.identifier, r.definition) for r in match_patterns(doc.sentences[0])}
         assert ("E", "energy") in hits
 
     def test_let_ide_be_def(self):
         doc = prepare_one("let $x$ be the step size.")
-        hits = {(r.identifier.key, r.definition) for r in match_patterns(doc.sentences[0])}
+        hits = {(r.identifier, r.definition) for r in match_patterns(doc.sentences[0])}
         assert ("x", "step size") in hits
 
     def test_def_is_denoted_by_ide(self):
         doc = prepare_one("the temperature is denoted by $T$ here.")
-        hits = {(r.identifier.key, r.definition) for r in match_patterns(doc.sentences[0])}
+        hits = {(r.identifier, r.definition) for r in match_patterns(doc.sentences[0])}
         assert ("T", "temperature") in hits
 
     def test_ide_denotes_def(self):
         doc = prepare_one("$v$ denotes the velocity of the particle.")
-        hits = {(r.identifier.key, r.definition) for r in match_patterns(doc.sentences[0])}
+        hits = {(r.identifier, r.definition) for r in match_patterns(doc.sentences[0])}
         assert ("v", "velocity") in hits
 
     def test_sentence_without_ids_empty(self):
@@ -199,7 +199,7 @@ class TestRankCandidates:
     def test_emc2_relations_extracted(self):
         doc = prepare_one(self.TEXT)
         rels = {
-            (r.identifier.key, r.definition)
+            (r.identifier, r.definition)
             for r in extract_relations(doc, RANKER)
         }
         assert {("E", "energy"), ("m", "mass"), ("c", "speed of light")} <= rels
@@ -343,18 +343,17 @@ def old_extract_ranker(doc, params, definition_stop=frozenset()):
     of every identifier ranked, then those below the threshold dropped."""
     raw = []
     for key in sorted({tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}):
-        ident = doc.identifiers.get(key) or Identifier(base=key, display=key)
         for tok, score in rank_candidates(doc, key, params):
             if score >= params.retain_threshold:
                 raw.append(
-                    Relation(identifier=ident, definition=tok.text, score=score, method=RANKER)
+                    Relation(identifier=key, definition=tok.text, score=score, method=RANKER)
                 )
     best = {}
     for rel in raw:
         definition = rel.definition.strip()
         if not definition or definition.lower() in definition_stop:
             continue
-        key = (rel.identifier.key, definition)
+        key = (rel.identifier, definition)
         if key not in best or rel.score > best[key].score:
             best[key] = Relation(
                 identifier=rel.identifier,
@@ -432,7 +431,7 @@ class TestBoundedRanker:
             params = replace(params, retain_threshold=threshold)
             got = extract_relations(doc, RANKER, params)
             assert with_bits(got) == with_bits(old_extract_ranker(doc, params))
-        assert [(r.identifier.key, r.definition) for r in extract_relations(
+        assert [(r.identifier, r.definition) for r in extract_relations(
             doc, RANKER, replace(params, retain_threshold=score))] == [("x", "energy")]
 
     def test_radius_is_the_largest_over_sentence_distances(self):
@@ -441,7 +440,7 @@ class TestBoundedRanker:
         # sentence distance 2, with tf 1/6, and scores 0.429
         doc = prepare_one("$x$. of. of of of of energy. of. of. of. of")
         got = extract_relations(doc, RANKER)
-        assert ("x", "energy") in {(r.identifier.key, r.definition) for r in got}
+        assert ("x", "energy") in {(r.identifier, r.definition) for r in got}
         assert with_bits(got) == with_bits(old_extract_ranker(doc, RankerParams()))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.7])
@@ -455,7 +454,7 @@ class TestBoundedRanker:
         threshold = ranker_score(distance + 1, 1, 1.0, params)  # the full stop is a token
         params = replace(params, retain_threshold=threshold)
         got = extract_relations(doc, RANKER, params)
-        assert [(r.identifier.key, r.definition, r.score) for r in got] == [
+        assert [(r.identifier, r.definition, r.score) for r in got] == [
             ("x", "energy", threshold)
         ]
         assert with_bits(got) == with_bits(old_extract_ranker(doc, params))

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mathns.corpus import Identifier, build_corpus
+from mathns.corpus import build_corpus
 from mathns.errors import EmptyVocabulary, WeightDomainError
 from mathns.extraction import Relation
 from mathns.idspace import (
@@ -38,7 +38,7 @@ from conftest import as_scipy
 
 def rel(doc, ident, definition, score=1.0):
     return Relation(
-        identifier=Identifier(base=ident, display=ident),
+        identifier=ident,
         definition=definition,
         score=score,
         method="pattern",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathns.corpus import Identifier, load_corpus
+from mathns.corpus import identifier_key, load_corpus
 from mathns.errors import EmptyScheme, NoRelationsInCluster
 from mathns.extraction import Relation, extract_relations, prepare_corpus
 from mathns.namespaces import (
@@ -30,8 +30,7 @@ from mathns.stemming import definition_tokens
 
 
 def rel(doc, base, definition, score, sub=None):
-    ident = Identifier(base=base, subscript=sub, display=base)
-    return Relation(ident, definition, score, "ranker", doc)
+    return Relation(identifier_key(base, sub), definition, score, "ranker", doc)
 
 
 def golden_relations():
@@ -101,19 +100,19 @@ class TestMergeExact:
 
 class TestMergeFuzzy:
     def test_variance_group(self):
-        grouped = merge_fuzzy(merge_exact(golden_relations()))
+        grouped = merge_fuzzy(merge_exact(golden_relations()), FuzzyMemo(0.85))
         sigma = {g.label: g for g in grouped["sigma"]}
         assert sigma["variance"].score == pytest.approx(3.7)
         assert set(sigma["variance"].members) == {"variance", "population variance"}
 
     def test_mean_group(self):
-        grouped = merge_fuzzy(merge_exact(golden_relations()))
+        grouped = merge_fuzzy(merge_exact(golden_relations()), FuzzyMemo(0.85))
         mu = {g.label: g for g in grouped["mu"]}
         assert mu["mean"].score == pytest.approx(0.99 + 0.96)
         assert set(mu["mean"].members) == {"mean", "true mean"}
 
     def test_statistic_group_stays_apart_from_estimator(self):
-        grouped = merge_fuzzy(merge_exact(golden_relations()))
+        grouped = merge_fuzzy(merge_exact(golden_relations()), FuzzyMemo(0.85))
         theta = {g.label: g for g in grouped["theta"]}
         assert theta["estimator"].score == pytest.approx(2.84)
         assert theta["statistic"].score == pytest.approx(0.95 + 0.93)
@@ -121,7 +120,7 @@ class TestMergeFuzzy:
 
     def test_disjoint_strings_stay_apart(self):
         merged = {"x": [("data", 0.99), ("observations", 0.93)]}
-        grouped = merge_fuzzy(merged)
+        grouped = merge_fuzzy(merged, FuzzyMemo(0.85))
         assert len(grouped["x"]) == 2
 
     @given(
@@ -137,7 +136,7 @@ class TestMergeFuzzy:
     def test_score_mass_conserved(self, pairs):
         relations = [rel("D", "z", d, s) for d, s in pairs]
         merged = merge_exact(relations)
-        grouped = merge_fuzzy(merged)
+        grouped = merge_fuzzy(merged, FuzzyMemo(0.85))
         total_in = sum(s for _, s in pairs)
         total_out = sum(g.score for g in grouped["z"])
         assert total_out == pytest.approx(total_in)
@@ -187,8 +186,8 @@ class TestBuildNamespace:
     LABELS = {"A": "Statistics", "B": "Statistics", "C": "Estimation theory"}
 
     def test_golden_namespace(self):
-        ns = build_namespace(["A", "B", "C"], golden_relations(), self.LABELS)
-        entries = {e.identifier.key: e for e in ns.entries}
+        ns = build_namespace(["A", "B", "C"], golden_relations(), self.LABELS, FuzzyMemo(0.85))
+        entries = {e.identifier: e for e in ns.entries}
         expected = {
             "P_theta": ("family", 0.41),
             "X": ("measurable space", 0.44),
@@ -204,27 +203,36 @@ class TestBuildNamespace:
             assert entries[key].definition == definition
             assert entries[key].score == pytest.approx(score, abs=0.005)
 
+    def test_entries_write_a_key_as_identifier_and_subscript(self):
+        ns = build_namespace(["A", "B", "C"], golden_relations(), self.LABELS, FuzzyMemo(0.85))
+        fields = {(e["identifier"], e["subscript"]) for e in ns.to_dict()["entries"]}
+        assert fields == {
+            ("P", "theta"), ("X", None), ("n", None), ("x", None),
+            ("theta", None), ("mu", None), ("mu", "4"), ("sigma", None),
+        }
+
     def test_majority_category_name(self):
-        ns = build_namespace(["A", "B", "C"], golden_relations(), self.LABELS)
+        ns = build_namespace(["A", "B", "C"], golden_relations(), self.LABELS, FuzzyMemo(0.85))
         assert ns.name == "Statistics"
 
     def test_unique_identifiers(self):
-        ns = build_namespace(["A", "B", "C"], golden_relations(), self.LABELS)
-        keys = [e.identifier.key for e in ns.entries]
+        ns = build_namespace(["A", "B", "C"], golden_relations(), self.LABELS, FuzzyMemo(0.85))
+        keys = [e.identifier for e in ns.entries]
         assert len(keys) == len(set(keys))
 
     def test_single_relation(self):
-        ns = build_namespace(["A"], [rel("A", "q", "charge", 0.9)], {"A": "Physics"})
+        relations = [rel("A", "q", "charge", 0.9)]
+        ns = build_namespace(["A"], relations, {"A": "Physics"}, FuzzyMemo(0.85))
         assert len(ns.entries) == 1
         assert ns.entries[0].definition == "charge"
 
     def test_no_relations_raises(self):
         with pytest.raises(NoRelationsInCluster):
-            build_namespace(["Z"], golden_relations(), self.LABELS)
+            build_namespace(["Z"], golden_relations(), self.LABELS, FuzzyMemo(0.85))
 
     def test_tie_breaks_lexicographically(self):
         relations = [rel("A", "y", "beam", 0.5), rel("A", "y", "axis", 0.5)]
-        ns = build_namespace(["A"], relations, {"A": "Geometry"})
+        ns = build_namespace(["A"], relations, {"A": "Geometry"}, FuzzyMemo(0.85))
         assert ns.entries[0].definition == "axis"
 
 
@@ -256,6 +264,7 @@ class TestMapToHierarchy:
                 rel("L3", "r", "tautology", 0.9),
             ],
             {"L1": "Mathematical logic", "L2": "Logic", "L3": "Mathematical logic"},
+            FuzzyMemo(0.85),
         )
         return ns
 
@@ -275,14 +284,14 @@ class TestMapToHierarchy:
 
     def test_zero_overlap_goes_to_others(self):
         ns = build_namespace(
-            ["Z1"], [rel("Z1", "z", "zither", 0.9)], {"Z1": "Music"}
+            ["Z1"], [rel("Z1", "z", "zither", 0.9)], {"Z1": "Music"}, FuzzyMemo(0.85)
         )
         hit = map_to_hierarchy(ns, self.SCHEME, {"Z1": "Music"})
         assert hit.top == OTHERS
 
     def test_single_keyword_match_goes_to_others(self):
         ns = build_namespace(
-            ["M1"], [rel("M1", "v", "speed", 0.9)], {"M1": "Mechanics"}
+            ["M1"], [rel("M1", "v", "speed", 0.9)], {"M1": "Mechanics"}, FuzzyMemo(0.85)
         )
         hit = map_to_hierarchy(ns, self.SCHEME, {"M1": "Mechanics"})
         # only "mechanics" overlaps with the fluid-mechanics keywords
@@ -397,7 +406,7 @@ class TestPrunedKernels:
     @given(definitions, definitions, st.sampled_from(THRESHOLDS))
     def test_merge_decision_equals_token_set_ratio(self, a, b, t):
         assert token_set_ratio(a, b) == oracle_token_set_ratio(a, b)
-        merged = len(merge_fuzzy({"z": [(a, 1.0), (b, 0.5)]}, t)["z"]) == 1
+        merged = len(merge_fuzzy({"z": [(a, 1.0), (b, 0.5)]}, FuzzyMemo(t))["z"]) == 1
         assert merged == (token_set_ratio(a, b) >= t)
 
     @pytest.mark.parametrize("t", THRESHOLDS)
@@ -407,14 +416,14 @@ class TestPrunedKernels:
         for m in range(1, 13):
             for d in range(1, m + 1):
                 a, b = "x" * m, "y" * d + "x" * (m - d)
-                merged = len(merge_fuzzy({"z": [(a, 1.0), (b, 0.5)]}, t)["z"]) == 1
+                merged = len(merge_fuzzy({"z": [(a, 1.0), (b, 0.5)]}, FuzzyMemo(t))["z"]) == 1
                 assert merged == (oracle_token_set_ratio(a, b) >= t), (m, d)
 
     def test_transitive_chain_joins_through_intermediates(self):
         # alpha and gamma only meet through the containment chain
         defs = [("alpha", 1.0), ("gamma", 0.9), ("beta gamma", 0.8), ("alpha beta", 0.7),
                 ("beta", 0.6), ("delta", 0.5)]
-        grouped = merge_fuzzy({"z": defs})
+        grouped = merge_fuzzy({"z": defs}, FuzzyMemo(0.85))
         assert as_tuples(grouped) == oracle_merge_fuzzy({"z": defs})
         assert [len(g.members) for g in grouped["z"]] == [5, 1]
 
@@ -428,7 +437,7 @@ class TestPrunedKernels:
     )
     def test_generated_lists_match_all_pairs_oracle(self, defs, t):
         merged = {"z": defs}
-        assert as_tuples(merge_fuzzy(merged, t)) == oracle_merge_fuzzy(merged, t)
+        assert as_tuples(merge_fuzzy(merged, FuzzyMemo(t))) == oracle_merge_fuzzy(merged, t)
 
 
 # repeats across calls, the empty string, prefixes, equal lengths and near misses
@@ -459,8 +468,8 @@ class TestSharedMemo:
         # each call again with its definitions in reverse: every pair repeats swapped
         for defs in calls + [defs[::-1] for defs in calls]:
             merged = {"z": defs, "y": defs[1:]}
-            shared = merge_fuzzy(merged, t, memo)
-            assert shared == merge_fuzzy(merged, t)
+            shared = merge_fuzzy(merged, memo)
+            assert shared == merge_fuzzy(merged, FuzzyMemo(t))
             assert as_tuples(shared) == oracle_merge_fuzzy(merged, t)
 
     @settings(max_examples=300)
@@ -475,14 +484,10 @@ class TestSharedMemo:
     def test_a_repeated_call_decides_nothing_new(self):
         merged = {"z": [("mean", 1.0), ("mean value", 0.5), ("rate", 0.2), ("rats", 0.1)]}
         memo = FuzzyMemo(0.85)
-        first = merge_fuzzy(merged, 0.85, memo)
+        first = merge_fuzzy(merged, memo)
         decided = dict(memo.decisions)
-        assert merge_fuzzy({"w": merged["z"]}, 0.85, memo)["w"] == first["z"]
+        assert merge_fuzzy({"w": merged["z"]}, memo)["w"] == first["z"]
         assert memo.decisions == decided
-
-    def test_memo_at_another_threshold_is_refused(self):
-        with pytest.raises(ValueError, match="memo decides at 0.5, not 0.85"):
-            merge_fuzzy({"z": [("mean", 1.0)]}, 0.85, FuzzyMemo(0.5))
 
 
 @pytest.fixture(scope="module")
@@ -501,5 +506,5 @@ def test_toy_clusters_match_all_pairs_oracle(toy_relations):
     memo = FuzzyMemo(0.85)
     for members in clusters.values():
         merged = merge_exact(members)
-        assert as_tuples(merge_fuzzy(merged)) == oracle_merge_fuzzy(merged)
-        assert merge_fuzzy(merged, 0.85, memo) == merge_fuzzy(merged)
+        assert as_tuples(merge_fuzzy(merged, FuzzyMemo(0.85))) == oracle_merge_fuzzy(merged)
+        assert merge_fuzzy(merged, memo) == merge_fuzzy(merged, FuzzyMemo(0.85))

@@ -84,6 +84,17 @@ class TestPipelineArtifacts:
                 "doc_id", "identifier", "subscript", "definition", "score", "method",
             }
 
+    def test_identifier_and_subscript_fields_split_a_key_once(self, toy_run):
+        # the writers split each identifier key at its one "_", if any
+        lines = (toy_run / "relations.jsonl").read_text().splitlines()
+        namespaces = json.loads((toy_run / "namespaces.json").read_text())["namespaces"]
+        records = [json.loads(line) for line in lines]
+        records += [entry for item in namespaces for entry in item["entries"]]
+        assert len(records) > len(lines) > 0
+        for rec in records:
+            assert rec["identifier"] and "_" not in rec["identifier"]
+            assert rec["subscript"] is None or (rec["subscript"] and "_" not in rec["subscript"])
+
     def test_resume_from_cluster_stage(self, toy_run, toy_config_path):
         before = (toy_run / "namespaces.json").read_bytes()
         config = PipelineConfig.load(toy_config_path, out=toy_run)

@@ -1,13 +1,12 @@
 """Tokenizer, tagger, math annotation and chunking."""
 
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mathns.corpus import Identifier, parse_document, scan_formula
+from mathns.corpus import PLACEHOLDER_PREFIX, build_corpus
 from mathns.errors import UnknownPlaceholder, UnterminatedLink
 from mathns.extraction import prepare_document
 from mathns.textproc import (
@@ -32,6 +31,7 @@ from mathns.textproc import (
 )
 
 LEX = Lexicon.default()
+P = PLACEHOLDER_PREFIX  # P + "0" is formula 0's token in a document body
 
 
 def tag_text(text: str):
@@ -47,17 +47,19 @@ class TestTokenizer:
 
     def test_token_count_matches_oracle(self):
         text = (
-            "The mean FORMULA_0 is computed over n samples. "
-            "It holds that FORMULA_1, hence the claim!"
+            f"The mean {P}0 is computed over n samples. "
+            f"It holds that {P}1, hence the claim!"
         )
         got = tokenize_sentences(text)
-        # oracle: independent whitespace+punctuation scan of the raw text
-        oracle = re.findall(r"\[\[|\]\]|[\w'-]+|[^\w\s]", text)
+        # oracle: independent whitespace+punctuation scan of the raw text,
+        # each placeholder spelt as one word
+        words = re.sub(re.escape(P) + r"(\d+)", r"formula\1", text)
+        oracle = re.findall(r"\[\[|\]\]|[\w'-]+|[^\w\s]", words)
         assert sum(len(s) for s in got) == len(oracle)
 
     def test_placeholder_single_token(self):
-        sentences = tokenize_sentences("value FORMULA_12 here.")
-        assert "FORMULA_12" in sentences[0]
+        sentences = tokenize_sentences(f"value {P}12 here.")
+        assert f"{P}12" in sentences[0]
 
     def test_link_markers_are_tokens(self):
         sentences = tokenize_sentences("the [[speed of light]] is c.")
@@ -160,53 +162,65 @@ class TestLexiconMemo:
 
 class TestAnnotateMath:
     def test_multi_identifier_formula_is_math(self):
-        tagged = tag_text("see FORMULA_0 here.")
-        ids = [
-            [Identifier("E"), Identifier("m"), Identifier("c")],
-        ]
-        out = annotate_math(tagged, ids, {})
+        tagged = tag_text(f"see {P}0 here.")
+        out = annotate_math(tagged, [["E", "m", "c"]], {})
         assert out[0][1].tag == MATH
 
     def test_single_identifier_replaced(self):
-        tagged = tag_text("see FORMULA_0 here.")
-        out = annotate_math(tagged, [[Identifier("E", display="E")]], {})
+        tagged = tag_text(f"see {P}0 here.")
+        out = annotate_math(tagged, [["sigma_d"]], {})
         tok = out[0][1]
-        assert tok.tag == ID and tok.text == "E"
-        assert tok.identifier.base == "E"
+        assert tok.tag == ID and tok.text == "sigma_d"
 
     def test_prose_token_retagged(self):
-        known = {"E": Identifier("E", display="E")}
         tagged = tag_text("clearly E holds.")
-        out = annotate_math(tagged, [], known)
+        out = annotate_math(tagged, [], {"E"})
         retagged = [t for t in out[0] if t.text == "E"]
         assert retagged[0].tag == ID
 
     def test_unknown_placeholder(self):
-        tagged = tag_text("see FORMULA_7 here.")
+        tagged = tag_text(f"see {P}7 here.")
         with pytest.raises(UnknownPlaceholder):
             annotate_math(tagged, [], {})
 
     def test_articles_stay_determiners(self):
         """Regression: with ``$a$`` and ``$A$`` in the document, the prose
         articles "a" and a sentence-initial "A" were re-tagged ID."""
-        doc = parse_document({"doc_id": "d", "text": (
+        doc = build_corpus([{"doc_id": "d", "text": (
             "A body moves with acceleration $a$. Let $A$ denote a matrix. A force acts."
-        )})
-        ids = [scan_formula(f)[0] for f in doc.formulas]
-        prepared = prepare_document(replace(doc, identifiers=tuple(map(tuple, ids))), LEX)
+        )}]).documents[0]
+        prepared = prepare_document(doc, LEX)
         tokens = [t for sentence in prepared.sentences for t in sentence if t.text in ("a", "A")]
         assert [(t.text, t.tag) for t in tokens] == [
             ("A", DT), ("a", ID), ("A", ID), ("a", DT), ("A", DT),
         ]
 
     def test_id_texts_are_known_identifiers(self):
-        known = {"E": Identifier("E"), "m": Identifier("m")}
-        tagged = tag_text("E relates m and FORMULA_0.")
-        out = annotate_math(tagged, [[Identifier("c", display="c")]], {**known, "c": Identifier("c")})
+        tagged = tag_text(f"E relates m and {P}0.")
+        out = annotate_math(tagged, [["c"]], {"E", "m", "c"})
         for sentence in out:
             for tok in sentence:
                 if tok.tag == ID:
                     assert tok.text in {"E", "m", "c"}
+
+
+class TestProseThatSpellsAPlaceholder:
+    """Regression: the placeholder was ``FORMULA_<i>``, which prose can spell.
+    Spelt with an unknown number it stopped the run with UnknownPlaceholder;
+    with a known one it tagged a second occurrence of that formula's
+    identifier, which the ranker scored against."""
+
+    @staticmethod
+    def ids_of(text):
+        doc = build_corpus([{"doc_id": "d", "text": text}]).documents[0]
+        prepared = prepare_document(doc, LEX)
+        return [(t.text, t.token_idx) for s in prepared.sentences for t in s if t.tag == ID]
+
+    def test_unknown_number_is_prose(self):
+        assert self.ids_of("The energy $E$ is a FORMULA_7 thing.") == [("E", 2)]
+
+    def test_known_number_is_prose(self):
+        assert self.ids_of("The energy $E$ of FORMULA_0 is large.") == [("E", 2)]
 
 
 class TestChunkPhrases:
@@ -318,7 +332,7 @@ ALL_TAGS = [NN, NNS, JJ, DT, VB, IN, SYM, OTHER, MATH, ID, LINK, NOUN_PHRASE]
 NOT_NOUN_LIKE = [t for t in ALL_TAGS if t not in (JJ, NN, NNS)]
 # (text, tag) of one token; adjectives and nouns twice as likely, so runs form
 TOKENS = st.one_of(
-    st.tuples(st.sampled_from(["mass", "big", "of", "x", "FORMULA_0"]),
+    st.tuples(st.sampled_from(["mass", "big", "of", "x", f"{P}0"]),
               st.sampled_from(ALL_TAGS + [JJ, NN, NNS])),
     st.tuples(st.just("[["), st.sampled_from(ALL_TAGS)),
     # a ']]' tagged JJ/NN/NNS outside a link is the one pinned difference below
