@@ -3,8 +3,9 @@
 Three methods produce scored relations: the nearest-noun rule, a
 pattern matcher over tagged tokens, and a probabilistic ranker that
 scores candidates by two Gaussians (token distance, sentence distance)
-plus in-sentence term frequency.  ``extract_relations`` scores only the
-candidates whose bound on the score reaches ``retain_threshold``.
+plus in-sentence term frequency.  The ranker scores every candidate of
+a document in one table, which ``extract_relations`` thresholds at
+``retain_threshold`` and ``rank_candidates`` sorts a row of.
 ``write_relations`` and ``read_relations`` own the relations file.
 """
 
@@ -13,12 +14,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from . import textproc
 from .corpus import Corpus, Document, identifier_key, split_key
@@ -94,7 +96,8 @@ class RankerParams:
         object.__setattr__(self, "weight", self.alpha + self.beta + self.gamma)
         if not math.isfinite(self.weight):  # ranker_score would be nan
             raise ValueError(f"alpha + beta + gamma must be finite, got {self.weight!r}")
-        if self.weight < sys.float_info.min:  # below it, _reach's margin 1e-9 * W underflows
+        # below it, alpha * r_d loses all precision: 5e-324 * 0.6 rounds to 5e-324
+        if self.weight < sys.float_info.min:
             raise ValueError(f"alpha + beta + gamma must be a normal float, got {self.weight!r}")
         if self.sigma_d <= 0 or self.sigma_s <= 0:
             raise ValueError("Gaussian widths must be positive")
@@ -121,35 +124,6 @@ class PreparedDocument:
     def flat_tokens(self) -> list[tuple[int, TaggedToken]]:
         """Tokens in reading order with their global positions."""
         return list(enumerate(tok for sentence in self.sentences for tok in sentence))
-
-
-class _RankingTable(NamedTuple):
-    positions: list[int]  # of the noun-like candidates, ascending
-    tokens: list[TaggedToken]  # the candidates
-    starts: list[int]  # index of each sentence's first candidate, and one past the last
-    occurrences: dict[str, tuple[int, list[int]]]  # key: (first sentence, sorted positions)
-    tf: Callable[[TaggedToken], float]  # counts each sentence's tokens once, when first asked
-
-
-def _ranking_table(doc: PreparedDocument) -> _RankingTable:
-    """The ranker's view of ``doc``; callers keep it in a local, so it goes with the call."""
-    positions, tokens, occurrences, counts = [], [], {}, {}
-    for pos, tok in doc.flat_tokens():
-        if tok.tag == ID:
-            occurrences.setdefault(tok.text, (tok.sentence_idx, []))[1].append(pos)
-        elif tok.tag in _DEF_TAGS:
-            positions.append(pos)
-            tokens.append(tok)
-    sentence_of = [tok.sentence_idx for tok in tokens]
-    starts = [bisect_left(sentence_of, s) for s in range(len(doc.sentences) + 1)]
-
-    def tf(tok: TaggedToken) -> float:
-        s = tok.sentence_idx
-        if s not in counts:
-            counts[s] = Counter(t.text for t in doc.sentences[s])
-        return counts[s][tok.text] / len(doc.sentences[s])
-
-    return _RankingTable(positions, tokens, starts, occurrences, tf)
 
 
 def prepare_document(doc: Document, lexicon: Lexicon | None = None) -> PreparedDocument:
@@ -290,28 +264,44 @@ def ranker_score(delta: float, n_sentences: float, tf: float, params: RankerPara
     return total / params.weight
 
 
-def _scores(table: _RankingTable, key: str, params: RankerParams, indices: Iterable[int]):
-    """``(score, delta, pos, token)`` of the ``table``'s candidates at ``indices``.
+def _score_table(doc: PreparedDocument, params: RankerParams):
+    """``(keys, candidates, scores, deltas)``: each identifier key of ``doc``,
+    sorted, and each noun-like token in reading order, with a keys ×
+    candidates array of scores and one of token distances.
 
-    ``delta`` is to the nearer of the two occurrences that bisection puts
-    around the candidate, so it is the minimum over all of them.  The
-    score is ``ranker_score``'s expression, bit for bit: a table of
-    Gaussians per distinct distance was measured no faster, since a dict
-    lookup costs about as much as ``math.exp``.
+    Token distance is to the key's nearest occurrence, sentence distance
+    to the sentence of its first.  The scores are ``ranker_score``'s, bit
+    for bit: the Gaussians are ``math.exp`` tables indexed by distance,
+    and numpy's elementwise ``*``, ``+`` and ``/`` round as Python floats
+    do.  Memory is per document, one cell per (identifier occurrence,
+    candidate): 6 840 at most on the bench's ingest-long corpus at seed 1.
     """
-    positions, tokens, _, occurrences, tf = table
-    first_sentence, occ_positions = occurrences[key]
+    occurrences: dict[str, tuple[int, list[int]]] = {}  # key: (first sentence, positions)
+    positions, candidates = [], []
+    for pos, tok in doc.flat_tokens():
+        if tok.tag == ID:
+            occurrences.setdefault(tok.text, (tok.sentence_idx, []))[1].append(pos)
+        elif tok.tag in _DEF_TAGS:
+            positions.append(pos)
+            candidates.append(tok)
+    keys = sorted(occurrences)
+    # the grid's rows are every key's occurrence positions, key by key; starts[i] is keys[i]'s first
+    starts, rows = [], []
+    for key in keys:
+        starts.append(len(rows))
+        rows += occurrences[key][1]
+    grid = np.abs(np.subtract.outer(np.array(rows, np.intp), np.array(positions, np.intp)))
+    deltas = np.minimum.reduceat(grid, np.array(starts, np.intp), axis=0)
+    firsts = np.array([occurrences[key][0] for key in keys], np.intp)
+    sentence_of = np.array([tok.sentence_idx for tok in candidates], np.intp)
+    n_sent = np.abs(np.subtract.outer(firsts, sentence_of))
+    r_d = np.array([math.exp(-(d**2) / params.width_d) for d in range(deltas.max(initial=0) + 1)])
+    r_s = np.array([math.exp(-(s**2) / params.width_s) for s in range(n_sent.max(initial=0) + 1)])
+    counts = Counter((s, tok.text) for s, sentence in enumerate(doc.sentences) for tok in sentence)
+    tf = np.array([counts[s, text] / len(doc.sentences[s]) for text, _, s, _ in candidates])
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
-    weight, width_d, width_s = params.weight, params.width_d, params.width_s
-    for i in indices:
-        pos, tok = positions[i], tokens[i]
-        at = bisect_left(occ_positions, pos)
-        nearby = occ_positions[max(0, at - 1) : at + 1]
-        delta = min(abs(pos - nearby[0]), abs(pos - nearby[-1]))
-        n_sent = abs(tok.sentence_idx - first_sentence)
-        r_d = math.exp(-(delta**2) / width_d)
-        r_s = math.exp(-(n_sent**2) / width_s)
-        yield (alpha * r_d + beta * r_s + gamma * tf(tok)) / weight, delta, pos, tok
+    scores = (alpha * r_d[deltas] + beta * r_s[n_sent] + gamma * tf) / params.weight
+    return keys, candidates, scores, deltas
 
 
 def rank_candidates(
@@ -322,49 +312,18 @@ def rank_candidates(
     Token distance is taken to the nearest occurrence of the identifier;
     sentence distance to the sentence of its first occurrence.  Sorted
     by descending score, ties broken by smaller distance, then earlier
-    position.  ``extract_relations`` scores with the same expression,
-    but only the candidates that can reach ``retain_threshold`` (see
-    ``_reach``).
+    position.  This is one row of the score table that
+    ``extract_relations`` thresholds.
     """
     if params is None:
         params = RankerParams()
-    table = _ranking_table(doc)
-    if identifier_key not in table.occurrences:
+    keys, candidates, scores, deltas = _score_table(doc, params)
+    if identifier_key not in keys:
         raise IdentifierNotInDocument(identifier_key)
-    scored = _scores(table, identifier_key, params, range(len(table.positions)))
-    return [(tok, s) for s, _, _, tok in sorted(scored, key=lambda c: (-c[0], c[1], c[2]))]
-
-
-def _reach(n_sentences: int, params: RankerParams) -> tuple[int, float]:
-    """``(free, radius)`` for ``_within_reach``; T is retain_threshold, W the weight sum.
-
-    As tf <= 1, a candidate at sentence distance s reaches T only if
-    alpha * r_d >= need(s) = T * W - gamma - beta * r_s(s).  ``free``
-    counts the sentence distances up to the last s with need <= 0, where
-    every token distance passes; ``radius`` is the largest token distance
-    that passes at another s, sqrt(ln(alpha / need) * 2 sigma_d^2), or -1.0.
-    ``need`` is lowered by 1e-9 W, far above the rounding on either side.
-    """
-    floor = params.retain_threshold * params.weight - params.gamma - 1e-9 * params.weight
-    free, radius = 0, -1.0
-    for s in range(n_sentences):
-        need = floor - params.beta * math.exp(-(s**2) / params.width_s)
-        if need <= 0:
-            free = s + 1
-        elif need <= params.alpha:
-            radius = max(radius, math.sqrt(math.log(params.alpha / need) * params.width_d))
-    return free, radius
-
-
-def _within_reach(table: _RankingTable, identifier_key: str, free: int, radius: float) -> set:
-    """Indices of the candidates fewer than ``free`` sentences from the first
-    occurrence, or at most ``radius`` tokens from any (none when it is -1)."""
-    positions, _, starts, occurrences, _ = table
-    first, occ_positions = occurrences[identifier_key]
-    near = set(range(starts[max(0, first - free + 1)], starts[min(first + free, len(starts) - 1)]))
-    for q in occ_positions:
-        near.update(range(bisect_left(positions, q - radius), bisect_right(positions, q + radius)))
-    return near
+    row = keys.index(identifier_key)
+    # lexsort is stable, so candidates with equal score and distance keep reading order
+    order = np.lexsort((deltas[row], -scores[row]))
+    return [(candidates[j], float(scores[row, j])) for j in order]
 
 
 def extract_relations(
@@ -388,17 +347,12 @@ def extract_relations(
         rels = (r for sentence in doc.sentences for r in match_patterns(sentence))
         found = [(r.identifier, r.definition, r.score, r.method) for r in rels]
     else:
-        found = []
         if params is None:
             params = RankerParams()
-        free, radius = _reach(len(doc.sentences), params)
-        table = _ranking_table(doc)
-        for key in sorted(table.occurrences):
-            # in any order: on equal scores the maximum below keeps equal relations
-            near = _within_reach(table, key, free, radius)
-            for score, _, _, tok in _scores(table, key, params, near):
-                if score >= params.retain_threshold:
-                    found.append((key, tok.text, score, RANKER))
+        keys, candidates, scores, _ = _score_table(doc, params)
+        rows, cols = np.nonzero(scores >= params.retain_threshold)
+        kept = zip(rows.tolist(), cols.tolist(), scores[rows, cols].tolist())
+        found = [(keys[i], candidates[j].text, score, RANKER) for i, j, score in kept]
     best: dict[tuple[str, str], tuple[float, str]] = {}
     for ident, definition, score, how in found:
         definition = definition.strip()

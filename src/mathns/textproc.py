@@ -185,6 +185,9 @@ _CHUNK_RE = re.compile(r"\[[^\]]*(?P<close>\])?|J*N+")
 def chunk_phrases(tagged: Sequence[Sequence[TaggedToken]]) -> list[list[TaggedToken]]:
     """Collapse ``[[...]]`` spans to LINK and noun runs to NOUN_PHRASE.
 
+    A link's text joins its tokens but leaves out MATH formulas, so a
+    link that holds only a formula has empty text.
+
     Each sentence is matched as a string of tag codes against
     ``_CHUNK_RE``, so a noun run is a maximal (JJ)* (NN|NNS)+ sequence
     outside links; chunking never crosses sentence boundaries.
@@ -202,7 +205,8 @@ def chunk_phrases(tagged: Sequence[Sequence[TaggedToken]]) -> list[list[TaggedTo
             if codes[start] != "[":
                 text, tag = " ".join([t.text for t in sentence[start:end]]), NOUN_PHRASE
             elif match["close"]:
-                text, tag = " ".join([t.text for t in sentence[start + 1 : end - 1]]), LINK
+                inner = sentence[start + 1 : end - 1]
+                text, tag = " ".join([t.text for t in inner if t.tag != MATH]), LINK
             else:
                 raise UnterminatedLink(f"sentence {first.sentence_idx}: '[[' without ']]'")
             row.append(TaggedToken(text, tag, first.sentence_idx, first.token_idx))

@@ -221,6 +221,13 @@ class TestExtractRelations:
         rels = extract_relations(doc, RANKER, definition_stop=frozenset({"variable"}))
         assert all(r.definition != "variable" for r in rels)
 
+    @pytest.mark.parametrize("method", [PATTERN, RANKER])
+    def test_formula_inside_a_link_stays_out_of_the_definition(self, method):
+        doc = prepare_one("The [[ speed $u + v$ of light ]] is $c$. The [[ $u + v$ ]] is $w$.")
+        rels = extract_relations(doc, method)
+        assert ("c", "speed of light") in {(r.identifier, r.definition) for r in rels}
+        assert all(r.definition and "$" not in r.definition for r in rels)
+
     def test_doc_id_attached(self):
         doc = prepare_one("$E$ is energy.", doc_id="paper-1")
         rels = extract_relations(doc, PATTERN)
@@ -339,11 +346,12 @@ def test_extract_all_holds_one_prepared_document(monkeypatch, toy_config_path):
 
 
 def old_extract_ranker(doc, params, definition_stop=frozenset()):
-    """``extract_relations``' ranker path before the bound: every candidate
-    of every identifier ranked, then those below the threshold dropped."""
+    """``extract_relations``' ranker path as a loop: every candidate of
+    every identifier ranked by the oracle, then those below the threshold
+    dropped."""
     raw = []
     for key in sorted({tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}):
-        for tok, score in rank_candidates(doc, key, params):
+        for tok, score in oracle_rank_candidates(doc, key, params):
             if score >= params.retain_threshold:
                 raw.append(
                     Relation(identifier=key, definition=tok.text, score=score, method=RANKER)
@@ -388,8 +396,9 @@ LONG_DOCS = st.lists(
 
 
 class TestBoundedRanker:
-    """``extract_relations`` scores only the candidates that can reach the
-    threshold; its relations must equal ranking every candidate."""
+    """``extract_relations`` thresholds one numpy score table; its relations,
+    scores bit for bit, must equal those of ``oracle_rank_candidates``, which
+    scores each candidate in a loop with ``ranker_score``."""
 
     @pytest.mark.parametrize(
         "params",

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -110,6 +111,38 @@ class TestPipelineArtifacts:
         assert assignment.labels.tolist() == [1, 0, 1] and assignment.K == 2
         write_labels(tmp_path / "again.tsv", doc_ids, assignment.labels.tolist())
         assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+
+
+class TestSubscriptedIdentifiers:
+    def test_subscripts_reach_the_artifacts_and_survive_a_resume(self, tmp_path, toy_config_path):
+        """The toy and bench corpora hold no subscripted relation; in this copy
+        of the toy corpus every one-identifier formula, such as ``$\\sigma$``,
+        carries the subscript d, so its key reaches the writers as sigma_d."""
+        raw = json.loads(toy_config_path.read_text())
+        records = [json.loads(line) for line in (toy_config_path.parent / raw["corpus"]).open()]
+        for record in records:
+            record["text"] = re.sub(r"\$(\\?[A-Za-z]+)\$", r"$\1_d$", record["text"])
+        corpus = tmp_path / "subscripted.jsonl"
+        corpus.write_text("".join(json.dumps(record) + "\n" for record in records))
+        raw.update(corpus=str(corpus), hierarchy=str(toy_config_path.parent / raw["hierarchy"]))
+        cfg = tmp_path / "subscripted.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        config = PipelineConfig.load(cfg, out=out)
+        run_pipeline(config)
+        relations = [json.loads(line) for line in (out / "relations.jsonl").open()]
+        namespaces = json.loads((out / "namespaces.json").read_text())["namespaces"]
+        entries = [entry for item in namespaces for entry in item["entries"]]
+        assert relations and entries
+        assert {rec["subscript"] for rec in relations + entries} == {"d"}
+        assert "sigma" in {rel["identifier"] for rel in relations}
+        # vectorize reads the keys back from relations.jsonl
+        full_run = {path.name: path.read_bytes() for path in out.iterdir()}
+        for path in out.iterdir():
+            if path.name not in ("stats.json", "relations.jsonl"):
+                path.unlink()
+        run_pipeline(config, from_stage="vectorize")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == full_run
 
 
 class TestGridMode:

@@ -238,6 +238,16 @@ class TestChunkPhrases:
         assert len(links) == 1
         assert links[0].text == "speed of light"
 
+    def test_formula_inside_a_link_is_left_out(self):
+        """Regression: a formula inside ``[[...]]`` kept its placeholder in the
+        link's text, which became the definition "speed $0 of light"."""
+        doc = build_corpus([{"doc_id": "d", "text": (
+            "The [[ speed $u + v$ of light ]] is $c$. The [[ $u + v$ ]] is $w$."
+        )}]).documents[0]
+        prepared = prepare_document(doc, LEX)
+        links = [t.text for sentence in prepared.sentences for t in sentence if t.tag == LINK]
+        assert links == ["speed of light", ""]
+
     def test_lone_noun_becomes_phrase(self):
         out = chunk_phrases(tag_text("energy"))
         assert out[0][0].tag == NOUN_PHRASE
@@ -266,7 +276,8 @@ class TestChunkPhrases:
 
 
 def old_chunk_phrases(tagged):
-    """Reference: the two-pass scanner the regex chunker replaced."""
+    """Reference: the two-pass scanner the regex chunker replaced, which
+    leaves MATH tokens out of a link's text as the chunker does."""
     return [old_merge_noun_runs(old_merge_links(sentence)) for sentence in tagged]
 
 
@@ -279,7 +290,8 @@ def old_merge_links(sentence):
             j = i + 1
             inner = []
             while j < len(sentence) and sentence[j].text != "]]":
-                inner.append(sentence[j].text)
+                if sentence[j].tag != MATH:
+                    inner.append(sentence[j].text)
                 j += 1
             if j == len(sentence):
                 raise UnterminatedLink(f"sentence {tok.sentence_idx}: '[[' without ']]'")
