@@ -16,9 +16,9 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
-from .errors import DuplicateDocId, ExcludedSymbol, UnbalancedFormulaDelimiter
+from .errors import DuplicateDocId, ExcludedSymbol, MathnsError, UnbalancedFormulaDelimiter
 
 # the body's token for formula i is PLACEHOLDER_PREFIX + str(i); the body is
 # split on "$", so no prose can spell one
@@ -415,7 +415,7 @@ def build_corpus(records: Iterable[dict], stops: StopLists | None = None) -> Cor
     for raw in records:
         doc = parse_document(raw)
         if doc.doc_id in seen:
-            raise DuplicateDocId(doc.doc_id)
+            raise DuplicateDocId(f"duplicate doc_id {doc.doc_id!r}")
         seen.add(doc.doc_id)
         per_formula = []
         for formula in doc.formulas:
@@ -432,25 +432,27 @@ def build_corpus(records: Iterable[dict], stops: StopLists | None = None) -> Cor
 
 
 def load_corpus(path: str | Path, stops: StopLists | None = None) -> Corpus:
-    """Load a JSONL corpus file; a ValueError names the line that is not
-    JSON or holds a byte that is not UTF-8."""
+    """Load a JSONL corpus file.  An error of a record keeps its type, and
+    its message starts with the file and line: a line that is not JSON,
+    that holds a byte that is not UTF-8 or whose record does not parse."""
+    line = 0
 
     def records():
+        nonlocal line
         with open(path, encoding="utf-8") as fh:
-            try:
-                for n, line in enumerate(fh, start=1):
-                    if line.strip():
-                        try:  # a string cut at the newline reads "Unterminated string"
-                            record = json.loads(line.rstrip("\n"))
-                        except json.JSONDecodeError as exc:
-                            message = f"{path}, line {n}: {exc.msg} (column {exc.colno})"
-                            raise ValueError(message) from None
-                        yield record
-            except UnicodeDecodeError:  # its position counts from a read buffer
-                read_lines(path)  # raises, naming the line
-                raise
+            for line, text in enumerate(fh, start=1):
+                if text.strip():  # a string cut at the newline reads "Unterminated string"
+                    yield json.loads(text.rstrip("\n"))
 
-    return build_corpus(records(), stops)
+    try:
+        return build_corpus(records(), stops)
+    except UnicodeDecodeError:  # its position counts from a read buffer
+        read_lines(path)  # raises, naming the line
+        raise
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}, line {line}: {exc.msg} (column {exc.colno})") from None
+    except (ValueError, MathnsError) as exc:
+        raise type(exc)(f"{path}, line {line}: {exc}") from None
 
 
 def drop_sparse_documents(corpus: Corpus, min_occurrences: int = 2) -> Corpus:
@@ -463,58 +465,29 @@ def drop_sparse_documents(corpus: Corpus, min_occurrences: int = 2) -> Corpus:
     return Corpus(documents=kept, skipped_fragments=corpus.skipped_fragments)
 
 
-@dataclass
-class StatsReport:
-    """Dataset statistics: global and per-document identifier counts."""
-
-    n_documents: int
-    n_distinct_identifiers: int
-    n_occurrences: int
-    identifier_counts: list[tuple[str, int]]
-    per_document: list[dict]
-    definitions_per_document: list[tuple[str, int]]
-    skipped_fragments: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n_documents": self.n_documents,
-            "n_distinct_identifiers": self.n_distinct_identifiers,
-            "n_occurrences": self.n_occurrences,
-            "identifier_counts": [list(t) for t in self.identifier_counts],
-            "per_document": self.per_document,
-            "definitions_per_document": [list(t) for t in self.definitions_per_document],
-            "skipped_fragments": self.skipped_fragments,
-        }
-
-
-def corpus_stats(corpus: Corpus, relations=None) -> StatsReport:
-    """Compute frequency statistics, sorted descending by count."""
+def corpus_stats(corpus: Corpus, definitions: Optional[Mapping[str, int]] = None) -> dict:
+    """The ``stats.json`` object: identifier counts over the corpus and per
+    document, and ``definitions``, each document's count of relations.
+    Each list is sorted descending by count."""
     global_counts: Counter = Counter()
     per_document = []
     for doc in corpus.documents:
         counts = doc.identifier_counts
         global_counts.update(counts)
         per_document.append(
-            {
-                "doc_id": doc.doc_id,
-                "total": counts.total(),
-                "distinct": len(counts),
-            }
+            {"doc_id": doc.doc_id, "total": counts.total(), "distinct": len(counts)}
         )
     per_document.sort(key=lambda row: (-row["total"], row["doc_id"]))
-    defs_per_doc: Counter = Counter()
-    if relations:
-        for rel in relations:
-            if rel.doc_id is not None:
-                defs_per_doc[rel.doc_id] += 1
-    return StatsReport(
-        n_documents=len(corpus.documents),
-        n_distinct_identifiers=len(global_counts),
-        n_occurrences=sum(global_counts.values()),
-        identifier_counts=sorted(global_counts.items(), key=lambda kv: (-kv[1], kv[0])),
-        per_document=per_document,
-        definitions_per_document=sorted(
-            defs_per_doc.items(), key=lambda kv: (-kv[1], kv[0])
-        ),
-        skipped_fragments=corpus.skipped_fragments,
-    )
+
+    def by_count(counts: Mapping[str, int]) -> list[tuple[str, int]]:
+        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+    return {
+        "n_documents": len(corpus.documents),
+        "n_distinct_identifiers": len(global_counts),
+        "n_occurrences": global_counts.total(),
+        "identifier_counts": by_count(global_counts),
+        "per_document": per_document,
+        "definitions_per_document": by_count(definitions or {}),
+        "skipped_fragments": corpus.skipped_fragments,
+    }

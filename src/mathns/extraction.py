@@ -55,13 +55,13 @@ _record_values = itemgetter(*_RELATION_KEYS)
 
 def write_relations(out_dir: str | Path, relations: Iterable[Relation]) -> None:
     """Write ``relations.jsonl``: one JSON object a line, sorted by document,
-    identifier key and definition.  ``read_relations`` reads it back."""
-    records = (
-        (r.doc_id, *split_key(r.identifier), r.definition, r.score, r.method)
-        for r in sorted(relations, key=lambda r: (r.doc_id, r.identifier, r.definition))
-    )
-    lines = [json.dumps(dict(zip(_RELATION_KEYS, rec)), sort_keys=True) + "\n" for rec in records]
-    (Path(out_dir) / RELATIONS_FILE).write_text("".join(lines), encoding="utf-8")
+    identifier key and definition, each written as it is made.
+    ``read_relations`` reads it back."""
+    ordered = sorted(relations, key=lambda r: (r.doc_id, r.identifier, r.definition))
+    with open(Path(out_dir) / RELATIONS_FILE, "w", encoding="utf-8") as fh:
+        for r in ordered:
+            record = (r.doc_id, *split_key(r.identifier), r.definition, r.score, r.method)
+            fh.write(json.dumps(dict(zip(_RELATION_KEYS, record)), sort_keys=True) + "\n")
 
 
 def read_relations(out_dir: str | Path) -> list[Relation]:

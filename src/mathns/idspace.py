@@ -309,13 +309,14 @@ class DocMatrix:
 
     def save(self, out_dir: str | Path) -> None:
         """Write both files to ``out_dir``; the coordinates go in storage
-        order, which is row-major for the canonical CSR ``vectorize`` makes."""
+        order, which is row-major for the canonical CSR ``vectorize`` makes,
+        one line at a time."""
         rows, cols = self.matrix.coords()
         entries = zip((rows + 1).tolist(), (cols + 1).tolist(), self.matrix.data.tolist())
-        lines = ["%%MatrixMarket matrix coordinate real general"]
-        lines += [f"{self.shape[0]} {self.shape[1]} {self.matrix.nnz}"]
-        lines += [f"{i} {j} {v!r}" for i, j, v in entries]
-        (Path(out_dir) / MATRIX_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(Path(out_dir) / MATRIX_FILE, "w", encoding="utf-8") as fh:
+            fh.write("%%MatrixMarket matrix coordinate real general\n")
+            fh.write(f"{self.shape[0]} {self.shape[1]} {self.matrix.nnz}\n")
+            fh.writelines(f"{i} {j} {v!r}\n" for i, j, v in entries)
         vocab = self.vocab
         meta = {"doc_ids": list(self.doc_ids), "dims": list(vocab.dims), "df": vocab.df.tolist(),
                 "n_docs": vocab.n_docs, "mode": vocab.mode, "weighting": self.weighting,

@@ -7,7 +7,10 @@ Stages hand over only through the one writer and one reader of each
 artifact, kept beside the type it stores: ``write_relations`` and
 ``read_relations`` (extraction), ``DocMatrix.save`` and ``load``
 (idspace), and ``write_labels`` and ``load_labels`` (evaluate) for the
-assignment files.  With a fixed seed, repeated runs produce
+assignment files.  The stats and extract stages extract one prepared
+document at a time: stats keeps only each document's count of relations,
+and extract hands the relations to ``write_relations``, which writes
+them a line at a time.  With a fixed seed, repeated runs produce
 byte-identical artifacts.
 """
 
@@ -19,7 +22,7 @@ import json
 import shutil
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -267,23 +270,23 @@ def _labels(config: PipelineConfig, corpus: Corpus) -> dict[str, str]:
     return {doc.doc_id: doc.category for doc in corpus.documents}
 
 
-def _extract_all(config: PipelineConfig, corpus: Corpus) -> list[Relation]:
+def _extract_all(config: PipelineConfig, corpus: Corpus) -> Iterator[list[Relation]]:
+    """Each document's relations in corpus order, one prepared document at a time."""
     method, stop = config.extraction["method"], config.stops.definition_stop
-    relations: list[Relation] = []
     for doc in prepare_corpus(corpus, config.lexicon):
-        relations.extend(extract_relations(doc, method, config.ranker_params, stop))
-    return relations
+        yield extract_relations(doc, method, config.ranker_params, stop)
 
 
 def stage_stats(config: PipelineConfig) -> None:
     corpus = _load_corpus(config)
-    relations = _extract_all(config, corpus)
-    report = corpus_stats(corpus, relations)
-    _dump_json(config.output_dir / "stats.json", report.to_dict())
+    counts = map(len, _extract_all(config, corpus))  # keeps no document's relations
+    definitions = {doc.doc_id: n for doc, n in zip(corpus.documents, counts) if n}
+    _dump_json(config.output_dir / "stats.json", corpus_stats(corpus, definitions))
 
 
 def stage_extract(config: PipelineConfig) -> None:
-    write_relations(config.output_dir, _extract_all(config, _load_corpus(config)))
+    relations = itertools.chain.from_iterable(_extract_all(config, _load_corpus(config)))
+    write_relations(config.output_dir, relations)
 
 
 def stage_vectorize(config: PipelineConfig) -> None:

@@ -185,8 +185,9 @@ _CHUNK_RE = re.compile(r"\[[^\]]*(?P<close>\])?|J*N+")
 def chunk_phrases(tagged: Sequence[Sequence[TaggedToken]]) -> list[list[TaggedToken]]:
     """Collapse ``[[...]]`` spans to LINK and noun runs to NOUN_PHRASE.
 
-    A link's text joins its tokens but leaves out MATH formulas, so a
-    link that holds only a formula has empty text.
+    A link's text joins its tokens but leaves out MATH formulas and ID
+    tokens, so a link that holds only a formula has empty text.  Each ID
+    token of a link stays in the sentence, right after the LINK token.
 
     Each sentence is matched as a string of tag codes against
     ``_CHUNK_RE``, so a noun run is a maximal (JJ)* (NN|NNS)+ sequence
@@ -202,14 +203,17 @@ def chunk_phrases(tagged: Sequence[Sequence[TaggedToken]]) -> list[list[TaggedTo
             row.extend(sentence[end:start])
             end = match.end()
             first = sentence[start]
+            ids = []
             if codes[start] != "[":
                 text, tag = " ".join([t.text for t in sentence[start:end]]), NOUN_PHRASE
             elif match["close"]:
                 inner = sentence[start + 1 : end - 1]
-                text, tag = " ".join([t.text for t in inner if t.tag != MATH]), LINK
+                text, tag = " ".join([t.text for t in inner if t.tag not in (MATH, ID)]), LINK
+                ids = [t for t in inner if t.tag == ID]
             else:
                 raise UnterminatedLink(f"sentence {first.sentence_idx}: '[[' without ']]'")
             row.append(TaggedToken(text, tag, first.sentence_idx, first.token_idx))
+            row.extend(ids)
         row.extend(sentence[end:])
         out.append(row)
     return out

@@ -141,7 +141,7 @@ class TestDefaults:
     def test_omitted_extraction_options_give_the_same_relations(self):
         explicit = _config(extraction={"method": "ranker", **RANKER_DEFAULTS})
         corpus = _load_corpus(explicit)
-        assert _extract_all(_config(), corpus) == _extract_all(explicit, corpus)
+        assert list(_extract_all(_config(), corpus)) == list(_extract_all(explicit, corpus))
 
     def test_omitted_baseline_options_give_the_same_purity(self, tmp_path):
         out = tmp_path / "out"

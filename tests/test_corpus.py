@@ -1,5 +1,6 @@
 """Corpus parsing, identifier extraction and statistics."""
 
+import json
 import re
 from collections import Counter
 
@@ -249,13 +250,13 @@ class TestCorpusStats:
     def test_single_doc_counts(self):
         corpus = build_corpus([{"doc_id": "d", "text": "$x$ $x$ $y$"}], STOPS)
         report = corpus_stats(corpus)
-        assert report.identifier_counts == [("x", 2), ("y", 1)]
-        assert report.per_document[0]["distinct"] == 2
+        assert report["identifier_counts"] == [("x", 2), ("y", 1)]
+        assert report["per_document"][0]["distinct"] == 2
 
     def test_empty_corpus(self):
         report = corpus_stats(build_corpus([], STOPS))
-        assert report.n_documents == 0
-        assert report.identifier_counts == []
+        assert report["n_documents"] == 0
+        assert report["identifier_counts"] == []
 
     def test_totals_equal_per_doc_sums(self):
         corpus = build_corpus(
@@ -268,8 +269,8 @@ class TestCorpusStats:
         )
         report = corpus_stats(corpus)
         # independent recount: a has {x, y, z_1}, b has {x, x}, c has 3 mu
-        totals = sum(count for _, count in report.identifier_counts)
-        per_doc = sum(row["total"] for row in report.per_document)
+        totals = sum(count for _, count in report["identifier_counts"])
+        per_doc = sum(row["total"] for row in report["per_document"])
         assert totals == per_doc == 8
 
     def test_drop_sparse_documents(self):
@@ -432,6 +433,25 @@ class TestLoadCorpus:
         bad.write_text('{"doc_id": "a", "text": "$x$ and $y$"}\n\n  \n  {"doc_id": "b",\n')
         with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}, line 4: "):
             load_corpus(bad, STOPS)
+
+    @pytest.mark.parametrize(
+        "record, error, message",
+        [
+            ({"text": "$x$"}, ValueError, "corpus record needs a non-null doc_id and a text field"),
+            ({"doc_id": "a", "text": "$y$"}, DuplicateDocId, "duplicate doc_id 'a'"),
+            ({"doc_id": "c", "text": "it costs $5"}, UnbalancedFormulaDelimiter,
+             "document 'c': unpaired '$' delimiter"),
+        ],
+        ids=["no-doc-id", "duplicate-doc-id", "unpaired-dollar"],
+    )
+    def test_record_that_does_not_parse_is_named(self, tmp_path, record, error, message):
+        # the error named neither: "a" for the duplicate, no file or line for the others
+        records = [{"doc_id": "a", "text": "$x$ and $y$"}, {"doc_id": "b", "text": "$x$"}, record]
+        bad = tmp_path / "corpus.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(error) as info:
+            load_corpus(bad, STOPS)
+        assert str(info.value) == f"{bad}, line 3: {message}"
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_byte_that_is_not_utf8_is_named(self, tmp_path, toy_corpus_path, newline):

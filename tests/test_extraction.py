@@ -1,6 +1,7 @@
 """Relation extraction: nearest noun, patterns, probabilistic ranker."""
 
 import gc
+import json
 import math
 import sys
 import weakref
@@ -228,6 +229,12 @@ class TestExtractRelations:
         assert ("c", "speed of light") in {(r.identifier, r.definition) for r in rels}
         assert all(r.definition and "$" not in r.definition for r in rels)
 
+    @pytest.mark.parametrize("method", [PATTERN, RANKER])
+    def test_identifier_inside_a_link_is_defined_by_it(self, method):
+        # the link's text was "mass m", and m had no ID token to define
+        rels = extract_relations(prepare_one("The [[ mass $m$ ]] is large."), method)
+        assert [(r.identifier, r.definition) for r in rels] == [("m", "mass")]
+
     def test_doc_id_attached(self):
         doc = prepare_one("$E$ is energy.", doc_id="paper-1")
         rels = extract_relations(doc, PATTERN)
@@ -340,9 +347,36 @@ def test_extract_all_holds_one_prepared_document(monkeypatch, toy_config_path):
         return extract(doc, *args)
 
     monkeypatch.setattr(pipeline, "extract_relations", tracked)
-    assert pipeline._extract_all(config, corpus)
+    assert list(pipeline._extract_all(config, corpus))
     assert len(alive) == len(corpus.documents) > 1
     assert alive == [0] * len(alive)
+
+
+class Probe:
+    """A stand-in relation that a weak reference can watch."""
+
+    def __init__(self, doc_id):
+        self.doc_id = doc_id
+
+
+def test_stats_stage_holds_one_documents_relations(monkeypatch, tmp_path, toy_config_path):
+    """When the stats stage extracts document i, no relation of an earlier
+    document can be reached: the stage keeps only each document's count."""
+    config = pipeline.PipelineConfig.load(toy_config_path, out=tmp_path / "out")
+    earlier, alive = [], []
+
+    def probed(doc, *args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in earlier))
+        probe = Probe(doc.document.doc_id)
+        earlier.append(weakref.ref(probe))
+        return [probe]
+
+    monkeypatch.setattr(pipeline, "extract_relations", probed)
+    pipeline.run_stage(config, "stats")
+    assert len(alive) > 1 and alive == [0] * len(alive)
+    stats = json.loads((config.output_dir / "stats.json").read_text(encoding="utf-8"))
+    assert len(stats["definitions_per_document"]) == len(alive)
 
 
 def old_extract_ranker(doc, params, definition_stop=frozenset()):

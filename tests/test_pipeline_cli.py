@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -95,6 +96,14 @@ class TestPipelineArtifacts:
         for rec in records:
             assert rec["identifier"] and "_" not in rec["identifier"]
             assert rec["subscript"] is None or (rec["subscript"] and "_" not in rec["subscript"])
+
+    def test_definitions_per_document_count_the_relations_file(self, toy_run):
+        stats = json.loads((toy_run / "stats.json").read_text())
+        lines = (toy_run / "relations.jsonl").read_text().splitlines()
+        counts = Counter(json.loads(line)["doc_id"] for line in lines)
+        by_count = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert stats["definitions_per_document"] == [list(kv) for kv in by_count]
+        assert len(by_count) > 1
 
     def test_resume_from_cluster_stage(self, toy_run, toy_config_path):
         before = (toy_run / "namespaces.json").read_bytes()

@@ -248,6 +248,15 @@ class TestChunkPhrases:
         links = [t.text for sentence in prepared.sentences for t in sentence if t.tag == LINK]
         assert links == ["speed of light", ""]
 
+    def test_identifier_inside_a_link_follows_it(self):
+        """Regression: an identifier inside ``[[...]]`` joined the link's text
+        "mass m" and left no ID token, so no method could define it."""
+        doc = build_corpus([{"doc_id": "d", "text": "The [[ mass $m$ ]] is large."}]).documents[0]
+        first = prepare_document(doc, LEX).sentences[0]
+        assert [(t.text, t.tag) for t in first[:4]] == [
+            ("The", DT), ("mass", LINK), ("m", ID), ("is", VB)
+        ]
+
     def test_lone_noun_becomes_phrase(self):
         out = chunk_phrases(tag_text("energy"))
         assert out[0][0].tag == NOUN_PHRASE
@@ -277,7 +286,8 @@ class TestChunkPhrases:
 
 def old_chunk_phrases(tagged):
     """Reference: the two-pass scanner the regex chunker replaced, which
-    leaves MATH tokens out of a link's text as the chunker does."""
+    leaves MATH and ID tokens out of a link's text, and keeps each ID token
+    right after the link, as the chunker does."""
     return [old_merge_noun_runs(old_merge_links(sentence)) for sentence in tagged]
 
 
@@ -289,13 +299,17 @@ def old_merge_links(sentence):
         if tok.text == "[[":
             j = i + 1
             inner = []
+            ids = []
             while j < len(sentence) and sentence[j].text != "]]":
-                if sentence[j].tag != MATH:
+                if sentence[j].tag == ID:
+                    ids.append(sentence[j])
+                elif sentence[j].tag != MATH:
                     inner.append(sentence[j].text)
                 j += 1
             if j == len(sentence):
                 raise UnterminatedLink(f"sentence {tok.sentence_idx}: '[[' without ']]'")
             row.append(TaggedToken(" ".join(inner), LINK, tok.sentence_idx, tok.token_idx))
+            row.extend(ids)
             i = j + 1
         else:
             row.append(tok)
@@ -364,6 +378,7 @@ class TestChunkerMatchesOldScanner:
     @example([[("big", JJ), ("big", JJ), ("of", IN), ("big", JJ)]])  # adjectives only
     @example([[("[[", SYM), ("[[", SYM), ("mass", NN), ("]]", SYM), ("]]", SYM)]])  # nested
     @example([[("mass", NN), ("]]", SYM), ("[[", SYM), ("big", JJ), ("mass", NNS)]])
+    @example([[("[[", SYM), ("x", ID), ("big", JJ), (f"{P}0", MATH), ("x", ID), ("]]", SYM)]])
     def test_same_tokens_as_the_old_scanner(self, sentences):
         tagged = as_tagged(sentences)
         assert outcome(chunk_phrases, tagged) == outcome(old_chunk_phrases, tagged)
