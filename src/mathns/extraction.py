@@ -4,18 +4,21 @@ Three methods produce scored relations: the nearest-noun rule, a
 pattern matcher over tagged tokens, and a probabilistic ranker that
 scores candidates by two Gaussians (token distance, sentence distance)
 plus in-sentence term frequency.  The ranker scores every candidate of
-a document in one table, which ``extract_relations`` thresholds at
-``retain_threshold`` and ``rank_candidates`` sorts a row of.
+a document in one numpy table, with Gaussians read from tables kept per
+width for the process; ``extract_relations`` thresholds it at
+``retain_threshold`` and ``rank_candidates`` sorts a row of it.  Each
+distinct definition text is stripped and stop-tested once per document.
 ``write_relations`` and ``read_relations`` own the relations file.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain, count, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -51,17 +54,22 @@ RELATIONS_FILE = "relations.jsonl"
 # the keys of a relations file record, in the order of ``_record_values``
 _RELATION_KEYS = ("doc_id", "identifier", "subscript", "definition", "score", "method")
 _record_values = itemgetter(*_RELATION_KEYS)
+# a record's line, as ``json.dumps(..., sort_keys=True)`` of its dict writes it
+_RECORD_LINE = "{" + ", ".join(f'"{key}": %s' for key in sorted(_RELATION_KEYS)) + "}\n"
 
 
 def write_relations(out_dir: str | Path, relations: Iterable[Relation]) -> None:
     """Write ``relations.jsonl``: one JSON object a line, sorted by document,
     identifier key and definition, each written as it is made.
     ``read_relations`` reads it back."""
-    ordered = sorted(relations, key=lambda r: (r.doc_id, r.identifier, r.definition))
+    ordered = sorted(relations, key=itemgetter(4, 0, 1))  # doc_id, identifier, definition
+    encode = functools.cache(json.dumps)  # each distinct string is encoded once
     with open(Path(out_dir) / RELATIONS_FILE, "w", encoding="utf-8") as fh:
         for r in ordered:
-            record = (r.doc_id, *split_key(r.identifier), r.definition, r.score, r.method)
-            fh.write(json.dumps(dict(zip(_RELATION_KEYS, record)), sort_keys=True) + "\n")
+            base, sub = split_key(r.identifier)
+            # the fields in sorted-key order; a finite float's JSON is its repr
+            fields = encode(r.definition), encode(r.doc_id), encode(base), encode(r.method)
+            fh.write(_RECORD_LINE % (*fields, float.__repr__(r.score), encode(sub)))
 
 
 def read_relations(out_dir: str | Path) -> list[Relation]:
@@ -121,10 +129,6 @@ class PreparedDocument:
     document: Document
     sentences: list[list[TaggedToken]]
 
-    def flat_tokens(self) -> list[tuple[int, TaggedToken]]:
-        """Tokens in reading order with their global positions."""
-        return list(enumerate(tok for sentence in self.sentences for tok in sentence))
-
 
 def prepare_document(doc: Document, lexicon: Lexicon | None = None) -> PreparedDocument:
     """Run the full text pipeline for one document."""
@@ -163,12 +167,7 @@ def nearest_noun(sentence: Sequence[TaggedToken], id_idx: int) -> Optional[Relat
     if not any(tok.tag in (NN, NNS, NOUN_PHRASE) for tok in run):
         return None
     definition = " ".join(tok.text for tok in run if tok.tag != DT)
-    return Relation(
-        identifier=sentence[id_idx].text,
-        definition=definition,
-        score=1.0,
-        method=NEAREST_NOUN,
-    )
+    return Relation(sentence[id_idx].text, definition, 1.0, NEAREST_NOUN)
 
 
 # Pattern language: IDE matches an ID token, DEF an optional determiner
@@ -238,17 +237,8 @@ def match_patterns(sentence: Sequence[TaggedToken]) -> list[Relation]:
     for start in range(len(sentence)):
         for _, pattern in PATTERNS:
             hit = _match_at(sentence, start, pattern)
-            if hit is None:
-                continue
-            ide, definition = hit
-            found.append(
-                Relation(
-                    identifier=ide.text,
-                    definition=definition.text,
-                    score=1.0,
-                    method=PATTERN,
-                )
-            )
+            if hit is not None:
+                found.append(Relation(hit[0].text, hit[1].text, 1.0, PATTERN))
     return found
 
 
@@ -264,6 +254,21 @@ def ranker_score(delta: float, n_sentences: float, tf: float, params: RankerPara
     return total / params.weight
 
 
+_tag, _text_sentence = itemgetter(1), itemgetter(0, 2)  # of a TaggedToken
+_KINDS = {ID: 1, **dict.fromkeys(_DEF_TAGS, 2)}  # of a tag: 1 a key, 2 a candidate, else 0
+_GAUSSIANS: dict[float, np.ndarray] = {}  # width: its table
+
+
+def _gaussian(width: float, upto: int) -> np.ndarray:
+    """``ranker_score``'s ``math.exp(-(x**2) / width)`` at x = 0, 1, ..., ``upto``
+    or more, bit for bit; kept per width for the process, grown only as needed."""
+    table = _GAUSSIANS.get(width, np.empty(0))
+    if len(table) <= upto:
+        grown = [math.exp(-(x**2) / width) for x in range(len(table), upto + 1)]
+        table = _GAUSSIANS[width] = np.concatenate([table, grown])
+    return table
+
+
 def _score_table(doc: PreparedDocument, params: RankerParams):
     """``(keys, candidates, scores, deltas)``: each identifier key of ``doc``,
     sorted, and each noun-like token in reading order, with a keys ×
@@ -271,34 +276,35 @@ def _score_table(doc: PreparedDocument, params: RankerParams):
 
     Token distance is to the key's nearest occurrence, sentence distance
     to the sentence of its first.  The scores are ``ranker_score``'s, bit
-    for bit: the Gaussians are ``math.exp`` tables indexed by distance,
+    for bit: the Gaussians are ``_gaussian``'s tables indexed by distance,
     and numpy's elementwise ``*``, ``+`` and ``/`` round as Python floats
     do.  Memory is per document, one cell per (identifier occurrence,
     candidate): 6 840 at most on the bench's ingest-long corpus at seed 1.
     """
-    occurrences: dict[str, tuple[int, list[int]]] = {}  # key: (first sentence, positions)
-    positions, candidates = [], []
-    for pos, tok in doc.flat_tokens():
-        if tok.tag == ID:
-            occurrences.setdefault(tok.text, (tok.sentence_idx, []))[1].append(pos)
-        elif tok.tag in _DEF_TAGS:
-            positions.append(pos)
-            candidates.append(tok)
+    flat = list(chain.from_iterable(doc.sentences))
+    kinds = np.fromiter(map(_KINDS.get, map(_tag, flat), repeat(0)), np.int8, len(flat))
+    positions = np.flatnonzero(kinds == 2)
+    candidates = list(map(flat.__getitem__, positions.tolist()))
+    occurrences: dict[str, list[int]] = {}  # key: its positions
+    for pos in np.flatnonzero(kinds == 1).tolist():
+        occurrences.setdefault(flat[pos].text, []).append(pos)
     keys = sorted(occurrences)
     # the grid's rows are every key's occurrence positions, key by key; starts[i] is keys[i]'s first
     starts, rows = [], []
     for key in keys:
         starts.append(len(rows))
-        rows += occurrences[key][1]
-    grid = np.abs(np.subtract.outer(np.array(rows, np.intp), np.array(positions, np.intp)))
-    deltas = np.minimum.reduceat(grid, np.array(starts, np.intp), axis=0)
-    firsts = np.array([occurrences[key][0] for key in keys], np.intp)
-    sentence_of = np.array([tok.sentence_idx for tok in candidates], np.intp)
-    n_sent = np.abs(np.subtract.outer(firsts, sentence_of))
-    r_d = np.array([math.exp(-(d**2) / params.width_d) for d in range(deltas.max(initial=0) + 1)])
-    r_s = np.array([math.exp(-(s**2) / params.width_s) for s in range(n_sent.max(initial=0) + 1)])
-    counts = Counter((s, tok.text) for s, sentence in enumerate(doc.sentences) for tok in sentence)
-    tf = np.array([counts[s, text] / len(doc.sentences[s]) for text, _, s, _ in candidates])
+        rows += occurrences[key]
+    rows, starts = np.array(rows, np.intp), np.array(starts, np.intp)
+    deltas = np.minimum.reduceat(np.abs(np.subtract.outer(rows, positions)), starts, axis=0)
+    lengths = np.array(list(map(len, doc.sentences)), np.intp)
+    sentence_of = np.repeat(np.arange(len(lengths)), lengths)  # of each token
+    n_sent = np.abs(np.subtract.outer(sentence_of[rows[starts]], sentence_of[positions]))
+    r_d = _gaussian(params.width_d, int(deltas.max(initial=0)))
+    r_s = _gaussian(params.width_s, int(n_sent.max(initial=0)))
+    # tf: the count of the candidate's text in its sentence, over the sentence's length;
+    # a token's id is the first position of its (text, sentence) pair
+    first = np.fromiter(map({}.setdefault, map(_text_sentence, flat), count()), np.intp, len(flat))
+    tf = np.bincount(first, minlength=len(flat))[first[positions]] / lengths[sentence_of[positions]]
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     scores = (alpha * r_d[deltas] + beta * r_s[n_sent] + gamma * tf) / params.weight
     return keys, candidates, scores, deltas
@@ -339,29 +345,28 @@ def extract_relations(
     """
     if method not in METHODS:
         raise ValueError(f"unknown extraction method {method!r}")
-    # (identifier, definition, score, method) of every candidate relation
+    # (identifier, definition text, score) of every candidate relation
     if method == NEAREST_NOUN:
         rels = (nearest_noun(s, i) for s in doc.sentences for i, t in enumerate(s) if t.tag == ID)
-        found = [(r.identifier, r.definition, r.score, r.method) for r in rels if r is not None]
+        found = [r[:3] for r in rels if r is not None]
     elif method == PATTERN:
-        rels = (r for sentence in doc.sentences for r in match_patterns(sentence))
-        found = [(r.identifier, r.definition, r.score, r.method) for r in rels]
+        found = [r[:3] for sentence in doc.sentences for r in match_patterns(sentence)]
     else:
-        if params is None:
-            params = RankerParams()
+        params = RankerParams() if params is None else params
         keys, candidates, scores, _ = _score_table(doc, params)
         rows, cols = np.nonzero(scores >= params.retain_threshold)
         kept = zip(rows.tolist(), cols.tolist(), scores[rows, cols].tolist())
-        found = [(keys[i], candidates[j].text, score, RANKER) for i, j, score in kept]
-    best: dict[tuple[str, str], tuple[float, str]] = {}
-    for ident, definition, score, how in found:
-        definition = definition.strip()
-        if not definition or definition.lower() in definition_stop:
-            continue
+        found = [(keys[i], candidates[j].text, score) for i, j, score in kept]
+    clean: dict[str, str] = {}  # each distinct text's definition, "" when it is dropped
+    best: dict[tuple[str, str], float] = {}
+    for ident, text, score in found:
+        if (definition := clean.get(text)) is None:
+            definition = text.strip()
+            definition = clean[text] = "" if definition.lower() in definition_stop else definition
         pair = (ident, definition)
-        if pair not in best or score > best[pair][0]:
-            best[pair] = (score, how)
+        if definition and (pair not in best or score > best[pair]):
+            best[pair] = score
     return [
-        Relation(ident, definition, score, how, doc.document.doc_id)
-        for (ident, definition), (score, how) in sorted(best.items())
+        Relation(ident, definition, score, method, doc.document.doc_id)
+        for (ident, definition), score in sorted(best.items())
     ]

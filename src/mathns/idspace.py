@@ -9,6 +9,7 @@ a numpy CSR, ``_CSR``, that adds in the order scipy's kernels do.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -229,20 +230,21 @@ def _relations_by_doc(relations: Iterable[Relation]) -> dict[str, list[Relation]
     return grouped
 
 
-def doc_features(doc: Document, doc_relations: Sequence[Relation], mode: str) -> Counter:
-    """Feature counts of one document under an association mode."""
+def doc_features(
+    doc: Document, doc_relations: Sequence[Relation], mode: str, tokens=definition_tokens
+) -> Counter:
+    """Feature counts of one document under an association mode; ``tokens``
+    splits a definition, and a memo of ``definition_tokens`` splits each once."""
     features: Counter = Counter()
     if mode in (IDENTIFIERS_ONLY, WEAK):
         features.update(doc.identifier_counts)
     if mode == WEAK:
         for rel in doc_relations:
-            features.update(definition_tokens(rel.definition))
+            features.update(tokens(rel.definition))
     elif mode == STRONG:
         for rel in doc_relations:
             key = rel.identifier
-            features.update(
-                f"{key}_{tok}" for tok in definition_tokens(rel.definition)
-            )
+            features.update(f"{key}_{tok}" for tok in tokens(rel.definition))
     elif mode != IDENTIFIERS_ONLY:
         raise ValueError(f"unknown association mode {mode!r}")
     return features
@@ -256,9 +258,10 @@ def build_vocabulary(
 ) -> Vocabulary:
     """Collect dimensions over the corpus, dropping df < min_df."""
     grouped = _relations_by_doc(relations)
+    tokens = functools.cache(definition_tokens)
     df: Counter = Counter()
     for doc in corpus.documents:
-        features = doc_features(doc, grouped.get(doc.doc_id, []), mode)
+        features = doc_features(doc, grouped.get(doc.doc_id, []), mode, tokens)
         df.update(features.keys())
     dims = tuple(sorted(dim for dim, count in df.items() if count >= min_df))
     if not dims:
@@ -359,8 +362,9 @@ def vectorize(
     cols: list[int] = []
     data: list[float] = []
     doc_ids = tuple(doc.doc_id for doc in corpus.documents)
+    tokens = functools.cache(definition_tokens)
     for i, doc in enumerate(corpus.documents):
-        features = doc_features(doc, grouped.get(doc.doc_id, []), vocab.mode)
+        features = doc_features(doc, grouped.get(doc.doc_id, []), vocab.mode, tokens)
         for dim, count in features.items():
             j = vocab.index.get(dim)
             if j is not None:

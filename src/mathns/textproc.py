@@ -4,15 +4,20 @@ The tag scheme is a Penn-Treebank subset extended with four tags for
 mathematical text: MATH for multi-identifier formulas, ID for
 stand-alone identifiers, LINK for ``[[...]]`` spans and NOUN_PHRASE for
 collapsed noun runs.  Tagging is rule-based: a word lexicon first, then
-ordered suffix rules, then OTHER.
+ordered suffix rules, then OTHER.  Each distinct token is tagged once per
+``Lexicon``, and the stages build tokens with C-level maps: no Python
+frame runs per token.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from itertools import accumulate, chain, compress, count, pairwise, repeat
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Container, NamedTuple, Sequence
+from typing import Callable, Container, NamedTuple, Sequence
 
 from .corpus import PLACEHOLDER_PREFIX, read_lines
 from .errors import UnknownPlaceholder, UnterminatedLink
@@ -64,6 +69,7 @@ class Lexicon:
         # longest suffix first; the stable sort keeps file order among equals
         self._longest_first = tuple(sorted(self.suffix_rules, key=lambda rule: -len(rule[0])))
         self._tags: dict[str, str] = {}
+        self.token_tags = _TokenTags(self.tag_word)  # pos_tag's memo
 
     @classmethod
     def load(cls, lexicon_path: str | Path, suffix_path: str | Path) -> "Lexicon":
@@ -102,38 +108,44 @@ _TOKEN_RE = re.compile(re.escape(PLACEHOLDER_PREFIX) + r"\d+|\[\[|\]\]|[\w'-]+|[
 _SYM_RE = re.compile(r"[^\w\s]+")
 
 
+class _TokenTags(dict):
+    """Token -> ``pos_tag``'s tag, each filled in on first sight: a
+    placeholder is MATH, a symbol run SYM, any other token ``tag_word``'s."""
+
+    def __init__(self, tag_word: Callable[[str], str]):
+        self.tag_word = tag_word
+
+    def __missing__(self, token: str) -> str:
+        if token.startswith(PLACEHOLDER_PREFIX):
+            self[token] = tag = MATH
+        else:
+            self[token] = tag = SYM if _SYM_RE.fullmatch(token) else self.tag_word(token)
+        return tag
+
+
+_new = tuple.__new__  # _new(TaggedToken, (text, tag, s, t)) runs no Python frame
+_text, _tag = itemgetter(0), itemgetter(1)
+
+
 def tokenize_sentences(text: str) -> list[list[str]]:
     """Split into sentences on ``.?!`` + whitespace/EOF, then tokenize.
 
     Formula placeholders stay single tokens; ``[[`` and ``]]`` are
-    tokens of their own so link spans survive tokenization.
+    tokens of their own so link spans survive tokenization.  A sentence
+    with no token is dropped.
     """
-    sentences = []
-    for match in _SENTENCE_RE.finditer(text):
-        chunk = match.group(0).strip()
-        if not chunk:
-            continue
-        tokens = _TOKEN_RE.findall(chunk)
-        if tokens:
-            sentences.append(tokens)
-    return sentences
+    return list(filter(None, map(_TOKEN_RE.findall, _SENTENCE_RE.findall(text))))
 
 
 def pos_tag(sentences: Sequence[Sequence[str]], lexicon: Lexicon) -> list[list[TaggedToken]]:
-    """Tag every token: lexicon hit wins, else suffix rules, else OTHER."""
-    tagged = []
-    for s_idx, sentence in enumerate(sentences):
-        row = []
-        for t_idx, token in enumerate(sentence):
-            if token.startswith(PLACEHOLDER_PREFIX):
-                tag = MATH
-            elif _SYM_RE.fullmatch(token):
-                tag = SYM
-            else:
-                tag = lexicon.tag_word(token)
-            row.append(TaggedToken(token, tag, s_idx, t_idx))
-        tagged.append(row)
-    return tagged
+    """Tag every token: a placeholder MATH, a symbol run SYM, else the
+    lexicon hit, else suffix rules, else OTHER.  Each distinct token is
+    tagged once per lexicon, through its ``token_tags`` memo."""
+    tag_of = lexicon.token_tags.__getitem__
+    return [
+        list(map(_new, repeat(TaggedToken), zip(tokens, map(tag_of, tokens), repeat(s), count())))
+        for s, tokens in enumerate(sentences)
+    ]
 
 
 def annotate_math(
@@ -151,26 +163,26 @@ def annotate_math(
     well, unless the lexicon tags them DT: the articles "a" and "A" stay
     articles beside identifiers a and A.
     """
-    out = []
-    for sentence in tagged:
-        row = []
-        for tok in sentence:
-            if tok.text.startswith(PLACEHOLDER_PREFIX):
-                suffix = tok.text[len(PLACEHOLDER_PREFIX) :]
-                try:
-                    idx = int(suffix)
-                    ids = per_formula[idx]
-                except (ValueError, IndexError):
-                    raise UnknownPlaceholder(tok.text) from None
-                if len(ids) == 1:
-                    row.append(tok._replace(text=ids[0], tag=ID))
-                else:
-                    row.append(tok._replace(tag=MATH))
-            elif tok.text in doc_identifiers and tok.tag not in (DT, LINK, NOUN_PHRASE):
-                row.append(tok._replace(tag=ID))
-            else:
-                row.append(tok)
-        out.append(row)
+    out = [list(sentence) for sentence in tagged]
+    starts = list(accumulate(map(len, out), initial=0))  # each sentence's first flat position
+    texts = list(map(_text, chain.from_iterable(out)))
+    # only a placeholder or a key can change, so only those are rebuilt
+    marked = {t for t in set(texts) if t.startswith(PLACEHOLDER_PREFIX) or t in doc_identifiers}
+    for i in compress(count(), map(marked.__contains__, texts)):
+        s = bisect_right(starts, i) - 1
+        row, j = out[s], i - starts[s]
+        text, tag, s_idx, t_idx = row[j]
+        if text.startswith(PLACEHOLDER_PREFIX):
+            try:
+                ids = per_formula[int(text[len(PLACEHOLDER_PREFIX) :])]
+            except (ValueError, IndexError):
+                raise UnknownPlaceholder(text) from None
+            text, tag = (ids[0], ID) if len(ids) == 1 else (text, MATH)
+        elif tag in (DT, LINK, NOUN_PHRASE):
+            continue
+        else:
+            tag = ID
+        row[j] = _new(TaggedToken, (text, tag, s_idx, t_idx))
     return out
 
 
@@ -189,31 +201,30 @@ def chunk_phrases(tagged: Sequence[Sequence[TaggedToken]]) -> list[list[TaggedTo
     tokens, so a link that holds only a formula has empty text.  Each ID
     token of a link stays in the sentence, right after the LINK token.
 
-    Each sentence is matched as a string of tag codes against
-    ``_CHUNK_RE``, so a noun run is a maximal (JJ)* (NN|NNS)+ sequence
-    outside links; chunking never crosses sentence boundaries.
+    Each sentence's span of the document's tag-code string is matched
+    against ``_CHUNK_RE``, so a noun run is a maximal (JJ)* (NN|NNS)+
+    sequence outside links; chunking never crosses sentence boundaries.
     """
+    flat = list(chain.from_iterable(tagged))
+    texts = list(map(_text, flat))
+    codes = "".join(map(_BRACKETS.get, texts, map(_CODES.get, map(_tag, flat), repeat("."))))
     out = []
-    for sentence in tagged:
-        codes = "".join([_BRACKETS.get(t.text) or _CODES.get(t.tag, ".") for t in sentence])
-        row: list[TaggedToken] = []
-        end = 0
-        for match in _CHUNK_RE.finditer(codes):
-            start = match.start()
-            row.extend(sentence[end:start])
-            end = match.end()
-            first = sentence[start]
-            ids = []
+    for lo, hi in pairwise(accumulate(map(len, tagged), initial=0)):
+        row, end = [], lo
+        for match in _CHUNK_RE.finditer(codes, lo, hi):  # never past the sentence's end
+            start, stop = match.span()
+            row += flat[end:start]
+            end = stop
+            at = flat[start][2:]  # (sentence_idx, token_idx) of the chunk's first token
             if codes[start] != "[":
-                text, tag = " ".join([t.text for t in sentence[start:end]]), NOUN_PHRASE
+                row.append(_new(TaggedToken, (" ".join(texts[start:end]), NOUN_PHRASE, *at)))
             elif match["close"]:
-                inner = sentence[start + 1 : end - 1]
-                text, tag = " ".join([t.text for t in inner if t.tag not in (MATH, ID)]), LINK
-                ids = [t for t in inner if t.tag == ID]
+                inner = flat[start + 1 : end - 1]
+                text = " ".join([t.text for t in inner if t.tag not in (MATH, ID)])
+                row.append(_new(TaggedToken, (text, LINK, *at)))
+                row += [t for t in inner if t.tag == ID]
             else:
-                raise UnterminatedLink(f"sentence {first.sentence_idx}: '[[' without ']]'")
-            row.append(TaggedToken(text, tag, first.sentence_idx, first.token_idx))
-            row.extend(ids)
-        row.extend(sentence[end:])
+                raise UnterminatedLink(f"sentence {at[0]}: '[[' without ']]'")
+        row += flat[end:hi]
         out.append(row)
     return out

@@ -26,10 +26,15 @@ from mathns.extraction import (
     rank_candidates,
     ranker_score,
 )
-from mathns import pipeline
+from mathns import extraction, pipeline
 from mathns.textproc import ID, LINK, NN, NNS, NOUN_PHRASE
 
 STOPS = default_stop_lists()
+
+
+def flat_tokens(doc):
+    """``doc``'s tokens in reading order with their global positions."""
+    return list(enumerate(tok for sentence in doc.sentences for tok in sentence))
 
 
 def prepare_one(text: str, doc_id: str = "d"):
@@ -243,7 +248,7 @@ class TestExtractRelations:
 
 def oracle_rank_candidates(doc, identifier_key, params):
     """All occurrences per candidate and a sentence rescan per tf."""
-    flat = doc.flat_tokens()
+    flat = flat_tokens(doc)
     occurrences = [
         (pos, tok) for pos, tok in flat if tok.tag == ID and tok.text == identifier_key
     ]
@@ -293,7 +298,7 @@ class TestRankCandidatesOracle:
     def test_every_toy_identifier_matches_oracle(self, toy_docs, params):
         checked = 0
         for doc in toy_docs:
-            keys = sorted({tok.text for _, tok in doc.flat_tokens() if tok.tag == ID})
+            keys = sorted({tok.text for _, tok in flat_tokens(doc) if tok.tag == ID})
             for key in keys:
                 got = rank_candidates(doc, key, params)
                 want = oracle_rank_candidates(doc, key, params)
@@ -307,7 +312,7 @@ class TestRankCandidatesOracle:
         # toy documents mostly name each identifier once; these repeat them
         doc = prepare_one(". ".join(sentences) + ".")
         params = RankerParams()
-        for key in {tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}:
+        for key in {tok.text for _, tok in flat_tokens(doc) if tok.tag == ID}:
             assert rank_candidates(doc, key, params) == oracle_rank_candidates(doc, key, params)
 
     @given(REPEATING_SENTENCES)
@@ -315,7 +320,7 @@ class TestRankCandidatesOracle:
         # rank_candidates inlines ranker_score's expression; its scores must
         # still equal ranker_score's bit for bit under other widths and weights
         doc = prepare_one(". ".join(sentences) + ".")
-        for key in {tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}:
+        for key in {tok.text for _, tok in flat_tokens(doc) if tok.tag == ID}:
             got = rank_candidates(doc, key, OTHER_PARAMS)
             assert got == oracle_rank_candidates(doc, key, OTHER_PARAMS)
 
@@ -327,7 +332,7 @@ class TestRankCandidatesOracle:
         doc = toy_docs[1]
         before = dict(vars(doc))
         assert extract_relations(doc, RANKER)
-        key = next(tok.text for _, tok in doc.flat_tokens() if tok.tag == ID)
+        key = next(tok.text for _, tok in flat_tokens(doc) if tok.tag == ID)
         assert rank_candidates(doc, key)
         assert vars(doc) == before
 
@@ -384,7 +389,7 @@ def old_extract_ranker(doc, params, definition_stop=frozenset()):
     every identifier ranked by the oracle, then those below the threshold
     dropped."""
     raw = []
-    for key in sorted({tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}):
+    for key in sorted({tok.text for _, tok in flat_tokens(doc) if tok.tag == ID}):
         for tok, score in oracle_rank_candidates(doc, key, params):
             if score >= params.retain_threshold:
                 raw.append(
@@ -453,7 +458,7 @@ class TestBoundedRanker:
         assume(alpha + beta + gamma >= sys.float_info.min)
         doc = prepare_one(text)
         params = RankerParams(alpha, beta, gamma, sigma_d, sigma_s)
-        keys = {tok.text for _, tok in doc.flat_tokens() if tok.tag == ID}
+        keys = {tok.text for _, tok in flat_tokens(doc) if tok.tag == ID}
         scores = sorted({s for key in keys for _, s in rank_candidates(doc, key, params)})
         # a threshold equal to a candidate's score puts it exactly at the radius
         thresholds = [st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)]
@@ -501,3 +506,49 @@ class TestBoundedRanker:
             ("x", "energy", threshold)
         ]
         assert with_bits(got) == with_bits(old_extract_ranker(doc, params))
+
+
+class TestGaussianTables:
+    """The ranker's ``math.exp`` tables live for the process, one per width,
+    and grow only as far as the longest distance seen."""
+
+    SHORT = "the energy $E$ is large. the mass $m$ of it."
+    # more tokens and sentences between an identifier and a candidate
+    LONG = "$x$ holds. " + "of of of of of. " * 9 + "the energy of the field $E$ of light."
+
+    def check(self, text, params):
+        doc = prepare_one(text)
+        got = extract_relations(doc, RANKER, params)
+        assert with_bits(got) == with_bits(old_extract_ranker(doc, params))
+        for key in {tok.text for _, tok in flat_tokens(doc) if tok.tag == ID}:
+            ranked, want = rank_candidates(doc, key, params), oracle_rank_candidates(doc, key, params)
+            assert [(tok, score.hex()) for tok, score in ranked] == [
+                (tok, score.hex()) for tok, score in want
+            ]
+        return got
+
+    def test_tables_grow_across_documents_and_keep_every_bit(self, monkeypatch):
+        tables = {}
+        monkeypatch.setattr(extraction, "_GAUSSIANS", tables)
+        params = RankerParams(retain_threshold=0.0)
+        first = self.check(self.SHORT, params)
+        short_d, short_s = len(tables[params.width_d]), len(tables[params.width_s])
+        self.check(self.LONG, params)
+        assert len(tables[params.width_d]) > short_d and len(tables[params.width_s]) > short_s
+        grown = {width: table.copy() for width, table in tables.items()}
+        assert with_bits(self.check(self.SHORT, params)) == with_bits(first)
+        for width, table in tables.items():  # read, not rebuilt or shrunk
+            assert table.tobytes() == grown[width].tobytes()
+            assert table.tolist() == [math.exp(-(x**2) / width) for x in range(len(table))]
+
+    def test_widths_never_read_each_others_table(self, monkeypatch):
+        tables = {}
+        monkeypatch.setattr(extraction, "_GAUSSIANS", tables)
+        narrow = RankerParams(sigma_d=1.5, retain_threshold=0.0)
+        wide = replace(narrow, sigma_d=7.0)
+        for params in (narrow, wide, narrow, wide):
+            for text in (self.LONG, self.SHORT):
+                self.check(text, params)
+        assert set(tables) == {narrow.width_d, wide.width_d, narrow.width_s}
+        for width, table in tables.items():
+            assert table.tolist() == [math.exp(-(x**2) / width) for x in range(len(table))]

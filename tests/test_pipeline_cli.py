@@ -128,7 +128,8 @@ class TestSubscriptedIdentifiers:
         of the toy corpus every one-identifier formula, such as ``$\\sigma$``,
         carries the subscript d, so its key reaches the writers as sigma_d."""
         raw = json.loads(toy_config_path.read_text())
-        records = [json.loads(line) for line in (toy_config_path.parent / raw["corpus"]).open()]
+        lines = (toy_config_path.parent / raw["corpus"]).read_text().splitlines()
+        records = [json.loads(line) for line in lines]
         for record in records:
             record["text"] = re.sub(r"\$(\\?[A-Za-z]+)\$", r"$\1_d$", record["text"])
         corpus = tmp_path / "subscripted.jsonl"
@@ -139,7 +140,8 @@ class TestSubscriptedIdentifiers:
         out = tmp_path / "out"
         config = PipelineConfig.load(cfg, out=out)
         run_pipeline(config)
-        relations = [json.loads(line) for line in (out / "relations.jsonl").open()]
+        lines = (out / "relations.jsonl").read_text().splitlines()
+        relations = [json.loads(line) for line in lines]
         namespaces = json.loads((out / "namespaces.json").read_text())["namespaces"]
         entries = [entry for item in namespaces for entry in item["entries"]]
         assert relations and entries

@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mathns.corpus import PLACEHOLDER_PREFIX, build_corpus
@@ -24,6 +24,7 @@ from mathns.textproc import (
     VB,
     Lexicon,
     TaggedToken,
+    _TokenTags,
     annotate_math,
     chunk_phrases,
     pos_tag,
@@ -404,3 +405,122 @@ class TestChunkerMatchesOldScanner:
     def test_pos_tag_tags_bracket_tokens_sym(self):
         tagged = tag_text("a ]] b [[ c ]]")[0]
         assert [t.tag for t in tagged if t.text in ("[[", "]]")] == [SYM, SYM, SYM]
+
+
+def old_pos_tag(sentences, lexicon):
+    """Reference: the per-token loop the memo-mapped tagger replaced."""
+    tagged = []
+    for s_idx, sentence in enumerate(sentences):
+        row = []
+        for t_idx, token in enumerate(sentence):
+            if token.startswith(PLACEHOLDER_PREFIX):
+                tag = MATH
+            elif re.fullmatch(r"[^\w\s]+", token):
+                tag = SYM
+            else:
+                tag = lexicon.tag_word(token)
+            row.append(TaggedToken(token, tag, s_idx, t_idx))
+        tagged.append(row)
+    return tagged
+
+
+def old_annotate_math(tagged, per_formula, doc_identifiers):
+    """Reference: the per-token loop that rebuilt every token with ``_replace``."""
+    out = []
+    for sentence in tagged:
+        row = []
+        for tok in sentence:
+            if tok.text.startswith(PLACEHOLDER_PREFIX):
+                suffix = tok.text[len(PLACEHOLDER_PREFIX) :]
+                try:
+                    idx = int(suffix)
+                    ids = per_formula[idx]
+                except (ValueError, IndexError):
+                    raise UnknownPlaceholder(tok.text) from None
+                if len(ids) == 1:
+                    row.append(tok._replace(text=ids[0], tag=ID))
+                else:
+                    row.append(tok._replace(tag=MATH))
+            elif tok.text in doc_identifiers and tok.tag not in (DT, LINK, NOUN_PHRASE):
+                row.append(tok._replace(tag=ID))
+            else:
+                row.append(tok)
+        out.append(row)
+    return out
+
+
+# known and unknown placeholders with formulas 0..2 ($05 is formula 5, unknown),
+# symbol runs, link brackets, the articles a/A beside the identifiers a/A,
+# lexicon and suffix-rule words, and "İ", whose lower-cased form is longer
+WORDS = [
+    f"{P}0", f"{P}1", f"{P}2", f"{P}9", f"{P}05", P, "[[", "]]", "+", "=", ".", ",", "((",
+    "a", "A", "the", "The", "x", "E", "m", "corpus", "energy", "estimators", "continuous",
+    "zzqx", "İ", "İs", "xİtion", "speed-of", "it's",
+]
+FORMULAS = [["x"], ["E", "m"], ["a"]]  # $0 resolves to x, $1 stays MATH, $2 to a
+KEYS = {"a", "A", "x", "E", "m", "İ"}
+
+
+def annotated(annotate, tagged, per_formula=FORMULAS, doc_identifiers=KEYS):
+    try:
+        return annotate(tagged, per_formula, doc_identifiers)
+    except UnknownPlaceholder as exc:
+        return ("UnknownPlaceholder", str(exc))
+
+
+class TestTaggerMatchesTheOldLoops:
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.sampled_from(WORDS), max_size=12), max_size=5))
+    def test_pos_tag_gives_the_old_tokens(self, sentences):
+        fresh = Lexicon.default()
+        want = old_pos_tag(sentences, Lexicon.default())
+        assert pos_tag(sentences, fresh) == want
+        assert pos_tag(sentences, fresh) == want  # served by the memo
+        assert pos_tag(sentences, LEX) == want  # a memo shared across examples
+
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.sampled_from(WORDS), max_size=12), max_size=5))
+    def test_annotate_math_gives_the_old_tokens_on_tagged_text(self, sentences):
+        tagged = pos_tag(sentences, LEX)
+        assert annotated(annotate_math, tagged) == annotated(old_annotate_math, tagged)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(ALL_TAGS)),
+                             max_size=12), max_size=5))
+    @example([[("a", DT), ("a", ID), ("A", LINK), ("A", NOUN_PHRASE), ("x", JJ), (f"{P}0", DT)]])
+    @example([[(f"{P}1", NOUN_PHRASE), (f"{P}2", ID)], [], [("İ", OTHER), (f"{P}05", MATH)]])
+    def test_annotate_math_gives_the_old_tokens_whatever_the_tags(self, sentences):
+        # tokens already tagged DT, LINK, NOUN_PHRASE or ID, as a caller may pass them
+        tagged = as_tagged(sentences)
+        assert annotated(annotate_math, tagged) == annotated(old_annotate_math, tagged)
+
+    @pytest.mark.parametrize("token", [f"{P}9", f"{P}05", P, f"{P}x"])
+    def test_unknown_placeholder_still_raises(self, token):
+        tagged = pos_tag([["see", f"{P}0", token]], LEX)
+        with pytest.raises(UnknownPlaceholder, match=re.escape(token)):
+            annotate_math(tagged, FORMULAS, KEYS)
+
+    def test_input_is_left_as_it_was(self):
+        tagged = pos_tag([["the", "a", f"{P}0", "x"], ["E", f"{P}1"]], LEX)
+        before = [list(sentence) for sentence in tagged]
+        annotate_math(tagged, FORMULAS, KEYS)
+        chunk_phrases(tagged)
+        assert tagged == before
+
+    def test_token_memo_computes_each_tokens_rules_once(self, monkeypatch):
+        lexicon = Lexicon.default()
+        rules, missing = [], []
+        rule_tag = lexicon._rule_tag
+        monkeypatch.setattr(lexicon, "_rule_tag", lambda w: rules.append(w) or rule_tag(w))
+        token_tag = _TokenTags.__missing__
+        monkeypatch.setattr(
+            _TokenTags, "__missing__", lambda memo, t: missing.append(t) or token_tag(memo, t)
+        )
+        sentences = [["estimators", f"{P}0", "+", "the"], ["the", "estimators", f"{P}0", "The", "+"]]
+        first = pos_tag(sentences, lexicon)
+        assert pos_tag(sentences, lexicon) == first == old_pos_tag(sentences, LEX)
+        assert missing == ["estimators", f"{P}0", "+", "the", "The"]
+        assert rules == ["estimators", "the", "The"]  # no rules for placeholders or symbols
+        assert dict(lexicon.token_tags) == {
+            "estimators": NNS, f"{P}0": MATH, "+": SYM, "the": DT, "The": DT
+        }
