@@ -49,7 +49,7 @@ def main():
 
     print("\nranker candidates for E, best first:")
     for token, score in rank_candidates(prepared, "E")[:5]:
-        print(f"  {score:.3f}  {token.text!r}  (sentence {token.sentence_idx})")
+        print(f"  {score:.3f}  {token.text!r}")
 
 
 if __name__ == "__main__":

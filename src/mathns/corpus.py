@@ -3,9 +3,12 @@
 The corpus format is JSONL with one document per line and fields
 ``doc_id``, ``title``, ``text`` and ``category``.  Inline formulas are
 delimited by ``$...$`` and use a small TeX subset: identifiers are
-single Latin letters or ``\\greekname`` commands with an optional
-``_x`` / ``_{...}`` subscript; ``^...`` is consumed and discarded;
-anything else is treated as operator or noise.
+``\\greekname`` commands, non-ASCII letter symbols and each letter of an
+ASCII letter run that is not stop-listed (``sin`` is).  The ``_x`` /
+``_{...}`` and ``^...`` scripts right after a command, a symbol or a
+run's last letter are read in one pass; the first non-empty ``_`` script
+is its subscript, and the rest is discarded.  Anything else is treated
+as operator or noise.
 """
 
 from __future__ import annotations
@@ -85,6 +88,8 @@ _LETTERLIKE_FIXES = {
 }
 
 _ASCII_OPERATORS = frozenset("=+-*/^_'(){}[]<>|,.;:!?~&%$#@\"`\\ \t\n")
+_COMMAND_RE = re.compile(r"\\[A-Za-z]+")
+_LETTERS_RE = re.compile(r"[A-Za-z]+")
 
 
 def identifier_key(base: str, subscript: Optional[str] = None) -> str:
@@ -275,9 +280,9 @@ def _read_group(s: str, pos: int) -> tuple[str, int]:
                     return s[pos + 1 : j], j + 1
         return s[pos + 1 :], len(s)  # unterminated group: take the rest
     if s[pos] == "\\":
-        m = re.match(r"\\[A-Za-z]+", s[pos:])
+        m = _COMMAND_RE.match(s, pos)
         if m:
-            return m.group(0), pos + m.end()
+            return m.group(0), m.end()
         return s[pos : pos + 2], pos + 2
     return s[pos], pos + 1
 
@@ -303,84 +308,55 @@ def scan_formula(formula: str, stops: StopLists | None = None) -> tuple[list[str
     """
     if stops is None:
         stops = StopLists()
+    stopped = stops.is_stopped_symbol
     s = _strip_wrappers(formula)
     ids: list[str] = []
     skipped = 0
-    pos = 0
-    n = len(s)
-
-    def attach_script(base: str, p: int) -> int:
-        """Parse optional _ / ^ after an identifier at position p."""
-        subscript = None
-        while p < n and s[p] in "_^":
-            mark = s[p]
-            group, p = _read_group(s, p + 1)
-            if mark == "_" and subscript is None:
-                subscript = _subscript_text(group)
-        ids.append(identifier_key(base, subscript))
-        return p
-
+    pos, n = 0, len(s)
     while pos < n:
         ch = s[pos]
-        if ch.isspace():
-            pos += 1
-            continue
         if ch == "\\":
-            m = re.match(r"\\([A-Za-z]+)", s[pos:])
+            m = _COMMAND_RE.match(s, pos)
             if not m:
                 pos += 2
                 continue
-            cmd = m.group(1)
-            after = pos + m.end()
-            if cmd in GREEK_COMMANDS:
-                base = _GREEK_VARIANTS.get(cmd, cmd)
-                if stops.is_stopped_symbol(base):
-                    skipped += 1
-                    pos = after
-                else:
-                    pos = attach_script(base, after)
-            else:
-                skipped += 1  # operator or unknown command
-                pos = after
-            continue
-        if ch.isascii() and ch.isalpha():
-            m = re.match(r"[A-Za-z]+", s[pos:])
-            run = m.group(0)
-            after = pos + len(run)
-            if len(run) > 1 and stops.is_stopped_symbol(run):
-                skipped += 1
-                pos = after
+            pos, cmd = m.end(), m.group(0)[1:]
+            base = _GREEK_VARIANTS.get(cmd, cmd)
+            if cmd not in GREEK_COMMANDS or stopped(base):
+                skipped += 1  # an operator, an unknown command or a stop-listed letter
                 continue
-            for i, letter in enumerate(run):
-                if stops.is_stopped_symbol(letter):
-                    skipped += 1
-                    continue
-                if i == len(run) - 1:
-                    pos = attach_script(letter, after)
-                else:
-                    ids.append(letter)
-            else:
-                pos = max(pos, after)
-            continue
-        if ch == "^":
+        elif ch.isascii() and ch.isalpha():
+            run = _LETTERS_RE.match(s, pos).group(0)
+            pos += len(run)
+            if len(run) > 1 and stopped(run):
+                skipped += 1
+                continue
+            letters = [letter for letter in run if not stopped(letter)]
+            skipped += len(run) - len(letters)
+            ids += letters
+            if stopped(run[-1]):  # no identifier takes the scripts that follow
+                continue
+            base = ids.pop()
+        elif ch in "_^":
             _, pos = _read_group(s, pos + 1)
+            skipped += ch == "_"  # a subscript with no identifier in front of it
             continue
-        if ch == "_":
-            # stray subscript with no preceding identifier
-            _, pos = _read_group(s, pos + 1)
-            skipped += 1
-            continue
-        if ch in _ASCII_OPERATORS or ch.isdigit():
+        elif ch.isspace() or ch.isdigit() or ch in _ASCII_OPERATORS:
             pos += 1
             continue
-        # a bare non-ASCII symbol (unicode identifier or noise)
-        try:
-            base = normalize_identifier(ch, stops)
-        except ExcludedSymbol:
-            skipped += 1
+        else:  # a bare non-ASCII symbol: a letter or noise
             pos += 1
-            continue
-        pos = attach_script(base, pos + 1)
+            try:
+                base = normalize_identifier(ch, stops)
+            except ExcludedSymbol:
+                skipped += 1
+                continue
+        subscript = None
+        while pos < n and s[pos] in "_^":
+            mark, (group, pos) = s[pos], _read_group(s, pos + 1)
+            if mark == "_" and subscript is None:
+                subscript = _subscript_text(group)
+        ids.append(identifier_key(base, subscript))
     return ids, skipped
 
 

@@ -254,7 +254,7 @@ def ranker_score(delta: float, n_sentences: float, tf: float, params: RankerPara
     return total / params.weight
 
 
-_tag, _text_sentence = itemgetter(1), itemgetter(0, 2)  # of a TaggedToken
+_text, _tag = itemgetter(0), itemgetter(1)  # of a TaggedToken
 _KINDS = {ID: 1, **dict.fromkeys(_DEF_TAGS, 2)}  # of a tag: 1 a key, 2 a candidate, else 0
 _GAUSSIANS: dict[float, np.ndarray] = {}  # width: its table
 
@@ -303,7 +303,8 @@ def _score_table(doc: PreparedDocument, params: RankerParams):
     r_s = _gaussian(params.width_s, int(n_sent.max(initial=0)))
     # tf: the count of the candidate's text in its sentence, over the sentence's length;
     # a token's id is the first position of its (text, sentence) pair
-    first = np.fromiter(map({}.setdefault, map(_text_sentence, flat), count()), np.intp, len(flat))
+    pairs = zip(map(_text, flat), sentence_of.tolist())
+    first = np.fromiter(map({}.setdefault, pairs, count()), np.intp, len(flat))
     tf = np.bincount(first, minlength=len(flat))[first[positions]] / lengths[sentence_of[positions]]
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     scores = (alpha * r_d[deltas] + beta * r_s[n_sent] + gamma * tf) / params.weight

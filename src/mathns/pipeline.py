@@ -479,7 +479,7 @@ def stage_namespaces(config: PipelineConfig) -> None:
             mapping.append({"namespace": ns.name, "cluster_id": ns.cluster_id, **asdict(hit)})
     _dump_json(
         config.output_dir / "hierarchy_map.json",
-        {"scheme": str(config.hierarchy_path) if config.hierarchy_path else None,
+        {"scheme": config.hierarchy_path.name if config.hierarchy_path else None,
          "assignments": mapping},
     )
 

@@ -1,5 +1,8 @@
 """Tokenization, sentence splitting and math-aware POS tagging.
 
+A sentence ends after each ``.``, ``?`` or ``!`` that whitespace follows.
+A token is its text and its tag; its place is its index in its sentence.
+
 The tag scheme is a Penn-Treebank subset extended with four tags for
 mathematical text: MATH for multi-identifier formulas, ID for
 stand-alone identifiers, LINK for ``[[...]]`` spans and NOUN_PHRASE for
@@ -12,8 +15,7 @@ frame runs per token.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from itertools import accumulate, chain, compress, count, pairwise, repeat
+from itertools import accumulate, chain, pairwise, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -39,8 +41,6 @@ NOUN_PHRASE = "NOUN_PHRASE"
 class TaggedToken(NamedTuple):
     text: str  # an ID token's is its identifier key
     tag: str
-    sentence_idx: int
-    token_idx: int
 
 
 def _read_pairs(path: str | Path) -> list[tuple[str, str]]:
@@ -60,7 +60,7 @@ class Lexicon:
     """Word -> tag map plus ordered suffix rules (longest match first).
 
     Both are read-only after construction, so each instance can remember
-    the tag of every word it has seen.
+    the tag of every token it has seen: ``token_tags``, ``pos_tag``'s memo.
     """
 
     def __init__(self, words: dict[str, str], suffix_rules: list[tuple[str, str]]):
@@ -68,8 +68,7 @@ class Lexicon:
         self.suffix_rules = tuple(suffix_rules)
         # longest suffix first; the stable sort keeps file order among equals
         self._longest_first = tuple(sorted(self.suffix_rules, key=lambda rule: -len(rule[0])))
-        self._tags: dict[str, str] = {}
-        self.token_tags = _TokenTags(self.tag_word)  # pos_tag's memo
+        self.token_tags = _TokenTags(self.tag_word)
 
     @classmethod
     def load(cls, lexicon_path: str | Path, suffix_path: str | Path) -> "Lexicon":
@@ -83,16 +82,9 @@ class Lexicon:
     def tag_word(self, word: str) -> str:
         """Lexicon tag of ``word``, else its longest suffix rule, else OTHER.
 
-        Computed once per distinct token and instance.  The memo is keyed
-        on the token as written, not lower-cased: the suffix rules test
-        ``len(word)``, which can differ from ``len(word.lower())`` (``"İ"``).
+        A suffix rule tests ``len(word)``, which can differ from
+        ``len(word.lower())`` (``"İ"``), so a memo keys on the word as written.
         """
-        tag = self._tags.get(word)
-        if tag is None:
-            tag = self._tags[word] = self._rule_tag(word)
-        return tag
-
-    def _rule_tag(self, word: str) -> str:
         lower = word.lower()
         hit = self.words.get(lower)
         if hit is not None:
@@ -103,7 +95,7 @@ class Lexicon:
         return OTHER
 
 
-_SENTENCE_RE = re.compile(r"[^.?!]*[.?!]+(?=\s|$)|[^.?!]+$")
+_SENTENCE_END_RE = re.compile(r"(?<=[.?!])(?=\s)")
 _TOKEN_RE = re.compile(re.escape(PLACEHOLDER_PREFIX) + r"\d+|\[\[|\]\]|[\w'-]+|[^\w\s]")
 _SYM_RE = re.compile(r"[^\w\s]+")
 
@@ -123,18 +115,19 @@ class _TokenTags(dict):
         return tag
 
 
-_new = tuple.__new__  # _new(TaggedToken, (text, tag, s, t)) runs no Python frame
+_new = tuple.__new__  # _new(TaggedToken, (text, tag)) runs no Python frame
 _text, _tag = itemgetter(0), itemgetter(1)
 
 
 def tokenize_sentences(text: str) -> list[list[str]]:
-    """Split into sentences on ``.?!`` + whitespace/EOF, then tokenize.
+    """Split into sentences after each ``.?!`` that whitespace follows, so a
+    stop inside "3.14" stays in its sentence, then tokenize.
 
     Formula placeholders stay single tokens; ``[[`` and ``]]`` are
     tokens of their own so link spans survive tokenization.  A sentence
     with no token is dropped.
     """
-    return list(filter(None, map(_TOKEN_RE.findall, _SENTENCE_RE.findall(text))))
+    return list(filter(None, map(_TOKEN_RE.findall, _SENTENCE_END_RE.split(text))))
 
 
 def pos_tag(sentences: Sequence[Sequence[str]], lexicon: Lexicon) -> list[list[TaggedToken]]:
@@ -143,8 +136,8 @@ def pos_tag(sentences: Sequence[Sequence[str]], lexicon: Lexicon) -> list[list[T
     tagged once per lexicon, through its ``token_tags`` memo."""
     tag_of = lexicon.token_tags.__getitem__
     return [
-        list(map(_new, repeat(TaggedToken), zip(tokens, map(tag_of, tokens), repeat(s), count())))
-        for s, tokens in enumerate(sentences)
+        list(map(_new, repeat(TaggedToken), zip(tokens, map(tag_of, tokens))))
+        for tokens in sentences
     ]
 
 
@@ -163,27 +156,20 @@ def annotate_math(
     well, unless the lexicon tags them DT: the articles "a" and "A" stay
     articles beside identifiers a and A.
     """
-    out = [list(sentence) for sentence in tagged]
-    starts = list(accumulate(map(len, out), initial=0))  # each sentence's first flat position
-    texts = list(map(_text, chain.from_iterable(out)))
-    # only a placeholder or a key can change, so only those are rebuilt
-    marked = {t for t in set(texts) if t.startswith(PLACEHOLDER_PREFIX) or t in doc_identifiers}
-    for i in compress(count(), map(marked.__contains__, texts)):
-        s = bisect_right(starts, i) - 1
-        row, j = out[s], i - starts[s]
-        text, tag, s_idx, t_idx = row[j]
+    # a token's annotation depends on its text and tag alone, so each distinct
+    # token is looked at once, in reading order (an error names the first
+    # unknown placeholder), and a token that does not change is kept as it is
+    changed: dict[tuple[str, str], TaggedToken] = {}
+    for text, tag in dict.fromkeys(chain.from_iterable(tagged)):
         if text.startswith(PLACEHOLDER_PREFIX):
             try:
                 ids = per_formula[int(text[len(PLACEHOLDER_PREFIX) :])]
             except (ValueError, IndexError):
                 raise UnknownPlaceholder(text) from None
-            text, tag = (ids[0], ID) if len(ids) == 1 else (text, MATH)
-        elif tag in (DT, LINK, NOUN_PHRASE):
-            continue
-        else:
-            tag = ID
-        row[j] = _new(TaggedToken, (text, tag, s_idx, t_idx))
-    return out
+            changed[text, tag] = _new(TaggedToken, (ids[0], ID) if len(ids) == 1 else (text, MATH))
+        elif text in doc_identifiers and tag not in (DT, LINK, NOUN_PHRASE):
+            changed[text, tag] = _new(TaggedToken, (text, ID))
+    return [list(map(changed.get, sentence, sentence)) for sentence in tagged]
 
 
 # One code per token: a link bracket by its text, else J for JJ, N for
@@ -209,22 +195,21 @@ def chunk_phrases(tagged: Sequence[Sequence[TaggedToken]]) -> list[list[TaggedTo
     texts = list(map(_text, flat))
     codes = "".join(map(_BRACKETS.get, texts, map(_CODES.get, map(_tag, flat), repeat("."))))
     out = []
-    for lo, hi in pairwise(accumulate(map(len, tagged), initial=0)):
+    for s, (lo, hi) in enumerate(pairwise(accumulate(map(len, tagged), initial=0))):
         row, end = [], lo
         for match in _CHUNK_RE.finditer(codes, lo, hi):  # never past the sentence's end
             start, stop = match.span()
             row += flat[end:start]
             end = stop
-            at = flat[start][2:]  # (sentence_idx, token_idx) of the chunk's first token
             if codes[start] != "[":
-                row.append(_new(TaggedToken, (" ".join(texts[start:end]), NOUN_PHRASE, *at)))
+                row.append(_new(TaggedToken, (" ".join(texts[start:end]), NOUN_PHRASE)))
             elif match["close"]:
                 inner = flat[start + 1 : end - 1]
                 text = " ".join([t.text for t in inner if t.tag not in (MATH, ID)])
-                row.append(_new(TaggedToken, (text, LINK, *at)))
+                row.append(_new(TaggedToken, (text, LINK)))
                 row += [t for t in inner if t.tag == ID]
             else:
-                raise UnterminatedLink(f"sentence {at[0]}: '[[' without ']]'")
+                raise UnterminatedLink(f"sentence {s}: '[[' without ']]'")
         row += flat[end:hi]
         out.append(row)
     return out

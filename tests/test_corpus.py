@@ -5,10 +5,14 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mathns.corpus import (
+    _ASCII_OPERATORS,
+    _GREEK_VARIANTS,
+    _strip_wrappers,
+    _subscript_text,
     GREEK_COMMANDS,
     PLACEHOLDER_PREFIX,
     StopLists,
@@ -105,6 +109,143 @@ TEX_FRAGMENTS = [
     "_", "^", "{", "}", "_{", "^{", "(", ")", "+", "=", "1", "2", " ", "\u2200",
     "\u2192", "\u2207", "\u03c3", "\U0001D430", "\u00e9", "$", "[[", "]]",
 ]
+
+
+
+
+def old_read_group(s, pos):
+    """``_read_group`` as it was when ``old_scan_formula`` called it."""
+    if pos >= len(s):
+        return "", pos
+    if s[pos] == "{":
+        depth = 0
+        for j in range(pos, len(s)):
+            if s[j] == "{":
+                depth += 1
+            elif s[j] == "}":
+                depth -= 1
+                if depth == 0:
+                    return s[pos + 1 : j], j + 1
+        return s[pos + 1 :], len(s)
+    if s[pos] == "\\":
+        m = re.match(r"\\[A-Za-z]+", s[pos:])
+        if m:
+            return m.group(0), pos + m.end()
+        return s[pos : pos + 2], pos + 2
+    return s[pos], pos + 1
+
+
+def old_scan_formula(formula, stops=None):
+    """Reference: the scanner with one branch per kind of identifier, each
+    handing its base to a nested script reader, that the one-loop scanner
+    replaced."""
+    if stops is None:
+        stops = StopLists()
+    s = _strip_wrappers(formula)
+    ids = []
+    skipped = 0
+    pos = 0
+    n = len(s)
+
+    def attach_script(base, p):
+        subscript = None
+        while p < n and s[p] in "_^":
+            mark = s[p]
+            group, p = old_read_group(s, p + 1)
+            if mark == "_" and subscript is None:
+                subscript = _subscript_text(group)
+        ids.append(identifier_key(base, subscript))
+        return p
+
+    while pos < n:
+        ch = s[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch == "\\":
+            m = re.match(r"\\([A-Za-z]+)", s[pos:])
+            if not m:
+                pos += 2
+                continue
+            cmd = m.group(1)
+            after = pos + m.end()
+            if cmd in GREEK_COMMANDS:
+                base = _GREEK_VARIANTS.get(cmd, cmd)
+                if stops.is_stopped_symbol(base):
+                    skipped += 1
+                    pos = after
+                else:
+                    pos = attach_script(base, after)
+            else:
+                skipped += 1
+                pos = after
+            continue
+        if ch.isascii() and ch.isalpha():
+            run = re.match(r"[A-Za-z]+", s[pos:]).group(0)
+            after = pos + len(run)
+            if len(run) > 1 and stops.is_stopped_symbol(run):
+                skipped += 1
+                pos = after
+                continue
+            for i, letter in enumerate(run):
+                if stops.is_stopped_symbol(letter):
+                    skipped += 1
+                    continue
+                if i == len(run) - 1:
+                    pos = attach_script(letter, after)
+                else:
+                    ids.append(letter)
+            else:
+                pos = max(pos, after)
+            continue
+        if ch == "^":
+            _, pos = old_read_group(s, pos + 1)
+            continue
+        if ch == "_":
+            _, pos = old_read_group(s, pos + 1)
+            skipped += 1
+            continue
+        if ch in _ASCII_OPERATORS or ch.isdigit():
+            pos += 1
+            continue
+        try:
+            base = normalize_identifier(ch, stops)
+        except ExcludedSymbol:
+            skipped += 1
+            pos += 1
+            continue
+        pos = attach_script(base, pos + 1)
+    return ids, skipped
+
+
+# TEX_FRAGMENTS plus the pieces of tests/test_fuzz.py and a few more: a
+# non-Greek command, an escaped brace, a non-ASCII digit and a \text group
+SCANNER_PIECES = sorted(set(TEX_FRAGMENTS) | {
+    "\\Omega", "\\varphi", "\\hat", "\\hat{", "\\sum", "\\_", "y_1", "a", ".", "?",
+    " is the ", "mass", "large", "of", "é", "ß", "Ω", "ℝ", "𝐱", "ħ", "∂",
+    "\u0301", "\u0308", "\u20d7", "\\sin", "\\{", "²", "\\text{max}", "_{",
+})
+# no stop list, the packaged one, and one that stops letters, a letter run
+# and a Greek name
+SCANNER_STOPS = [None, STOPS, StopLists(symbol_stop=frozenset({"x", "d", "e", "xy", "alpha"}))]
+
+
+class TestScannerMatchesTheOldBranches:
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(SCANNER_PIECES), max_size=16).map("".join),
+           st.sampled_from(SCANNER_STOPS))
+    @example(r"xy_1^2 \alpha_{d} e_x d x_\theta ²_1 é^2_{a} _b", SCANNER_STOPS[2])
+    @example(r"\text{max}_{\{ ab \hat{\sum}_", None)
+    @example(r"x_1_2 + \sigma_{}_{a}^2_b", None)  # the first non-empty "_" group is the subscript
+    def test_same_keys_and_skipped_count(self, formula, stops):
+        assert scan_formula(formula, stops) == old_scan_formula(formula, stops)
+
+    @pytest.mark.parametrize("stops", SCANNER_STOPS)
+    def test_every_toy_formula(self, stops, toy_corpus_path):
+        formulas = [f for doc in load_corpus(toy_corpus_path).documents for f in doc.formulas]
+        assert len(formulas) > 100
+        for formula in formulas:
+            assert scan_formula(formula, stops) == old_scan_formula(formula, stops)
 
 
 class TestParseDocument:

@@ -240,6 +240,17 @@ class TestExtractRelations:
         rels = extract_relations(prepare_one("The [[ mass $m$ ]] is large."), method)
         assert [(r.identifier, r.definition) for r in rels] == [("m", "mass")]
 
+    @pytest.mark.parametrize("method", [NEAREST_NOUN, PATTERN, RANKER])
+    @pytest.mark.parametrize("text", [
+        "The mass $m$ is 3.14 kilograms here.",
+        "The mass $m$ is fixed.No space here",
+        "The mass $m$ is in abc.def units.",
+    ])
+    def test_a_stop_that_no_whitespace_follows_keeps_the_definition(self, text, method):
+        # the sentence splitter dropped every word in front of such a stop
+        rels = extract_relations(prepare_one(text), method)
+        assert ("m", "mass") in {(r.identifier, r.definition) for r in rels}
+
     def test_doc_id_attached(self):
         doc = prepare_one("$E$ is energy.", doc_id="paper-1")
         rels = extract_relations(doc, PATTERN)
@@ -248,20 +259,22 @@ class TestExtractRelations:
 
 def oracle_rank_candidates(doc, identifier_key, params):
     """All occurrences per candidate and a sentence rescan per tf."""
-    flat = flat_tokens(doc)
+    # (sentence index, token) in reading order; a token's position is its index here
+    flat = [(s, tok) for s, sentence in enumerate(doc.sentences) for tok in sentence]
     occurrences = [
-        (pos, tok) for pos, tok in flat if tok.tag == ID and tok.text == identifier_key
+        (pos, s) for pos, (s, tok) in enumerate(flat)
+        if tok.tag == ID and tok.text == identifier_key
     ]
     if not occurrences:
         raise IdentifierNotInDocument(identifier_key)
-    first_sentence = occurrences[0][1].sentence_idx
+    first_sentence = occurrences[0][1]
     scored = []
-    for pos, tok in flat:
+    for pos, (s, tok) in enumerate(flat):
         if tok.tag not in (NN, NNS, LINK, NOUN_PHRASE):
             continue
         delta = min(abs(pos - q) for q, _ in occurrences)
-        n_sent = abs(tok.sentence_idx - first_sentence)
-        sentence = doc.sentences[tok.sentence_idx]
+        n_sent = abs(s - first_sentence)
+        sentence = doc.sentences[s]
         tf = sum(1 for t in sentence if t.text == tok.text) / len(sentence)
         scored.append((ranker_score(delta, n_sent, tf, params), delta, pos, tok))
     scored.sort(key=lambda item: (-item[0], item[1], item[2]))

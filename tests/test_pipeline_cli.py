@@ -79,6 +79,20 @@ class TestPipelineArtifacts:
         ns = json.loads((toy_run / "namespaces.json").read_text())
         assert len(hm["assignments"]) == len(ns["namespaces"])
 
+    def test_artifacts_do_not_depend_on_where_the_inputs_are(self, toy_run, tmp_path):
+        """Regression: ``hierarchy_map.json``'s scheme held the hierarchy
+        file's absolute path, so a copy of the inputs gave other bytes."""
+        data = tmp_path / "elsewhere"
+        shutil.copytree(REPO / "demos" / "data", data, ignore=shutil.ignore_patterns("out"))
+        out = tmp_path / "elsewhere-out"
+        run_pipeline(PipelineConfig.load(data / "toy_config.json", out=out))
+        names = sorted(p.name for p in toy_run.iterdir())
+        assert names == sorted(p.name for p in out.iterdir())
+        for name in names:
+            assert (out / name).read_bytes() == (toy_run / name).read_bytes(), name
+        hm = json.loads((out / "hierarchy_map.json").read_text())
+        assert hm["scheme"] == "toy_hierarchy.json"
+
     def test_relations_jsonl_schema(self, toy_run):
         for line in (toy_run / "relations.jsonl").read_text().splitlines()[:5]:
             rec = json.loads(line)

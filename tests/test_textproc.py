@@ -1,6 +1,7 @@
 """Tokenizer, tagger, math annotation and chunking."""
 
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from mathns.textproc import (
     VB,
     Lexicon,
     TaggedToken,
+    _TOKEN_RE,
     _TokenTags,
     annotate_math,
     chunk_phrases,
@@ -67,6 +69,48 @@ class TestTokenizer:
         assert sentences[0][1] == "[["
         assert "]]" in sentences[0]
 
+    @pytest.mark.parametrize("text, want", [
+        ("The energy E is 3.14 here.", [["The", "energy", "E", "is", "3", ".", "14", "here", "."]]),
+        ("Let x be the position.No space here",
+         [["Let", "x", "be", "the", "position", ".", "No", "space", "here"]]),
+        ("abc.def", [["abc", ".", "def"]]),
+        ("Why?!Because. Done", [["Why", "?", "!", "Because", "."], ["Done"]]),
+        # no abbreviation list: "e.g." followed by a space still ends a sentence
+        ("See e.g. the mass m.", [["See", "e", ".", "g", "."], ["the", "mass", "m", "."]]),
+    ])
+    def test_a_stop_that_no_whitespace_follows_keeps_its_sentence(self, text, want):
+        """Regression: the prose in front of a ".", "?" or "!" that no
+        whitespace follows was dropped, "The energy E is 3." with it."""
+        assert tokenize_sentences(text) == want
+
+    @pytest.mark.parametrize("text", [
+        "." * 100_000,
+        "?!" * 50_000 + "x",
+        ("." * 999 + "a") * 100,
+        ". " * 50_000,
+    ])
+    def test_punctuation_runs_split_in_linear_time(self, text):
+        start = time.perf_counter()
+        sentences = tokenize_sentences(text)
+        assert time.perf_counter() - start < 1.0
+        assert sum(map(len, sentences)) == len(_TOKEN_RE.findall(text))
+
+
+# the pieces a sentence splitter can trip on: stops alone and in runs,
+# several kinds of whitespace, placeholders, links and words
+SPLITTER_PIECES = st.sampled_from([
+    ".", "?", "!", "..", "?!", "!?.", " ", "  ", "\t", "\n", "\r\n", "\x0c", "\u00a0", "\u2003",
+    f"{P}0", f"{P}12", P, "[[", "]]", "x", "mass", "3", "14", "e.g", "it's", "-", ",",
+])
+
+
+@given(st.lists(SPLITTER_PIECES, max_size=30).map("".join))
+@example("The energy E is 3.14 here. The mass m is large.")
+def test_sentences_hold_every_token_of_the_text(text):
+    sentences = tokenize_sentences(text)
+    assert [token for sentence in sentences for token in sentence] == _TOKEN_RE.findall(text)
+    assert all(sentences)
+
 
 class TestPosTag:
     def test_determiner(self):
@@ -86,12 +130,6 @@ class TestPosTag:
     def test_longest_suffix_wins(self):
         # "fitness" matches both -ness (NN) and -s (NNS); longest wins
         assert tag_text("fitness")[0][0].tag == NN
-
-    def test_indices_strictly_increasing(self):
-        tagged = tag_text("one two three. four five.")
-        for sentence in tagged:
-            indices = [t.token_idx for t in sentence]
-            assert indices == sorted(set(indices))
 
     def test_output_length_equals_input(self):
         sentences = tokenize_sentences("a b c d. e f.")
@@ -125,8 +163,10 @@ class TestLexiconMemo:
     def test_matches_the_uncached_rules(self):
         lexicon = Lexicon.default()
         words = self.words()
-        for word in words + words[::-1]:  # the second pass is served by the memo
+        for word in words:
             assert lexicon.tag_word(word) == uncached_tag(LEX, word), word
+        for word in words + words[::-1]:  # the second pass is served by the memo
+            assert lexicon.token_tags[word] == uncached_tag(LEX, word), word
 
     def test_each_suffix_rule_is_hit(self):
         lexicon = Lexicon.default()
@@ -141,15 +181,15 @@ class TestLexiconMemo:
         lexicon = Lexicon({}, [("i\u0307s", NN)])
         upper, lower = "a\u0130s", "ai\u0307s"
         assert upper.lower() == lower
-        assert [lexicon.tag_word(w) for w in (lower, upper, lower)] == [NN, OTHER, NN]
+        assert [lexicon.token_tags[w] for w in (lower, upper, lower)] == [NN, OTHER, NN]
         assert [uncached_tag(lexicon, w) for w in (lower, upper)] == [NN, OTHER]
 
     def test_rules_are_computed_once_per_word(self, monkeypatch):
         lexicon = Lexicon.default()
         calls = []
-        rule_tag = lexicon._rule_tag
-        monkeypatch.setattr(lexicon, "_rule_tag", lambda w: calls.append(w) or rule_tag(w))
-        tags = [lexicon.tag_word(w) for w in ("estimators", "the", "estimators", "The")]
+        memo = lexicon.token_tags
+        monkeypatch.setattr(memo, "tag_word", lambda w: calls.append(w) or lexicon.tag_word(w))
+        tags = [memo[w] for w in ("estimators", "the", "estimators", "The")]
         assert tags == ["NNS", DT, "NNS", DT]
         assert calls == ["estimators", "the", "The"]
 
@@ -215,7 +255,7 @@ class TestProseThatSpellsAPlaceholder:
     def ids_of(text):
         doc = build_corpus([{"doc_id": "d", "text": text}]).documents[0]
         prepared = prepare_document(doc, LEX)
-        return [(t.text, t.token_idx) for s in prepared.sentences for t in s if t.tag == ID]
+        return [(t.text, i) for s in prepared.sentences for i, t in enumerate(s) if t.tag == ID]
 
     def test_unknown_number_is_prose(self):
         assert self.ids_of("The energy $E$ is a FORMULA_7 thing.") == [("E", 2)]
@@ -280,7 +320,7 @@ class TestChunkPhrases:
 
     def test_adjectives_without_noun_stay(self):
         out = chunk_phrases(
-            [[TaggedToken("continuous", JJ, 0, 0), TaggedToken("is", "VB", 0, 1)]]
+            [[TaggedToken("continuous", JJ), TaggedToken("is", "VB")]]
         )
         assert [t.tag for t in out[0]] == [JJ, "VB"]
 
@@ -289,10 +329,10 @@ def old_chunk_phrases(tagged):
     """Reference: the two-pass scanner the regex chunker replaced, which
     leaves MATH and ID tokens out of a link's text, and keeps each ID token
     right after the link, as the chunker does."""
-    return [old_merge_noun_runs(old_merge_links(sentence)) for sentence in tagged]
+    return [old_merge_noun_runs(old_merge_links(sentence, s)) for s, sentence in enumerate(tagged)]
 
 
-def old_merge_links(sentence):
+def old_merge_links(sentence, s):
     row = []
     i = 0
     while i < len(sentence):
@@ -308,8 +348,8 @@ def old_merge_links(sentence):
                     inner.append(sentence[j].text)
                 j += 1
             if j == len(sentence):
-                raise UnterminatedLink(f"sentence {tok.sentence_idx}: '[[' without ']]'")
-            row.append(TaggedToken(" ".join(inner), LINK, tok.sentence_idx, tok.token_idx))
+                raise UnterminatedLink(f"sentence {s}: '[[' without ']]'")
+            row.append(TaggedToken(" ".join(inner), LINK))
             row.extend(ids)
             i = j + 1
         else:
@@ -335,9 +375,7 @@ def old_merge_noun_runs(sentence):
                 j += 1
             if nouns:
                 parts = [t.text for t in adjectives + nouns]
-                row.append(
-                    TaggedToken(" ".join(parts), NOUN_PHRASE, tok.sentence_idx, tok.token_idx)
-                )
+                row.append(TaggedToken(" ".join(parts), NOUN_PHRASE))
                 i = j
             else:
                 row.append(tok)
@@ -368,10 +406,7 @@ TOKENS = st.one_of(
 
 
 def as_tagged(sentences):
-    return [
-        [TaggedToken(text, tag, s, t) for t, (text, tag) in enumerate(sentence)]
-        for s, sentence in enumerate(sentences)
-    ]
+    return [[TaggedToken(text, tag) for text, tag in sentence] for sentence in sentences]
 
 
 class TestChunkerMatchesOldScanner:
@@ -410,16 +445,16 @@ class TestChunkerMatchesOldScanner:
 def old_pos_tag(sentences, lexicon):
     """Reference: the per-token loop the memo-mapped tagger replaced."""
     tagged = []
-    for s_idx, sentence in enumerate(sentences):
+    for sentence in sentences:
         row = []
-        for t_idx, token in enumerate(sentence):
+        for token in sentence:
             if token.startswith(PLACEHOLDER_PREFIX):
                 tag = MATH
             elif re.fullmatch(r"[^\w\s]+", token):
                 tag = SYM
             else:
                 tag = lexicon.tag_word(token)
-            row.append(TaggedToken(token, tag, s_idx, t_idx))
+            row.append(TaggedToken(token, tag))
         tagged.append(row)
     return tagged
 
@@ -510,8 +545,9 @@ class TestTaggerMatchesTheOldLoops:
     def test_token_memo_computes_each_tokens_rules_once(self, monkeypatch):
         lexicon = Lexicon.default()
         rules, missing = [], []
-        rule_tag = lexicon._rule_tag
-        monkeypatch.setattr(lexicon, "_rule_tag", lambda w: rules.append(w) or rule_tag(w))
+        monkeypatch.setattr(
+            lexicon.token_tags, "tag_word", lambda w: rules.append(w) or lexicon.tag_word(w)
+        )
         token_tag = _TokenTags.__missing__
         monkeypatch.setattr(
             _TokenTags, "__missing__", lambda memo, t: missing.append(t) or token_tag(memo, t)
