@@ -71,6 +71,12 @@ def _sq_distances(X, centers: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+def _by_row(X):
+    """``_unwrap``'s matrix, compressed by row if sparse: k-means reads rows."""
+    X = _unwrap(X)
+    return X.recompress() if isinstance(X, _CSR) and not X.by_row else X
+
+
 def _rows_dense(X, idx) -> np.ndarray:
     if isinstance(X, _CSR):
         return X[idx].toarray()
@@ -90,7 +96,7 @@ def kmeans(
     stable; an emptied cluster is reseeded to the point farthest from
     its previous centroid.  Best of ``n_restarts`` by inertia.
     """
-    X = _unwrap(X)
+    X = _by_row(X)
     n = X.shape[0]
     if K > n:
         raise KTooLarge(f"K={K} > n={n}")
@@ -144,7 +150,7 @@ def minibatch_kmeans(
     applies one gradient step per point.  A final full pass assigns all
     documents.
     """
-    X = _unwrap(X)
+    X = _by_row(X)
     n = X.shape[0]
     if K > n:
         raise KTooLarge(f"K={K} > n={n}")

@@ -59,26 +59,31 @@ _RECORD_LINE = "{" + ", ".join(f'"{key}": %s' for key in sorted(_RELATION_KEYS))
 
 
 def write_relations(out_dir: str | Path, relations: Iterable[Relation]) -> None:
-    """Write ``relations.jsonl``: one JSON object a line, sorted by document,
-    identifier key and definition, each written as it is made.
-    ``read_relations`` reads it back."""
-    ordered = sorted(relations, key=itemgetter(4, 0, 1))  # doc_id, identifier, definition
+    """Write ``relations.jsonl``: one JSON object a line, in the order given,
+    each written as it comes; the extract stage gives them sorted by
+    document, identifier key and definition.  ``read_relations`` reads it back."""
     encode = functools.cache(json.dumps)  # each distinct string is encoded once
     with open(Path(out_dir) / RELATIONS_FILE, "w", encoding="utf-8") as fh:
-        for r in ordered:
-            base, sub = split_key(r.identifier)
+        for key, definition, score, method, doc_id in relations:  # unpacked: keeps no relation
+            base, sub = split_key(key)
             # the fields in sorted-key order; a finite float's JSON is its repr
-            fields = encode(r.definition), encode(r.doc_id), encode(base), encode(r.method)
-            fh.write(_RECORD_LINE % (*fields, float.__repr__(r.score), encode(sub)))
+            fields = encode(definition), encode(doc_id), encode(base), encode(method)
+            fh.write(_RECORD_LINE % (*fields, float.__repr__(score), encode(sub)))
 
 
 def read_relations(out_dir: str | Path) -> list[Relation]:
-    """The relations of ``write_relations``'s file, parsed a line at a time."""
-    relations = []
-    with open(Path(out_dir) / RELATIONS_FILE, encoding="utf-8") as lines:
-        for line in lines:
+    """The relations of ``write_relations``'s file, parsed a line at a time.
+    A ValueError names the file and line of a record that does not parse."""
+    path, relations = Path(out_dir) / RELATIONS_FILE, []
+    with open(path, encoding="utf-8") as lines:
+        for n, line in enumerate(lines, start=1):
             if line.strip():
-                doc_id, base, sub, definition, score, method = _record_values(json.loads(line))
+                try:
+                    doc_id, base, sub, definition, score, method = _record_values(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}, line {n}: {exc.msg} (column {exc.colno})") from None
+                except (KeyError, TypeError) as exc:
+                    raise ValueError(f"{path}, line {n}: not a relation record ({exc})") from None
                 key = identifier_key(base, sub)
                 relations.append(Relation(key, definition, score, method, doc_id))
     return relations

@@ -332,9 +332,12 @@ class DocMatrix:
         """The matrix ``save`` wrote, with the same arrays: each value's
         ``repr`` reads back to the same float."""
         meta = json.loads((Path(out_dir) / META_FILE).read_text(encoding="utf-8"))
-        lines = (Path(out_dir) / MATRIX_FILE).read_text(encoding="utf-8").splitlines()
+        path = Path(out_dir) / MATRIX_FILE
+        lines = path.read_text(encoding="utf-8").splitlines()
         m, n, nnz = (int(x) for x in lines[1].split())
-        entries = [line.split() for line in lines[2 : 2 + nnz]]
+        if (found := len(lines) - 2) != nnz:  # a file cut short would load as another matrix
+            raise ValueError(f"{path}: the header's {nnz} entries, but {found} entry lines")
+        entries = [line.split() for line in lines[2:]]
         rows, cols = ([int(entry[k]) - 1 for entry in entries] for k in (0, 1))
         matrix = _CSR.from_coo(rows, cols, np.array([float(v) for _, _, v in entries]), (m, n))
         df = np.array(meta["df"], dtype=np.int64)

@@ -7,10 +7,10 @@ Stages hand over only through the one writer and one reader of each
 artifact, kept beside the type it stores: ``write_relations`` and
 ``read_relations`` (extraction), ``DocMatrix.save`` and ``load``
 (idspace), and ``write_labels`` and ``load_labels`` (evaluate) for the
-assignment files.  The stats and extract stages extract one prepared
-document at a time: stats keeps only each document's count of relations,
-and extract hands the relations to ``write_relations``, which writes
-them a line at a time.  With a fixed seed, repeated runs produce
+assignment files.  The stats and extract stages hold one document's
+relations at a time: stats keeps only each document's count, and extract
+walks the documents in ``doc_id`` order, so ``write_relations`` writes each
+relation as it is made.  With a fixed seed, repeated runs produce
 byte-identical artifacts.
 """
 
@@ -285,8 +285,9 @@ def stage_stats(config: PipelineConfig) -> None:
 
 
 def stage_extract(config: PipelineConfig) -> None:
-    relations = itertools.chain.from_iterable(_extract_all(config, _load_corpus(config)))
-    write_relations(config.output_dir, relations)
+    corpus = _load_corpus(config)
+    corpus.documents.sort(key=lambda doc: doc.doc_id)  # so the relations come in the file's order
+    write_relations(config.output_dir, itertools.chain.from_iterable(_extract_all(config, corpus)))
 
 
 def stage_vectorize(config: PipelineConfig) -> None:

@@ -7,9 +7,9 @@ The tag scheme is a Penn-Treebank subset extended with four tags for
 mathematical text: MATH for multi-identifier formulas, ID for
 stand-alone identifiers, LINK for ``[[...]]`` spans and NOUN_PHRASE for
 collapsed noun runs.  Tagging is rule-based: a word lexicon first, then
-ordered suffix rules, then OTHER.  Each distinct token is tagged once per
-``Lexicon``, and the stages build tokens with C-level maps: no Python
-frame runs per token.
+ordered suffix rules, then OTHER.  Each ``Lexicon`` makes one
+``TaggedToken`` per distinct token, which every position of it shares, and
+the stages map tokens at C level: no Python frame runs per token.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def _read_pairs(path: str | Path) -> list[tuple[str, str]]:
 class Lexicon:
     """Word -> tag map plus ordered suffix rules (longest match first).
 
-    Both are read-only after construction, so each instance can remember
-    the tag of every token it has seen: ``token_tags``, ``pos_tag``'s memo.
+    Both are read-only after construction, so each instance can keep the
+    one tagged token of every token it has seen: ``tokens``, ``pos_tag``'s memo.
     """
 
     def __init__(self, words: dict[str, str], suffix_rules: list[tuple[str, str]]):
@@ -68,7 +68,7 @@ class Lexicon:
         self.suffix_rules = tuple(suffix_rules)
         # longest suffix first; the stable sort keeps file order among equals
         self._longest_first = tuple(sorted(self.suffix_rules, key=lambda rule: -len(rule[0])))
-        self.token_tags = _TokenTags(self.tag_word)
+        self.tokens = _Tokens(self.tag_word)
 
     @classmethod
     def load(cls, lexicon_path: str | Path, suffix_path: str | Path) -> "Lexicon":
@@ -100,19 +100,20 @@ _TOKEN_RE = re.compile(re.escape(PLACEHOLDER_PREFIX) + r"\d+|\[\[|\]\]|[\w'-]+|[
 _SYM_RE = re.compile(r"[^\w\s]+")
 
 
-class _TokenTags(dict):
-    """Token -> ``pos_tag``'s tag, each filled in on first sight: a
-    placeholder is MATH, a symbol run SYM, any other token ``tag_word``'s."""
+class _Tokens(dict):
+    """Token -> its one ``TaggedToken``, made on first sight: a placeholder
+    is MATH, a symbol run SYM, any other token ``tag_word``'s."""
 
     def __init__(self, tag_word: Callable[[str], str]):
         self.tag_word = tag_word
 
-    def __missing__(self, token: str) -> str:
+    def __missing__(self, token: str) -> TaggedToken:
         if token.startswith(PLACEHOLDER_PREFIX):
-            self[token] = tag = MATH
+            tag = MATH
         else:
-            self[token] = tag = SYM if _SYM_RE.fullmatch(token) else self.tag_word(token)
-        return tag
+            tag = SYM if _SYM_RE.fullmatch(token) else self.tag_word(token)
+        self[token] = tagged = TaggedToken(token, tag)
+        return tagged
 
 
 _new = tuple.__new__  # _new(TaggedToken, (text, tag)) runs no Python frame
@@ -133,12 +134,10 @@ def tokenize_sentences(text: str) -> list[list[str]]:
 def pos_tag(sentences: Sequence[Sequence[str]], lexicon: Lexicon) -> list[list[TaggedToken]]:
     """Tag every token: a placeholder MATH, a symbol run SYM, else the
     lexicon hit, else suffix rules, else OTHER.  Each distinct token is
-    tagged once per lexicon, through its ``token_tags`` memo."""
-    tag_of = lexicon.token_tags.__getitem__
-    return [
-        list(map(_new, repeat(TaggedToken), zip(tokens, map(tag_of, tokens))))
-        for tokens in sentences
-    ]
+    tagged once per lexicon, and its positions share the one
+    ``TaggedToken`` of the lexicon's ``tokens`` memo."""
+    token_of = lexicon.tokens.__getitem__
+    return [list(map(token_of, tokens)) for tokens in sentences]
 
 
 def annotate_math(

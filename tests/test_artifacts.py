@@ -2,10 +2,12 @@
 they replaced, kept here as oracles: the same bytes, records and arrays."""
 
 import json
+import re
 import struct
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -139,6 +141,8 @@ def relation_lists(draw):
 class TestRelationsFile:
     @given(relation_lists())
     def test_same_bytes_and_records_as_the_old_code(self, tmp_path_factory, relations):
+        # the extract stage hands the writer its relations in the file's order
+        relations = sorted(relations, key=lambda r: (r.doc_id, r.identifier, r.definition))
         out = tmp_path_factory.mktemp("rel")
         write_relations(out, relations)
         old = out / "old.jsonl"
@@ -148,19 +152,40 @@ class TestRelationsFile:
         got, want = read_relations(out), old_read_relations(path)
         assert got == want
         assert [_bits(r.score) for r in got] == [_bits(r.score) for r in want]
-        written = sorted(relations, key=lambda r: (r.doc_id, r.identifier, r.definition))
-        assert [_bits(r.score) for r in got] == [_bits(r.score) for r in written]
+        assert [_bits(r.score) for r in got] == [_bits(r.score) for r in relations]
+
+    @given(relation_lists())
+    def test_written_in_the_order_given(self, tmp_path_factory, relations):
+        out = tmp_path_factory.mktemp("rel")
+        write_relations(out, iter(relations[::-1]))
+        got = read_relations(out)
+        assert got == relations[::-1]
+        assert [_bits(r.score) for r in got] == [_bits(r.score) for r in relations[::-1]]
 
     def test_a_subscripted_key_is_written_as_two_fields(self, tmp_path):
         relations = [
-            Relation("sigma_d", "standard deviation", 0.5, METHODS[0], doc_id="d"),
             Relation("sigma", "variance", 0.25, METHODS[0], doc_id="d"),
+            Relation("sigma_d", "standard deviation", 0.5, METHODS[0], doc_id="d"),
         ]
         write_relations(tmp_path, relations)
         lines = (tmp_path / "relations.jsonl").read_text().splitlines()
         fields = [(rec["identifier"], rec["subscript"]) for rec in map(json.loads, lines)]
         assert fields == [("sigma", None), ("sigma", "d")]
-        assert read_relations(tmp_path) == relations[::-1]
+        assert read_relations(tmp_path) == relations
+
+    @pytest.mark.parametrize("cut, needle", [
+        (lambda line: line[:30], "Unterminated string"),
+        (lambda line: line.replace('"method"', '"methods"'), "'method'"),
+        (lambda line: "[]", "list indices"),
+    ])
+    def test_a_bad_record_names_the_file_and_line(self, tmp_path, cut, needle):
+        relations = [Relation(f"x_{i}", "mass", 0.5, METHODS[0], doc_id="d") for i in range(3)]
+        write_relations(tmp_path, relations)
+        path = tmp_path / "relations.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:2] + [cut(lines[2])]), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ") + f".*{needle}"):
+            read_relations(tmp_path)
 
     def test_no_relations_is_an_empty_file(self, tmp_path):
         write_relations(tmp_path, [])
@@ -214,6 +239,26 @@ class TestMatrixFiles:
             want.doc_ids, want.vocab.dims, want.vocab.mode, want.vocab.n_docs)
         assert (got.row_norm, got.weighting, got.empty_docs) == (
             want.row_norm, want.weighting, want.empty_docs)
+
+
+    @pytest.mark.parametrize("change", [-1, -100, 1])
+    def test_an_entry_count_unlike_the_header_is_refused(self, tmp_path, change):
+        # ingest-long's file cut by 100 lines loaded its first 3 413 of 3 513 entries
+        rows, cols = np.divmod(np.arange(120), 12)
+        dm = DocMatrix(doc_ids=tuple(f"d{i}" for i in range(10)),
+                       vocab=Vocabulary(tuple(f"w{j}" for j in range(12)), "weak",
+                                        np.ones(12, dtype=np.int64), 10),
+                       matrix=_CSR.from_coo(rows, cols, np.linspace(0.5, 1.0, 120), (10, 12)),
+                       row_norm=True, weighting="tfidf")
+        dm.save(tmp_path)
+        path = tmp_path / "matrix.mtx"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines = lines[:change] if change < 0 else lines + ["1 1 0.5\n"]
+        path.write_text("".join(lines), encoding="utf-8")
+        found = 120 + change
+        with pytest.raises(ValueError, match=re.escape(f"{path}: the header's 120 entries, "
+                                                       f"but {found} entry lines")):
+            DocMatrix.load(tmp_path)
 
 
 def old_hierarchy_entry(name, cluster_id, hit) -> dict:

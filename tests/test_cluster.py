@@ -1,6 +1,7 @@
 """K-Means, MiniBatch, DBSCAN, SNN-DBSCAN, agglomerative."""
 
 import itertools
+import struct
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from mathns.cluster import (
     snn_dbscan,
 )
 from mathns.errors import EpsNotBelowK, KTooLarge, TooManyDocuments
+from mathns.idspace import _unwrap
 
 
 def optimal_partition_inertia(X: np.ndarray, K: int) -> float:
@@ -122,6 +124,24 @@ class TestKmeans:
         X = sp.csr_matrix(np.array([[0.0], [0.1], [10.0], [10.1]]))
         result = kmeans(X, 2, seed=0, n_restarts=4)
         assert result.inertia == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (8, 5), (5, 8)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_column_compressed_input_is_read_by_row(self, shape, seed):
+        # a CSC, or a transposed CSR, stores its columns; both k-means must
+        # read its rows as the CSR of the same matrix gives them, bit for bit
+        rng = np.random.default_rng(seed)
+        D = rng.random(shape) * (rng.random(shape) < 0.6)
+        K = 2
+        for run in (
+            lambda X: kmeans(X, K, seed=1, n_restarts=2),
+            lambda X: minibatch_kmeans(X, K, batch_size=3, iters=5, seed=1),
+        ):
+            want = run(sp.csr_matrix(D))
+            for X in (sp.csc_matrix(D), _unwrap(sp.csr_matrix(D.T)).T):
+                got = run(X)
+                np.testing.assert_array_equal(got.labels, want.labels)
+                assert struct.pack("<d", got.inertia) == struct.pack("<d", want.inertia)
 
     def test_deterministic(self):
         X = np.random.default_rng(1).standard_normal((30, 3))

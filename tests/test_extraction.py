@@ -397,6 +397,42 @@ def test_stats_stage_holds_one_documents_relations(monkeypatch, tmp_path, toy_co
     assert len(stats["definitions_per_document"]) == len(alive)
 
 
+class RelationProbe(Probe):
+    """A stand-in relation with every field the relations writer reads."""
+
+    def __init__(self, doc_id):
+        super().__init__(doc_id)
+        self.fields = Relation("x", "mass", 0.5, RANKER, doc_id)
+
+    def __getattr__(self, name):
+        return getattr(self.fields, name)
+
+    def __getitem__(self, i):
+        return self.fields[i]
+
+
+def test_extract_stage_holds_one_documents_relations(monkeypatch, tmp_path, toy_config_path):
+    """When the extract stage extracts document i, no relation of an earlier
+    document can be reached: each is written before the next document is
+    prepared, and the documents go in ``doc_id`` order."""
+    config = pipeline.PipelineConfig.load(toy_config_path, out=tmp_path / "out")
+    earlier, alive, order = [], [], []
+
+    def probed(doc, *args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in earlier))
+        probe = RelationProbe(doc.document.doc_id)
+        earlier.append(weakref.ref(probe))
+        order.append(probe.doc_id)
+        return [probe]
+
+    monkeypatch.setattr(pipeline, "extract_relations", probed)
+    pipeline.run_stage(config, "extract")
+    assert len(alive) > 1 and alive == [0] * len(alive)
+    assert order == sorted(order)
+    assert [r.doc_id for r in extraction.read_relations(config.output_dir)] == order
+
+
 def old_extract_ranker(doc, params, definition_stop=frozenset()):
     """``extract_relations``' ranker path as a loop: every candidate of
     every identifier ranked by the oracle, then those below the threshold

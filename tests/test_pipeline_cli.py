@@ -93,6 +93,18 @@ class TestPipelineArtifacts:
         hm = json.loads((out / "hierarchy_map.json").read_text())
         assert hm["scheme"] == "toy_hierarchy.json"
 
+    def test_corpus_order_changes_no_relation_or_stats_byte(self, toy_run, tmp_path):
+        # the extract stage walks the documents in doc_id order, whatever the file's
+        data = tmp_path / "reversed"
+        shutil.copytree(REPO / "demos" / "data", data, ignore=shutil.ignore_patterns("out"))
+        corpus = data / "toy_corpus.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        corpus.write_text("".join(lines[::-1]), encoding="utf-8")
+        config = PipelineConfig.load(data / "toy_config.json", out=tmp_path / "out")
+        run_pipeline(config)
+        for name in ("relations.jsonl", "stats.json"):
+            assert (config.output_dir / name).read_bytes() == (toy_run / name).read_bytes(), name
+
     def test_relations_jsonl_schema(self, toy_run):
         for line in (toy_run / "relations.jsonl").read_text().splitlines()[:5]:
             rec = json.loads(line)

@@ -26,7 +26,7 @@ from mathns.textproc import (
     Lexicon,
     TaggedToken,
     _TOKEN_RE,
-    _TokenTags,
+    _Tokens,
     annotate_math,
     chunk_phrases,
     pos_tag,
@@ -136,6 +136,35 @@ class TestPosTag:
         tagged = pos_tag(sentences, LEX)
         assert [len(s) for s in tagged] == [len(s) for s in sentences]
 
+    def test_equal_tokens_are_one_object(self):
+        # across sentences, documents and calls on one lexicon
+        lexicon = Lexicon.default()
+        first = f"The mean {P}0 is large. The mean is {P}1, is it?"
+        tagged = [pos_tag(tokenize_sentences(text), lexicon)
+                  for text in (first, "the mean of it. The end.", first)]
+        assert tagged[2] == tagged[0]
+        one: dict[str, TaggedToken] = {}
+        for token in (t for doc in tagged for sentence in doc for t in sentence):
+            assert one.setdefault(token.text, token) is token, token
+        assert len(one) == 13
+
+    def test_prepared_documents_share_the_lexicons_tokens(self):
+        # annotation and chunking pass the tokens they keep through
+        lexicon = Lexicon.default()
+        corpus = build_corpus([
+            {"doc_id": "a", "text": "Let $x$ be the mean of $y + z$. The mean is large."},
+            {"doc_id": "b", "text": "The [[ mass ]] is $m$, and the mean is $m$."},
+        ])
+        kept = [
+            token
+            for doc in corpus.documents
+            for sentence in prepare_document(doc, lexicon).sentences
+            for token in sentence
+            if token.tag not in (ID, MATH, LINK, NOUN_PHRASE)
+        ]
+        assert {"Let", "be", "the", "The", "is", ".", ","} <= {t.text for t in kept}
+        assert all(token is lexicon.tokens[token.text] for token in kept)
+
 
 def uncached_tag(lexicon: Lexicon, word: str) -> str:
     """Reference: the lexicon and suffix rules applied afresh to each word."""
@@ -166,7 +195,7 @@ class TestLexiconMemo:
         for word in words:
             assert lexicon.tag_word(word) == uncached_tag(LEX, word), word
         for word in words + words[::-1]:  # the second pass is served by the memo
-            assert lexicon.token_tags[word] == uncached_tag(LEX, word), word
+            assert lexicon.tokens[word].tag == uncached_tag(LEX, word), word
 
     def test_each_suffix_rule_is_hit(self):
         lexicon = Lexicon.default()
@@ -181,15 +210,15 @@ class TestLexiconMemo:
         lexicon = Lexicon({}, [("i\u0307s", NN)])
         upper, lower = "a\u0130s", "ai\u0307s"
         assert upper.lower() == lower
-        assert [lexicon.token_tags[w] for w in (lower, upper, lower)] == [NN, OTHER, NN]
+        assert [lexicon.tokens[w].tag for w in (lower, upper, lower)] == [NN, OTHER, NN]
         assert [uncached_tag(lexicon, w) for w in (lower, upper)] == [NN, OTHER]
 
     def test_rules_are_computed_once_per_word(self, monkeypatch):
         lexicon = Lexicon.default()
         calls = []
-        memo = lexicon.token_tags
+        memo = lexicon.tokens
         monkeypatch.setattr(memo, "tag_word", lambda w: calls.append(w) or lexicon.tag_word(w))
-        tags = [memo[w] for w in ("estimators", "the", "estimators", "The")]
+        tags = [memo[w].tag for w in ("estimators", "the", "estimators", "The")]
         assert tags == ["NNS", DT, "NNS", DT]
         assert calls == ["estimators", "the", "The"]
 
@@ -546,17 +575,18 @@ class TestTaggerMatchesTheOldLoops:
         lexicon = Lexicon.default()
         rules, missing = [], []
         monkeypatch.setattr(
-            lexicon.token_tags, "tag_word", lambda w: rules.append(w) or lexicon.tag_word(w)
+            lexicon.tokens, "tag_word", lambda w: rules.append(w) or lexicon.tag_word(w)
         )
-        token_tag = _TokenTags.__missing__
+        token_of = _Tokens.__missing__
         monkeypatch.setattr(
-            _TokenTags, "__missing__", lambda memo, t: missing.append(t) or token_tag(memo, t)
+            _Tokens, "__missing__", lambda memo, t: missing.append(t) or token_of(memo, t)
         )
         sentences = [["estimators", f"{P}0", "+", "the"], ["the", "estimators", f"{P}0", "The", "+"]]
         first = pos_tag(sentences, lexicon)
         assert pos_tag(sentences, lexicon) == first == old_pos_tag(sentences, LEX)
         assert missing == ["estimators", f"{P}0", "+", "the", "The"]
         assert rules == ["estimators", "the", "The"]  # no rules for placeholders or symbols
-        assert dict(lexicon.token_tags) == {
+        assert {text: token.tag for text, token in lexicon.tokens.items()} == {
             "estimators": NNS, f"{P}0": MATH, "+": SYM, "the": DT, "The": DT
         }
+        assert all(text == token.text for text, token in lexicon.tokens.items())
