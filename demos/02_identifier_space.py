@@ -8,7 +8,7 @@ shows what TF-IDF weighting does to a slightly larger corpus.
 
 import numpy as np
 
-from mathns import Relation, build_corpus, build_vocabulary, vectorize
+from mathns import Relation, build_corpus, vectorize
 from mathns.idspace import BINARY, IDENTIFIERS_ONLY, STRONG, TFIDF, WEAK
 
 
@@ -17,9 +17,8 @@ def rel(doc, ident, definition):
 
 
 def show(corpus, relations, mode):
-    vocab = build_vocabulary(relations, corpus, mode, min_df=2)
-    dm = vectorize(corpus, relations, vocab, BINARY, normalize=False)
-    print(f"\nmode = {mode}: dimensions {list(vocab.dims)}")
+    dm = vectorize(corpus, relations, mode, min_df=2, weighting=BINARY, normalize=False)
+    print(f"\nmode = {mode}: dimensions {list(dm.vocab.dims)}")
     dense = dm.matrix.toarray().astype(int)
     for doc_id, row in zip(dm.doc_ids, dense):
         print(f"  {doc_id}: {row}")
@@ -54,9 +53,10 @@ def main():
         ]
     )
     relations2 = [rel(d, "x", "value") for d in "abcd"]
-    vocab = build_vocabulary(relations2, corpus2, IDENTIFIERS_ONLY, min_df=2)
-    dm = vectorize(corpus2, relations2, vocab, TFIDF, normalize=False)
-    print(f"\nTF-IDF weights over dims {list(vocab.dims)} (x is everywhere, weight 0):")
+    dm = vectorize(
+        corpus2, relations2, IDENTIFIERS_ONLY, min_df=2, weighting=TFIDF, normalize=False
+    )
+    print(f"\nTF-IDF weights over dims {list(dm.vocab.dims)} (x is everywhere, weight 0):")
     print(np.round(dm.matrix.toarray(), 3))
 
 

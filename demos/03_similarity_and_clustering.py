@@ -10,7 +10,6 @@ from pathlib import Path
 from mathns import (
     SimilarityIndex,
     build_snn_graph,
-    build_vocabulary,
     default_stop_lists,
     drop_sparse_documents,
     extract_relations,
@@ -34,11 +33,10 @@ def main():
         relations.extend(
             extract_relations(prepared, "ranker", definition_stop=stops.definition_stop)
         )
-    vocab = build_vocabulary(relations, corpus, "weak", min_df=2)
-    dm = vectorize(corpus, relations, vocab, "tfidf", normalize=True).drop_empty()
+    dm = vectorize(corpus, relations, "weak", min_df=2, weighting="tfidf").drop_empty()
     labels = {d.doc_id: d.category for d in corpus.documents}
 
-    print(f"corpus: {len(corpus)} documents, {len(vocab)} dimensions")
+    print(f"corpus: {len(corpus)} documents, {len(dm.vocab)} dimensions")
 
     probe = 0
     neighbors = SimilarityIndex(dm, "cosine").query(probe, 4)

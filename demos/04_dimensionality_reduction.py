@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from mathns import (
-    build_vocabulary,
     default_stop_lists,
     drop_sparse_documents,
     extract_relations,
@@ -36,8 +35,7 @@ def main():
         relations.extend(
             extract_relations(prepared, "ranker", definition_stop=stops.definition_stop)
         )
-    vocab = build_vocabulary(relations, corpus, "weak", min_df=2)
-    dm = vectorize(corpus, relations, vocab, "tfidf", normalize=True).drop_empty()
+    dm = vectorize(corpus, relations, "weak", min_df=2, weighting="tfidf").drop_empty()
     labels = {d.doc_id: d.category for d in corpus.documents}
 
     factors = randomized_svd(dm.matrix.T, 5, seed=7)

@@ -52,7 +52,6 @@ from .extraction import (
 from .idspace import (
     DocMatrix,
     Vocabulary,
-    build_vocabulary,
     tfidf_weight,
     vectorize,
 )

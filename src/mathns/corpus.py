@@ -230,18 +230,9 @@ def normalize_identifier(symbol: str, stops: StopLists | None = None) -> str:
             raise ExcludedSymbol(f"{symbol!r} folds into an excluded block")
     if stops is not None and stops.is_stopped_symbol(folded):
         raise ExcludedSymbol(f"{symbol!r} is stop-listed")
-    if len(folded) == 1:
-        ch = folded[0]
-        if ch in _GREEK_CHAR_TO_NAME:
-            base = _GREEK_CHAR_TO_NAME[ch]
-        elif ch.isalpha():
-            base = ch
-        else:
-            raise ExcludedSymbol(f"{symbol!r} is not a letter symbol")
-    else:
-        if not folded.isalpha():
-            raise ExcludedSymbol(f"{symbol!r} is not a letter symbol")
-        base = folded
+    base = _GREEK_CHAR_TO_NAME.get(folded, folded)
+    if not base.isalpha():
+        raise ExcludedSymbol(f"{symbol!r} is not a letter symbol")
     if stops is not None and stops.is_stopped_symbol(base):
         raise ExcludedSymbol(f"{symbol!r} normalizes to a stop-listed base")
     return base

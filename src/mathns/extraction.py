@@ -63,11 +63,14 @@ def write_relations(out_dir: str | Path, relations: Iterable[Relation]) -> None:
     each written as it comes; the extract stage gives them sorted by
     document, identifier key and definition.  ``read_relations`` reads it back."""
     encode = functools.cache(json.dumps)  # each distinct string is encoded once
+    last_id, id_json = object(), ""  # but a doc_id once per run of its relations
     with open(Path(out_dir) / RELATIONS_FILE, "w", encoding="utf-8") as fh:
         for key, definition, score, method, doc_id in relations:  # unpacked: keeps no relation
             base, sub = split_key(key)
+            if doc_id != last_id:
+                last_id, id_json = doc_id, json.dumps(doc_id)
             # the fields in sorted-key order; a finite float's JSON is its repr
-            fields = encode(definition), encode(doc_id), encode(base), encode(method)
+            fields = encode(definition), id_json, encode(base), encode(method)
             fh.write(_RECORD_LINE % (*fields, float.__repr__(score), encode(sub)))
 
 

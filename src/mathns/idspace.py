@@ -250,28 +250,16 @@ def doc_features(
     return features
 
 
-def build_vocabulary(
-    relations: Iterable[Relation],
-    corpus: Corpus,
-    mode: str = IDENTIFIERS_ONLY,
-    min_df: int = 2,
-) -> Vocabulary:
-    """Collect dimensions over the corpus, dropping df < min_df."""
-    grouped = _relations_by_doc(relations)
-    tokens = functools.cache(definition_tokens)
+def build_vocabulary(features: Iterable[Counter], mode: str, min_df: int) -> Vocabulary:
+    """The dimensions of df >= min_df, from each document's feature counts."""
     df: Counter = Counter()
-    for doc in corpus.documents:
-        features = doc_features(doc, grouped.get(doc.doc_id, []), mode, tokens)
-        df.update(features.keys())
+    n_docs = 0
+    for n_docs, doc in enumerate(features, start=1):
+        df.update(doc.keys())
     dims = tuple(sorted(dim for dim, count in df.items() if count >= min_df))
     if not dims:
         raise EmptyVocabulary(f"no dimension reaches min_df={min_df}")
-    return Vocabulary(
-        dims=dims,
-        mode=mode,
-        df=np.array([df[d] for d in dims], dtype=np.int64),
-        n_docs=len(corpus.documents),
-    )
+    return Vocabulary(dims, mode, np.array([df[d] for d in dims], dtype=np.int64), n_docs)
 
 
 MATRIX_FILE = "matrix.mtx"
@@ -338,8 +326,14 @@ class DocMatrix:
         if (found := len(lines) - 2) != nnz:  # a file cut short would load as another matrix
             raise ValueError(f"{path}: the header's {nnz} entries, but {found} entry lines")
         entries = [line.split() for line in lines[2:]]
-        rows, cols = ([int(entry[k]) - 1 for entry in entries] for k in (0, 1))
-        matrix = _CSR.from_coo(rows, cols, np.array([float(v) for _, _, v in entries]), (m, n))
+        rows, cols = (np.array([int(entry[k]) for entry in entries], dtype=np.intp) for k in (0, 1))
+        outside = (rows < 1) | (rows > m) | (cols < 1) | (cols > n)
+        if outside.any():  # it would load as a matrix of another shape, or not at all
+            k = int(np.argmax(outside))
+            raise ValueError(f"{path}, line {k + 3}: entry ({rows[k]}, {cols[k]}) outside "
+                             f"the header's {m} x {n} shape")
+        data = np.array([float(v) for _, _, v in entries])
+        matrix = _CSR.from_coo(rows - 1, cols - 1, data, (m, n))
         df = np.array(meta["df"], dtype=np.int64)
         vocab = Vocabulary(tuple(meta["dims"]), meta["mode"], df, meta["n_docs"])
         return cls(tuple(meta["doc_ids"]), vocab, matrix, meta["row_norm"], meta["weighting"],
@@ -349,34 +343,47 @@ class DocMatrix:
 def vectorize(
     corpus: Corpus,
     relations: Iterable[Relation],
-    vocab: Vocabulary,
+    mode: str = IDENTIFIERS_ONLY,
+    min_df: int = 2,
     weighting: str = TFIDF,
     normalize: bool = True,
 ) -> DocMatrix:
-    """Weight the corpus into a sparse matrix over the vocabulary.
+    """Build the vocabulary of the corpus and weight it into a sparse matrix.
 
-    Rows are L2-normalized when requested; documents whose row ends up
-    empty are flagged so clustering can exclude them.
+    Two walks make each document's features: the first counts document
+    frequencies, the second weights the kept dimensions.  Making the
+    features twice holds one document's at a time, where one walk would
+    hold the whole corpus's until df is known; one memo splits each
+    definition once for both.  Rows are L2-normalized when requested;
+    documents whose row ends up empty are flagged so clustering can
+    exclude them.
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
     grouped = _relations_by_doc(relations)
+    tokens = functools.cache(definition_tokens)
+
+    def walk():
+        for doc in corpus.documents:
+            yield doc_features(doc, grouped.get(doc.doc_id, ()), mode, tokens)
+
+    vocab = build_vocabulary(walk(), mode, min_df)
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
-    doc_ids = tuple(doc.doc_id for doc in corpus.documents)
-    tokens = functools.cache(definition_tokens)
-    for i, doc in enumerate(corpus.documents):
-        features = doc_features(doc, grouped.get(doc.doc_id, []), vocab.mode, tokens)
+    for i, features in enumerate(walk()):
         for dim, count in features.items():
             j = vocab.index.get(dim)
-            if j is not None:
+            if j is None:
+                continue
+            weight = term_weight(count, int(vocab.df[j]), vocab.n_docs, weighting)
+            if weight:  # a zero weight is not stored
                 rows.append(i)
                 cols.append(j)
-                data.append(term_weight(count, int(vocab.df[j]), vocab.n_docs, weighting))
+                data.append(weight)
     # canonical CSR: each row sorted by column, so row sums add in column order
-    shape = (len(doc_ids), len(vocab))
-    matrix = _CSR.from_coo(rows, cols, np.array(data, dtype=float), shape).without_zeros()
+    doc_ids = tuple(doc.doc_id for doc in corpus.documents)
+    matrix = _CSR.from_coo(rows, cols, np.array(data, dtype=float), (len(doc_ids), len(vocab)))
     row_nnz = np.diff(matrix.indptr)
     if normalize:
         norms = np.sqrt(matrix.sq_sums(axis=1))

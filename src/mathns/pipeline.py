@@ -293,10 +293,7 @@ def stage_extract(config: PipelineConfig) -> None:
 def stage_vectorize(config: PipelineConfig) -> None:
     corpus = _load_corpus(config)
     relations = read_relations(config.output_dir)
-    vocab = idspace.build_vocabulary(
-        relations, corpus, config.association, config.min_df
-    )
-    dm = idspace.vectorize(corpus, relations, vocab, config.weighting, normalize=True)
+    dm = idspace.vectorize(corpus, relations, config.association, config.min_df, config.weighting)
     dm.save(config.output_dir)
 
 

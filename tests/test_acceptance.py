@@ -28,7 +28,6 @@ from mathns.idspace import (
     IDENTIFIERS_ONLY,
     STRONG,
     WEAK,
-    build_vocabulary,
     tfidf_weight,
     vectorize,
 )
@@ -115,10 +114,9 @@ def test_identifier_space_golden():
     ]
 
     def columns(mode):
-        vocab = build_vocabulary(relations, corpus, mode, min_df=2)
-        dm = vectorize(corpus, relations, vocab, BINARY, normalize=False)
+        dm = vectorize(corpus, relations, mode, min_df=2, weighting=BINARY, normalize=False)
         dense = np.asarray(as_scipy(dm.matrix).todense())
-        return {dim: tuple(dense[:, j].astype(int)) for j, dim in enumerate(vocab.dims)}
+        return {dim: tuple(dense[:, j].astype(int)) for j, dim in enumerate(dm.vocab.dims)}
 
     none_cols = columns(IDENTIFIERS_ONLY)
     assert none_cols == {"E": (1, 0, 1), "m": (1, 1, 0), "c": (1, 1, 0)}

@@ -4,6 +4,7 @@ they replaced, kept here as oracles: the same bytes, records and arrays."""
 import json
 import re
 import struct
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -187,6 +188,29 @@ class TestRelationsFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ") + f".*{needle}"):
             read_relations(tmp_path)
 
+    def test_a_doc_id_is_let_go_once_its_relations_are_written(self, tmp_path):
+        class DocId(str):  # a str that can be weakly referenced
+            pass
+
+        ids = [DocId(f"d{k}") for k in range(4)]
+        refs = [weakref.ref(doc_id) for doc_id in ids]
+        alive = []
+
+        def relations():
+            for k in range(4):
+                doc_id = ids.pop(0)  # the only reference left is this one
+                yield Relation("x", "mass", 0.5, METHODS[0], doc_id=doc_id)
+                if k:  # the writer has written document k's first relation
+                    alive.append(refs[k - 1]() is not None)
+                yield Relation("y_1", "speed", 0.25, METHODS[1], doc_id=doc_id)
+
+        write_relations(tmp_path, relations())
+        assert alive == [False, False, False]
+        plain = [rel._replace(doc_id=f"d{k}") for k in range(4) for rel in (
+            Relation("x", "mass", 0.5, METHODS[0]), Relation("y_1", "speed", 0.25, METHODS[1]))]
+        old_write_relations(tmp_path / "old.jsonl", plain)
+        assert (tmp_path / "relations.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
     def test_no_relations_is_an_empty_file(self, tmp_path):
         write_relations(tmp_path, [])
         assert (tmp_path / "relations.jsonl").read_bytes() == b""
@@ -258,6 +282,24 @@ class TestMatrixFiles:
         found = 120 + change
         with pytest.raises(ValueError, match=re.escape(f"{path}: the header's 120 entries, "
                                                        f"but {found} entry lines")):
+            DocMatrix.load(tmp_path)
+
+    @pytest.mark.parametrize("last, needle", [
+        ("5 1 0.5", "entry (5, 1)"),  # loaded with indptr [0, 2, 2, 2, 2, 3]
+        ("1 9 0.5", "entry (1, 9)"),
+        ("0 1 0.5", "entry (0, 1)"),  # numpy's error named no file
+    ])
+    def test_an_entry_outside_the_header_shape_is_refused(self, tmp_path, last, needle):
+        dm = DocMatrix(doc_ids=("a", "b"),
+                       vocab=Vocabulary(("u", "v", "w"), "weak", np.ones(3, dtype=np.int64), 2),
+                       matrix=_CSR.from_coo([0, 0, 1], [0, 2, 1], [0.25, 0.5, 1.0], (2, 3)),
+                       row_norm=False, weighting="tf")
+        dm.save(tmp_path)
+        path = tmp_path / "matrix.mtx"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:-1] + [last]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 5: {needle} outside the "
+                                                       "header's 2 x 3 shape")):
             DocMatrix.load(tmp_path)
 
 

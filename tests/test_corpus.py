@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from mathns.corpus import (
     _ASCII_OPERATORS,
+    _GREEK_CHAR_TO_NAME,
     _GREEK_VARIANTS,
+    _fold_symbol,
+    _in_excluded_block,
     _strip_wrappers,
     _subscript_text,
     GREEK_COMMANDS,
@@ -352,7 +355,58 @@ class TestExtractIdentifiers:
         assert all(isinstance(i, str) for i in ids) and skipped >= 0
 
 
+def old_normalize_identifier(symbol: str, stops: StopLists | None = None) -> str:
+    """Reference: ``normalize_identifier`` with its one-character and
+    many-character branches, before they became one lookup and one test."""
+    if not symbol:
+        raise ExcludedSymbol("empty symbol")
+    for ch in symbol:
+        if _in_excluded_block(ch):
+            raise ExcludedSymbol(f"{symbol!r} is in an excluded Unicode block")
+    folded = _fold_symbol(symbol)
+    if not folded:
+        raise ExcludedSymbol(f"{symbol!r} folds to nothing")
+    for ch in folded:
+        if _in_excluded_block(ch):
+            raise ExcludedSymbol(f"{symbol!r} folds into an excluded block")
+    if stops is not None and stops.is_stopped_symbol(folded):
+        raise ExcludedSymbol(f"{symbol!r} is stop-listed")
+    if len(folded) == 1:
+        ch = folded[0]
+        if ch in _GREEK_CHAR_TO_NAME:
+            base = _GREEK_CHAR_TO_NAME[ch]
+        elif ch.isalpha():
+            base = ch
+        else:
+            raise ExcludedSymbol(f"{symbol!r} is not a letter symbol")
+    else:
+        if not folded.isalpha():
+            raise ExcludedSymbol(f"{symbol!r} is not a letter symbol")
+        base = folded
+    if stops is not None and stops.is_stopped_symbol(base):
+        raise ExcludedSymbol(f"{symbol!r} normalizes to a stop-listed base")
+    return base
+
+
+def _normalized(normalize, symbol, stops):
+    try:
+        return normalize(symbol, stops)
+    except ExcludedSymbol as exc:
+        return f"ExcludedSymbol: {exc}"
+
+
 class TestNormalizeIdentifier:
+    @settings(max_examples=500)
+    @given(st.one_of(st.characters(), st.text(st.characters(), max_size=4)),
+           st.sampled_from([None, STOPS]))
+    @example("\u03c3", None)  # one character, named
+    @example("\U0001D6D1", STOPS)  # bold pi folds to a named one
+    @example("\u00b2", None)  # superscript two folds to a digit
+    @example("ab", STOPS)
+    def test_same_result_as_the_two_branches(self, symbol, stops):
+        want = _normalized(old_normalize_identifier, symbol, stops)
+        assert _normalized(normalize_identifier, symbol, stops) == want
+
     def test_bold_w_folds(self):
         assert normalize_identifier("\U0001D430") == "w"
 

@@ -1,6 +1,8 @@
 """Vocabulary construction, weighting and the sparse document matrix."""
 
+import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,17 +23,18 @@ from mathns.idspace import (
     WEAK,
     WEIGHTINGS,
     DocMatrix,
+    Vocabulary,
     _CSR,
     _as_csr,
     _relations_by_doc,
     _unwrap,
-    build_vocabulary,
     doc_features,
     term_weight,
     tfidf_weight,
     vectorize,
 )
 from mathns.simindex import INNER, SimilarityIndex
+from mathns.stemming import definition_tokens
 
 from conftest import as_scipy
 
@@ -69,24 +72,24 @@ def emc_corpus():
 class TestBuildVocabulary:
     def test_weak_mode_dims(self, emc_corpus):
         corpus, relations = emc_corpus
-        vocab = build_vocabulary(relations, corpus, WEAK, min_df=2)
+        vocab = vectorize(corpus, relations, WEAK, min_df=2).vocab
         assert set(vocab.dims) == {"E", "m", "c", "energy", "mass", "speed", "light"}
 
     def test_strong_mode_dims(self, emc_corpus):
         corpus, relations = emc_corpus
-        vocab = build_vocabulary(relations, corpus, STRONG, min_df=2)
+        vocab = vectorize(corpus, relations, STRONG, min_df=2).vocab
         assert set(vocab.dims) == {"E_energy", "m_mass", "c_speed", "c_light"}
 
     def test_min_df_drops_rare_dim(self, emc_corpus):
         corpus, relations = emc_corpus
         relations = relations + [rel("d3", "E", "expectation")]
-        vocab = build_vocabulary(relations, corpus, WEAK, min_df=2)
+        vocab = vectorize(corpus, relations, WEAK, min_df=2).vocab
         assert "expectation" not in vocab.dims
 
     def test_empty_vocabulary_raises(self, emc_corpus):
         corpus, relations = emc_corpus
         with pytest.raises(EmptyVocabulary):
-            build_vocabulary(relations, corpus, WEAK, min_df=10)
+            vectorize(corpus, relations, WEAK, min_df=10)
 
 
 class TestTfidfWeight:
@@ -126,18 +129,16 @@ class TestTfidfWeight:
 class TestVectorize:
     def test_identifiers_only_matrix(self, emc_corpus):
         corpus, relations = emc_corpus
-        vocab = build_vocabulary(relations, corpus, IDENTIFIERS_ONLY, min_df=2)
-        dm = vectorize(corpus, relations, vocab, BINARY, normalize=False)
+        dm = vectorize(corpus, relations, IDENTIFIERS_ONLY, 2, BINARY, normalize=False)
         dense = np.asarray(as_scipy(dm.matrix).todense())
-        cols = {dim: dense[:, j].tolist() for j, dim in enumerate(vocab.dims)}
+        cols = {dim: dense[:, j].tolist() for j, dim in enumerate(dm.vocab.dims)}
         assert cols["E"] == [1, 0, 1]
         assert cols["m"] == [1, 1, 0]
         assert cols["c"] == [1, 1, 0]
 
     def test_single_doc_normalized(self):
         corpus = build_corpus([{"doc_id": "d", "text": "$x$ $x$"}])
-        vocab = build_vocabulary([rel("d", "x", "thing")], corpus, IDENTIFIERS_ONLY, min_df=1)
-        dm = vectorize(corpus, [rel("d", "x", "thing")], vocab, TF, normalize=True)
+        dm = vectorize(corpus, [rel("d", "x", "thing")], IDENTIFIERS_ONLY, 1, TF, normalize=True)
         assert as_scipy(dm.matrix)[0, 0] == pytest.approx(1.0)
 
     def test_dense_oracle_counts(self):
@@ -148,20 +149,18 @@ class TestVectorize:
         ]
         corpus = build_corpus(docs)
         relations = [rel(d["doc_id"], "x", "dummy") for d in docs]
-        vocab = build_vocabulary(relations, corpus, IDENTIFIERS_ONLY, min_df=1)
-        dm = vectorize(corpus, relations, vocab, TF, normalize=False)
+        dm = vectorize(corpus, relations, IDENTIFIERS_ONLY, 1, TF, normalize=False)
         dense = np.asarray(as_scipy(dm.matrix).todense())
         # brute-force count table built directly from the raw text
         expected = np.zeros_like(dense)
         for i, d in enumerate(docs):
-            for j, dim in enumerate(vocab.dims):
+            for j, dim in enumerate(dm.vocab.dims):
                 expected[i, j] = d["text"].count(f"${dim}$")
         np.testing.assert_array_equal(dense, expected)
 
     def test_normalized_rows_unit_length(self, emc_corpus):
         corpus, relations = emc_corpus
-        vocab = build_vocabulary(relations, corpus, WEAK, min_df=1)
-        dm = vectorize(corpus, relations, vocab, TFIDF, normalize=True)
+        dm = vectorize(corpus, relations, WEAK, 1, TFIDF, normalize=True)
         dense = np.asarray(as_scipy(dm.matrix).todense())
         for row in dense:
             norm = np.linalg.norm(row)
@@ -170,8 +169,7 @@ class TestVectorize:
 
     def test_cosine_equals_inner_for_normalized(self, emc_corpus):
         corpus, relations = emc_corpus
-        vocab = build_vocabulary(relations, corpus, WEAK, min_df=1)
-        dm = vectorize(corpus, relations, vocab, TF, normalize=True)
+        dm = vectorize(corpus, relations, WEAK, 1, TF, normalize=True)
         dense = np.asarray(as_scipy(dm.matrix).todense())
         for i in range(3):
             for j in range(3):
@@ -190,24 +188,21 @@ class TestVectorize:
             ]
         )
         relations = [rel("a", "x", "value0"), rel("b", "q", "value1")]
-        vocab = build_vocabulary(relations, corpus, IDENTIFIERS_ONLY, min_df=2)
         # q occurs in one doc only: with min_df=2 doc b has no dims left
-        dm = vectorize(corpus, relations, vocab, TF, normalize=True)
+        dm = vectorize(corpus, relations, IDENTIFIERS_ONLY, 2, TF, normalize=True)
         assert dm.empty_docs == ("b",)
         assert dm.drop_empty().doc_ids == ("a", "c")
 
     def test_nonzeros_match_doc_dims(self, emc_corpus):
         corpus, relations = emc_corpus
-        vocab = build_vocabulary(relations, corpus, IDENTIFIERS_ONLY, min_df=1)
-        dm = vectorize(corpus, relations, vocab, BINARY, normalize=False)
+        dm = vectorize(corpus, relations, IDENTIFIERS_ONLY, 1, BINARY, normalize=False)
         row = as_scipy(dm.matrix).getrow(1)  # d2 = {m, c}
-        present = {vocab.dims[j] for j in row.indices}
+        present = {dm.vocab.dims[j] for j in row.indices}
         assert present == {"m", "c"}
 
     def test_matrix_market_roundtrip(self, emc_corpus, tmp_path):
         corpus, relations = emc_corpus
-        vocab = build_vocabulary(relations, corpus, WEAK, min_df=1)
-        dm = vectorize(corpus, relations, vocab, TFIDF, normalize=True)
+        dm = vectorize(corpus, relations, WEAK, 1, TFIDF, normalize=True)
         dm.save(tmp_path)
         lines = (tmp_path / "matrix.mtx").read_text().splitlines()
         m, n, nnz = (int(x) for x in lines[1].split())
@@ -216,6 +211,34 @@ class TestVectorize:
         back = DocMatrix.load(tmp_path)
         assert back.matrix.data.tobytes() == dm.matrix.data.tobytes()
         assert (back.doc_ids, back.weighting, back.row_norm) == (dm.doc_ids, TFIDF, True)
+
+    @pytest.mark.parametrize("mode", [WEAK, STRONG])
+    def test_each_definition_is_tokenized_once(self, emc_corpus, monkeypatch, mode):
+        corpus, relations = emc_corpus
+        calls = Counter()
+
+        def counted(definition):
+            calls[definition] += 1
+            return definition_tokens(definition)
+
+        monkeypatch.setattr("mathns.idspace.definition_tokens", counted)
+        vectorize(corpus, relations, mode, 1, TFIDF)
+        assert calls == Counter({"energy": 1, "mass": 1, "speed of light": 1})
+
+
+def old_build_vocabulary(relations, corpus, mode, min_df):
+    """Reference: the vocabulary step that ``vectorize`` now makes itself,
+    from its own grouping and its own walk over the documents."""
+    grouped = _relations_by_doc(relations)
+    tokens = functools.cache(definition_tokens)
+    df: Counter = Counter()
+    for doc in corpus.documents:
+        df.update(doc_features(doc, grouped.get(doc.doc_id, []), mode, tokens).keys())
+    dims = tuple(sorted(dim for dim, count in df.items() if count >= min_df))
+    if not dims:
+        raise EmptyVocabulary(f"no dimension reaches min_df={min_df}")
+    return Vocabulary(dims, mode, np.array([df[d] for d in dims], dtype=np.int64),
+                      len(corpus.documents))
 
 
 def old_vectorize(corpus, relations, vocab, weighting=TFIDF, normalize=True):
@@ -276,11 +299,15 @@ class TestVectorizeMatchesOldArrays:
     def test_same_bits_as_old_vectorize(self, mode, weighting, normalize, drawn, min_df):
         corpus, relations = drawn
         try:
-            vocab = build_vocabulary(relations, corpus, mode, min_df)
+            vocab = old_build_vocabulary(relations, corpus, mode, min_df)
         except EmptyVocabulary:
+            with pytest.raises(EmptyVocabulary):
+                vectorize(corpus, relations, mode, min_df, weighting, normalize)
             assume(False)
-        got = vectorize(corpus, relations, vocab, weighting, normalize)
-        want = old_vectorize(corpus, relations, vocab, weighting, normalize)
+        got = vectorize(corpus, relations, mode, min_df, weighting, normalize)
+        assert got.vocab.dims == vocab.dims and got.vocab.df.tolist() == vocab.df.tolist()
+        assert (got.vocab.mode, got.vocab.n_docs) == (vocab.mode, vocab.n_docs)
+        want = old_vectorize(corpus, relations, got.vocab, weighting, normalize)
         want.matrix.sort_indices()
         assert as_scipy(got.matrix).has_canonical_format
         assert got.matrix.shape == want.matrix.shape
@@ -291,9 +318,8 @@ class TestVectorizeMatchesOldArrays:
 
     def test_storage_order_is_canonical_where_the_old_product_was_not(self, emc_corpus):
         corpus, relations = emc_corpus
-        vocab = build_vocabulary(relations, corpus, WEAK, min_df=1)
-        got = vectorize(corpus, relations, vocab, TFIDF, normalize=True)
-        want = old_vectorize(corpus, relations, vocab, TFIDF, normalize=True)
+        got = vectorize(corpus, relations, WEAK, 1, TFIDF, normalize=True)
+        want = old_vectorize(corpus, relations, got.vocab, TFIDF, normalize=True)
         assert as_scipy(got.matrix).has_canonical_format and not want.matrix.has_sorted_indices
         want.matrix.sort_indices()
         assert got.matrix.data.tobytes() == want.matrix.data.tobytes()
@@ -301,9 +327,8 @@ class TestVectorizeMatchesOldArrays:
     def test_zero_weights_are_not_stored(self):
         # x is in every document, so its idf ln(2/2) and every weight of it are 0
         corpus = build_corpus([{"doc_id": "a", "text": "$x$ $y$"}, {"doc_id": "b", "text": "$x$"}])
-        vocab = build_vocabulary([], corpus, IDENTIFIERS_ONLY, min_df=1)
-        dm = vectorize(corpus, [], vocab, TFIDF, normalize=False)
-        assert dm.matrix.nnz == 1 and as_scipy(dm.matrix)[0, vocab.index["y"]] > 0
+        dm = vectorize(corpus, [], IDENTIFIERS_ONLY, 1, TFIDF, normalize=False)
+        assert dm.matrix.nnz == 1 and as_scipy(dm.matrix)[0, dm.vocab.index["y"]] > 0
         assert dm.empty_docs == ("b",)
 
 
