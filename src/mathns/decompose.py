@@ -29,9 +29,6 @@ class SvdFactors:
         """Rows of V scaled by the singular values."""
         return self.V * self.S
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.S) @ self.V.T
-
 
 def randomized_svd(
     D,

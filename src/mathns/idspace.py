@@ -319,10 +319,14 @@ class DocMatrix:
     def load(cls, out_dir: str | Path) -> "DocMatrix":
         """The matrix ``save`` wrote, with the same arrays: each value's
         ``repr`` reads back to the same float."""
-        meta = json.loads((Path(out_dir) / META_FILE).read_text(encoding="utf-8"))
-        path = Path(out_dir) / MATRIX_FILE
+        meta_path, path = Path(out_dir) / META_FILE, Path(out_dir) / MATRIX_FILE
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
         lines = path.read_text(encoding="utf-8").splitlines()
         m, n, nnz = (int(x) for x in lines[1].split())
+        counts = tuple(len(meta[key]) for key in ("doc_ids", "dims", "df"))
+        if counts != (m, n, n):  # labels zip doc_ids with the rows, and would lose the rest
+            raise ValueError(f"{meta_path}: {counts[0]} doc_ids, {counts[1]} dims and "
+                             f"{counts[2]} df for the {m} x {n} matrix in {path}")
         if (found := len(lines) - 2) != nnz:  # a file cut short would load as another matrix
             raise ValueError(f"{path}: the header's {nnz} entries, but {found} entry lines")
         entries = [line.split() for line in lines[2:]]
@@ -334,6 +338,13 @@ class DocMatrix:
                              f"the header's {m} x {n} shape")
         data = np.array([float(v) for _, _, v in entries])
         matrix = _CSR.from_coo(rows - 1, cols - 1, data, (m, n))
+        r, c = matrix.coords()
+        repeated = (r[1:] == r[:-1]) & (c[1:] == c[:-1])
+        if repeated.any():  # row sums assume unique columns per row
+            p = int(np.argmax(repeated))
+            first, later = np.flatnonzero((rows == r[p] + 1) & (cols == c[p] + 1))[:2] + 3
+            raise ValueError(f"{path}, line {later}: entry ({r[p] + 1}, {c[p] + 1}) "
+                             f"repeats line {first}")
         df = np.array(meta["df"], dtype=np.int64)
         vocab = Vocabulary(tuple(meta["dims"]), meta["mode"], df, meta["n_docs"])
         return cls(tuple(meta["doc_ids"]), vocab, matrix, meta["row_norm"], meta["weighting"],

@@ -24,13 +24,13 @@ from .stemming import definition_tokens
 OTHERS = "OTHERS"
 
 
-def levenshtein(a: str, b: str, cutoff: int | None = None) -> int:
-    """Edit distance; with a cutoff, ``min(distance, cutoff + 1)`` from the band
-    ``|i - j| <= cutoff``: cells outside it hold the cap, which is exact as a
-    cell's distance is at least ``|i - j|``, and a row all at the cap ends it."""
+def levenshtein(a: str, b: str, cutoff: int) -> int:
+    """``min(edit distance, cutoff + 1)``, from the band ``|i - j| <= cutoff``:
+    cells outside it hold the cap, which is exact as a cell's distance is at
+    least ``|i - j|``, and a row all at the cap ends it."""
     if len(a) < len(b):
         a, b = b, a
-    cap = (len(a) if cutoff is None else cutoff) + 1
+    cap = cutoff + 1
     previous = [min(j, cap) for j in range(len(b) + 1)]
     for i, ca in enumerate(a, start=1):
         current = [min(i, cap)] + [cap] * len(b)
@@ -43,18 +43,12 @@ def levenshtein(a: str, b: str, cutoff: int | None = None) -> int:
     return previous[-1]
 
 
-def levenshtein_ratio(a: str, b: str) -> float:
-    """Normalized similarity: 1 - distance / max length."""
-    if not a and not b:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / max(len(a), len(b))
-
-
 def _ratio_at_least(a: str, b: str, threshold: float) -> bool:
-    """``levenshtein_ratio(a, b) >= threshold``.  The length gap bounds the
-    distance from below, and is the distance when one string prefixes the
-    other; else the DP is cut off past the largest passing distance, which
-    is exact because ``1 - d / m`` is monotone in ``d``."""
+    """Does the ratio ``1 - distance / max length`` (1.0 for two empty
+    strings) reach ``threshold``?  The length gap bounds the distance from
+    below, and is the distance when one string prefixes the other; else the
+    DP is cut off past the largest passing distance, which is exact because
+    the ratio is monotone in the distance."""
     m = max(len(a), len(b), 1)  # two empty strings pass as a ratio of 1.0
     if 1.0 - abs(len(a) - len(b)) / m < threshold:
         return False
@@ -75,17 +69,6 @@ def _token_set_pairs(a: str, b: str, ta: frozenset, tb: frozenset) -> list[tuple
         return [(s1, s2)]
     s0 = " ".join(inter)
     return [(s0, s1), (s0, s2), (s1, s2)]
-
-
-def token_set_ratio(a: str, b: str) -> float:
-    """Fuzzy similarity over stemmed, token-sorted strings.
-
-    Shared tokens are factored out so that a phrase fully contained in
-    another ("variance" vs "population variance") scores 1.0.
-    """
-    ta = frozenset(definition_tokens(a))
-    tb = frozenset(definition_tokens(b))
-    return max(levenshtein_ratio(x, y) for x, y in _token_set_pairs(a, b, ta, tb))
 
 
 def merge_exact(pairs: Iterable[Relation]) -> dict[str, list[tuple[str, float]]]:
@@ -142,7 +125,7 @@ def merge_fuzzy(
     threshold (transitively); a group's score is the member sum and its
     label the highest-scoring member, ties lexicographic.
 
-    These are the groups of ``token_set_ratio`` over all pairs, found
+    These are the groups of the token-set ratio over all pairs, found
     with less work: ``memo`` (shared by the namespaces stage) tokenizes
     each definition and decides each pair once; a pair already in one
     group is skipped, as its union would be a no-op; and

@@ -1,4 +1,4 @@
-"""Similarity measures, blocked sparse-product kNN and shared-nearest-neighbor.
+"""Blocked sparse-product kNN under four measures, and shared-nearest-neighbor.
 
 One kernel scores a block of rows against every document: the terms of
 ``csr[s:e] @ csc.T`` (Gustavson's row-by-row product), added per pair in
@@ -13,12 +13,11 @@ outranks every one that does not, even at a score of 0 or below.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .idspace import _CSR, _as_csr, _ranges, _sums, _unwrap
+from .idspace import _CSR, _as_csr, _ranges, _sums
 
 COSINE = "cosine"
 INNER = "inner"
@@ -32,60 +31,6 @@ DISTANCE_MEASURES = frozenset({EUCLIDEAN})
 # Dense cells per kernel block: 128 KB per float64 temporary.  At 600
 # documents, 512 KB blocks raised the process's peak RSS by 0.5 MB.
 BLOCK_CELLS = 1 << 14
-
-
-class ZeroVectorWarning(UserWarning):
-    """Cosine or Jaccard of a zero vector; defined to 0 by convention."""
-
-
-def _dense(v) -> np.ndarray:
-    v = _unwrap(v)
-    if isinstance(v, _CSR):
-        return v.toarray().ravel()
-    return np.asarray(v, dtype=float).ravel()
-
-
-def cosine(a, b) -> float:
-    x, y = _dense(a), _dense(b)
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        warnings.warn("cosine of a zero vector", ZeroVectorWarning, stacklevel=2)
-        return 0.0
-    return float(np.dot(x, y) / (nx * ny))
-
-
-def inner(a, b) -> float:
-    return float(np.dot(_dense(a), _dense(b)))
-
-
-def jaccard(a, b) -> float:
-    """Jaccard coefficient of the binarized vectors."""
-    x, y = _dense(a) != 0, _dense(b) != 0
-    union = int(np.sum(x | y))
-    if union == 0:
-        warnings.warn("Jaccard of a zero vector", ZeroVectorWarning, stacklevel=2)
-        return 0.0
-    return float(np.sum(x & y) / union)
-
-
-def euclidean_distance(a, b) -> float:
-    return float(np.linalg.norm(_dense(a) - _dense(b)))
-
-
-_MEASURE_FUNCS = {
-    COSINE: cosine,
-    INNER: inner,
-    JACCARD: jaccard,
-    EUCLIDEAN: euclidean_distance,
-}
-
-
-def similarity(measure: str, a, b) -> float:
-    """Dispatch to one of the supported measures."""
-    try:
-        return _MEASURE_FUNCS[measure](a, b)
-    except KeyError:
-        raise ValueError(f"unknown measure {measure!r}") from None
 
 
 @dataclass(frozen=True)
@@ -112,8 +57,8 @@ def _products(a: _CSR, cols: _CSR, s: int, e: int) -> tuple[np.ndarray, np.ndarr
 class SimilarityIndex:
     """Exact kNN and threshold queries through one blocked sparse product.
 
-    Under Jaccard it indexes only the nonzero entries, as ``jaccard``
-    binarizes its vectors; the other measures keep every stored entry.
+    Under Jaccard, which compares the binarized vectors, it indexes only
+    the nonzero entries; the other measures keep every stored entry.
     """
 
     def __init__(self, matrix, measure: str = COSINE):

@@ -277,12 +277,12 @@ def test_svd_criteria():
         assert np.all(np.diff(f.S) <= 1e-12)
         U, S, Vt = np.linalg.svd(M, full_matrices=False)
         oracle = float(np.linalg.norm(M - (U[:, :k] * S[:k]) @ Vt[:k]))
-        got = float(np.linalg.norm(M - f.reconstruct()))
+        got = float(np.linalg.norm(M - (f.U * f.S) @ f.V.T))
         assert got - oracle <= 1e-6
     rng = np.random.default_rng(123)
     low = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 20))
     f = randomized_svd(low, 4, seed=0)
-    assert float(np.linalg.norm(low - f.reconstruct())) <= 1e-8
+    assert float(np.linalg.norm(low - (f.U * f.S) @ f.V.T)) <= 1e-8
 
 
 @criterion(10, "NMF stays non-negative, monotone, and above the SVD bound")

@@ -290,17 +290,49 @@ class TestMatrixFiles:
         ("0 1 0.5", "entry (0, 1)"),  # numpy's error named no file
     ])
     def test_an_entry_outside_the_header_shape_is_refused(self, tmp_path, last, needle):
-        dm = DocMatrix(doc_ids=("a", "b"),
-                       vocab=Vocabulary(("u", "v", "w"), "weak", np.ones(3, dtype=np.int64), 2),
-                       matrix=_CSR.from_coo([0, 0, 1], [0, 2, 1], [0.25, 0.5, 1.0], (2, 3)),
-                       row_norm=False, weighting="tf")
-        dm.save(tmp_path)
+        save_small_matrix(tmp_path)
         path = tmp_path / "matrix.mtx"
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(lines[:-1] + [last]) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 5: {needle} outside the "
                                                        "header's 2 x 3 shape")):
             DocMatrix.load(tmp_path)
+
+    @pytest.mark.parametrize("extra, needle", [
+        ("2 2 1.0", "line 6: entry (2, 2) repeats line 5"),  # loaded as column 1 twice in row 1
+        ("1 1 0.75", "line 6: entry (1, 1) repeats line 3"),
+    ])
+    def test_a_repeated_entry_is_refused(self, tmp_path, extra, needle):
+        save_small_matrix(tmp_path)
+        path = tmp_path / "matrix.mtx"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = "2 3 4"
+        path.write_text("\n".join(lines + [extra]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, {needle}")):
+            DocMatrix.load(tmp_path)
+
+    @pytest.mark.parametrize("key, counts", [
+        ("doc_ids", "1 doc_ids, 3 dims and 3 df"),  # write_labels zipped the shorter list
+        ("dims", "2 doc_ids, 2 dims and 3 df"),
+        ("df", "2 doc_ids, 3 dims and 2 df"),
+    ])
+    def test_meta_unlike_the_matrix_shape_is_refused(self, tmp_path, key, counts):
+        save_small_matrix(tmp_path)
+        path = tmp_path / "matrix_meta.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta[key] = meta[key][:-1]
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {counts} for the 2 x 3 matrix in {tmp_path / 'matrix.mtx'}")):
+            DocMatrix.load(tmp_path)
+
+
+def save_small_matrix(out_dir) -> None:
+    """A 2 x 3 matrix whose entry lines are ``1 1``, ``1 3`` and ``2 2``."""
+    DocMatrix(doc_ids=("a", "b"),
+              vocab=Vocabulary(("u", "v", "w"), "weak", np.ones(3, dtype=np.int64), 2),
+              matrix=_CSR.from_coo([0, 0, 1], [0, 2, 1], [0.25, 0.5, 1.0], (2, 3)),
+              row_norm=False, weighting="tf").save(out_dir)
 
 
 def old_hierarchy_entry(name, cluster_id, hit) -> dict:

@@ -24,7 +24,6 @@ from mathns.namespaces import (
     merge_exact,
     merge_fuzzy,
     squash_score,
-    token_set_ratio,
 )
 from mathns.stemming import definition_tokens
 
@@ -144,17 +143,17 @@ class TestMergeFuzzy:
 
 class TestTokenSetRatio:
     def test_containment_scores_full(self):
-        assert token_set_ratio("variance", "population variance") == pytest.approx(1.0)
+        assert FuzzyMemo(1.0).near("variance", "population variance")
 
     def test_plural_matches_after_stemming(self):
-        assert token_set_ratio("estimator", "estimators") == pytest.approx(1.0)
+        assert FuzzyMemo(1.0).near("estimator", "estimators")
 
     def test_unrelated_low(self):
-        assert token_set_ratio("estimator", "statistic") < 0.85
+        assert not FuzzyMemo(0.85).near("estimator", "statistic")
 
     def test_levenshtein_basics(self):
-        assert levenshtein("kitten", "sitting") == 3
-        assert levenshtein("", "abc") == 3
+        assert levenshtein("kitten", "sitting", 7) == 3
+        assert levenshtein("", "abc", 3) == 3
 
 
 class TestSquashScore:
@@ -392,7 +391,7 @@ definitions = st.one_of(
 class TestPrunedKernels:
     @given(st.text(alphabet="abc", max_size=12), st.text(alphabet="abc", max_size=12))
     def test_levenshtein_matches_full_matrix(self, a, b):
-        assert levenshtein(a, b) == oracle_levenshtein(a, b)
+        assert levenshtein(a, b, max(len(a), len(b))) == oracle_levenshtein(a, b)
 
     @given(
         st.text(alphabet="abc", max_size=12),
@@ -405,9 +404,8 @@ class TestPrunedKernels:
     @settings(max_examples=300)
     @given(definitions, definitions, st.sampled_from(THRESHOLDS))
     def test_merge_decision_equals_token_set_ratio(self, a, b, t):
-        assert token_set_ratio(a, b) == oracle_token_set_ratio(a, b)
         merged = len(merge_fuzzy({"z": [(a, 1.0), (b, 0.5)]}, FuzzyMemo(t))["z"]) == 1
-        assert merged == (token_set_ratio(a, b) >= t)
+        assert merged == (oracle_token_set_ratio(a, b) >= t)
 
     @pytest.mark.parametrize("t", THRESHOLDS)
     def test_merge_decision_at_every_distance(self, t):

@@ -21,9 +21,7 @@ from mathns.simindex import (
     JACCARD,
     NeighborList,
     SimilarityIndex,
-    ZeroVectorWarning,
     build_snn_graph,
-    similarity,
 )
 
 from conftest import as_scipy
@@ -56,43 +54,50 @@ def assert_same_topk(got, expected, tol: float = 1e-9):
             start = k
 
 
+def similarity(measure: str, a: np.ndarray, b: np.ndarray) -> float:
+    """Dense oracle of one measure; cosine and Jaccard of a zero vector are 0.0."""
+    if measure == COSINE:
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        return float(a @ b / (na * nb)) if na > 0 and nb > 0 else 0.0
+    if measure == INNER:
+        return float(a @ b)
+    if measure == JACCARD:
+        x, y = a != 0, b != 0
+        union = np.sum(x | y)
+        return float(np.sum(x & y) / union) if union else 0.0
+    return float(np.linalg.norm(a - b))
+
+
 def brute_force_knn(dense: np.ndarray, i: int, K: int, measure: str):
     """All-pairs oracle; same tie rule (score desc, id asc)."""
-    scores = []
-    for j in range(dense.shape[0]):
-        if j == i:
-            continue
-        a, b = dense[i], dense[j]
-        if measure == COSINE:
-            na, nb = np.linalg.norm(a), np.linalg.norm(b)
-            s = float(a @ b / (na * nb)) if na > 0 and nb > 0 else 0.0
-            scores.append((-s, j))
-        elif measure == INNER:
-            scores.append((-float(a @ b), j))
-        elif measure == JACCARD:
-            x, y = a != 0, b != 0
-            union = np.sum(x | y)
-            s = float(np.sum(x & y) / union) if union else 0.0
-            scores.append((-s, j))
-        else:
-            scores.append((float(np.linalg.norm(a - b)), j))
-    scores.sort()
+    sign = 1.0 if measure in DISTANCE_MEASURES else -1.0
+    scores = sorted(
+        (sign * similarity(measure, dense[i], dense[j]), j)
+        for j in range(dense.shape[0])
+        if j != i
+    )
     return [(j, abs(s)) for s, j in scores[:K]]
+
+
+def pair_score(measure: str, a, b) -> float:
+    """The kernel's score of row 0 against row 1 of ``[a, b]``."""
+    return SimilarityIndex(np.vstack([a, b]), measure).query(0, 1).neighbors[0][1]
 
 
 class TestSimilarity:
     def test_cosine_self_unit(self):
         v = np.array([0.6, 0.8])
-        assert similarity(COSINE, v, v) == pytest.approx(1.0)
+        assert pair_score(COSINE, v, v) == pytest.approx(1.0)
 
     def test_jaccard_sets(self):
         a = np.array([1.0, 1.0, 0.0])
         b = np.array([0.0, 1.0, 1.0])
-        assert similarity(JACCARD, a, b) == pytest.approx(1 / 3)
+        assert pair_score(JACCARD, a, b) == pytest.approx(1 / 3)
 
-    def test_zero_vector_warns_and_returns_zero(self):
-        with pytest.warns(ZeroVectorWarning):
-            assert similarity(COSINE, np.zeros(3), np.ones(3)) == 0.0
+    def test_zero_row_scores_zero_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pair_score(COSINE, np.zeros(3), np.ones(3)) == 0.0
 
     @given(st.integers(0, 2**32 - 1))
     def test_euclidean_cosine_identity(self, seed):
@@ -101,8 +106,8 @@ class TestSimilarity:
         v = rng.standard_normal(8)
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        lhs = similarity(EUCLIDEAN, u, v) ** 2
-        rhs = 2.0 * (1.0 - similarity(COSINE, u, v))
+        lhs = pair_score(EUCLIDEAN, u, v) ** 2
+        rhs = 2.0 * (1.0 - pair_score(COSINE, u, v))
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([COSINE, INNER, JACCARD, EUCLIDEAN]))
@@ -110,7 +115,7 @@ class TestSimilarity:
         rng = np.random.default_rng(seed)
         a = rng.uniform(0, 1, 6)
         b = rng.uniform(0, 1, 6)
-        assert similarity(measure, a, b) == pytest.approx(similarity(measure, b, a))
+        assert pair_score(measure, a, b) == pytest.approx(pair_score(measure, b, a))
 
 
 class TestKnn:
@@ -391,11 +396,9 @@ class TestKernelMatchesLoops:
         dense = np.asarray(X.todense())
         index = SimilarityIndex(X, JACCARD)
         assert index.csr.nnz == np.count_nonzero(dense) < X.nnz
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ZeroVectorWarning)
-            for i in range(dense.shape[0]):
-                for j, score in index.query(i, 5).neighbors:
-                    assert score == pytest.approx(similarity(JACCARD, dense[i], dense[j]))
+        for i in range(dense.shape[0]):
+            for j, score in index.query(i, 5).neighbors:
+                assert score == pytest.approx(similarity(JACCARD, dense[i], dense[j]))
 
     def test_negative_sharer_outranks_non_sharer(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
@@ -464,12 +467,10 @@ class TestRegionQueryMatchesLoops:
         csr = sp.csr_matrix(X, copy=True)
         csr.eliminate_zeros()
         index = SimilarityIndex(csr, measure)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ZeroVectorWarning)
-            for eps in REGION_EPS[measure]:
-                for p in range(dense.shape[0]):
-                    expected = sorted(set(loop_region_query(dense, measure, p, eps)) - {p})
-                    assert index.within(p, eps) == expected
+        for eps in REGION_EPS[measure]:
+            for p in range(dense.shape[0]):
+                expected = sorted(set(loop_region_query(dense, measure, p, eps)) - {p})
+                assert index.within(p, eps) == expected
 
     @pytest.mark.parametrize("measure", MEASURE_LIST)
     @pytest.mark.parametrize("kind", ["explicit_zeros", "dense_svd"])
@@ -484,10 +485,6 @@ class TestRegionQueryMatchesLoops:
             clustering={"algorithm": "dbscan", "measure": measure, "eps": eps, "minpts": 2},
         )
         got = _run_clustering(config, X, None, None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ZeroVectorWarning)
-            expected = dbscan(
-                lambda p, t: loop_region_query(dense, measure, p, t), 40, eps, 2
-            )
+        expected = dbscan(lambda p, t: loop_region_query(dense, measure, p, t), 40, eps, 2)
         np.testing.assert_array_equal(got.labels, expected.labels)
         assert got.K == expected.K
