@@ -19,7 +19,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import DuplicateDocId, ExcludedSymbol, MathnsError, UnbalancedFormulaDelimiter
 
@@ -117,26 +117,60 @@ class StopLists:
         return s.lower() in self.symbol_stop
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file; a ValueError names the line of a
-    byte that is not UTF-8, counting lines as text mode does."""
-    data = Path(path).read_bytes()
+class Lines:
+    """The non-blank lines of a UTF-8 file, each without its newline, read
+    one at a time in text mode, which splits at ``\\n``, ``\\r\\n`` and
+    ``\\r`` only.  ``line`` is the number of the line last read, blank lines
+    counted.  The file is open inside a ``with Lines(path) as lines:`` block,
+    which puts ``{path}, line {n}: `` before the message of a ValueError or
+    MathnsError raised in it and keeps the type; a line that is not UTF-8
+    or not JSON gives a ValueError."""
+
+    def __init__(self, path: str | Path):
+        self.path, self.line = path, 0
+
+    def __enter__(self) -> "Lines":
+        self._file = open(self.path, encoding="utf-8", errors="surrogateescape")
+        return self
+
+    def __iter__(self) -> Iterator[str]:
+        for self.line, text in enumerate(self._file, 1):
+            if not text.isascii():  # a byte that is not UTF-8 raises in its own line
+                text.encode("utf-8", "surrogateescape").decode("utf-8")
+            if not text.isspace():
+                yield text.removesuffix("\n")
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        self._file.close()
+        if isinstance(exc, UnicodeDecodeError):  # its position counts from the line's start
+            exc = ValueError(f"not UTF-8 ({exc.reason})")
+        elif isinstance(exc, json.JSONDecodeError):  # its line is always 1
+            exc = ValueError(f"{exc.msg} (column {exc.colno})")
+        if isinstance(exc, (ValueError, MathnsError)):
+            raise type(exc)(f"{self.path}, line {self.line}: {exc}") from None
+
+
+def read_json(path: str | Path):
+    """The JSON value of a UTF-8 file; a ValueError names the file."""
     try:
-        return data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ValueError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from None
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def tab_pair(line: str) -> tuple[str, ...]:
+    """The two tab-separated fields of a line of a labels or lexicon file."""
+    pair = tuple(line.split("\t"))
+    if len(pair) != 2:
+        raise ValueError("expected two fields split by one tab")
+    return pair
 
 
 def load_stop_list(path: str | Path) -> frozenset[str]:
     """Read a stop list file: UTF-8, one entry per line, ``#`` comments."""
-    entries = set()
-    for line in read_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            entries.add(line.lower())
-    return frozenset(entries)
+    with Lines(path) as lines:
+        entries = {line.split("#", 1)[0].strip().lower() for line in lines}
+    return frozenset(entries - {""})
 
 
 def default_stop_lists() -> StopLists:
@@ -399,27 +433,10 @@ def build_corpus(records: Iterable[dict], stops: StopLists | None = None) -> Cor
 
 
 def load_corpus(path: str | Path, stops: StopLists | None = None) -> Corpus:
-    """Load a JSONL corpus file.  An error of a record keeps its type, and
-    its message starts with the file and line: a line that is not JSON,
-    that holds a byte that is not UTF-8 or whose record does not parse."""
-    line = 0
-
-    def records():
-        nonlocal line
-        with open(path, encoding="utf-8") as fh:
-            for line, text in enumerate(fh, start=1):
-                if text.strip():  # a string cut at the newline reads "Unterminated string"
-                    yield json.loads(text.rstrip("\n"))
-
-    try:
-        return build_corpus(records(), stops)
-    except UnicodeDecodeError:  # its position counts from a read buffer
-        read_lines(path)  # raises, naming the line
-        raise
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}, line {line}: {exc.msg} (column {exc.colno})") from None
-    except (ValueError, MathnsError) as exc:
-        raise type(exc)(f"{path}, line {line}: {exc}") from None
+    """Load a JSONL corpus file, one record a line, read through ``Lines``:
+    an error of a record keeps its type and names the file and line."""
+    with Lines(path) as lines:
+        return build_corpus(map(json.loads, lines), stops)
 
 
 def drop_sparse_documents(corpus: Corpus, min_occurrences: int = 2) -> Corpus:

@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .cluster import NOISE, ClusterAssignment
-from .corpus import read_lines
+from .corpus import Lines, tab_pair
 from .errors import EmptyCluster
 
 
@@ -216,11 +216,5 @@ def write_labels(path: str | Path, doc_ids: Sequence[str], labels: Sequence) -> 
 def load_labels(path: str | Path) -> dict[str, str]:
     """Read a labels file: TSV doc_id<TAB>category, blank lines skipped.
     A ValueError names the line that is not two tab-separated fields."""
-    labels = {}
-    for n, line in enumerate(read_lines(path), start=1):
-        if line.strip():
-            pair = line.split("\t")
-            if len(pair) != 2:
-                raise ValueError(f"{path}, line {n}: expected two fields split by one tab")
-            labels[pair[0]] = pair[1].strip()
-    return labels
+    with Lines(path) as lines:
+        return {doc_id: label.strip() for doc_id, label in map(tab_pair, lines)}

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import textproc
-from .corpus import Corpus, Document, identifier_key, split_key
+from .corpus import Corpus, Document, Lines, identifier_key, split_key
 from .errors import IdentifierNotInDocument
 from .textproc import DT, ID, JJ, LINK, NN, NNS, NOUN_PHRASE, Lexicon, TaggedToken
 
@@ -78,17 +78,13 @@ def read_relations(out_dir: str | Path) -> list[Relation]:
     """The relations of ``write_relations``'s file, parsed a line at a time.
     A ValueError names the file and line of a record that does not parse."""
     path, relations = Path(out_dir) / RELATIONS_FILE, []
-    with open(path, encoding="utf-8") as lines:
-        for n, line in enumerate(lines, start=1):
-            if line.strip():
-                try:
-                    doc_id, base, sub, definition, score, method = _record_values(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}, line {n}: {exc.msg} (column {exc.colno})") from None
-                except (KeyError, TypeError) as exc:
-                    raise ValueError(f"{path}, line {n}: not a relation record ({exc})") from None
-                key = identifier_key(base, sub)
-                relations.append(Relation(key, definition, score, method, doc_id))
+    with Lines(path) as lines:
+        for line in lines:
+            try:
+                doc_id, base, sub, definition, score, method = _record_values(json.loads(line))
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"not a relation record ({exc})") from None
+            relations.append(Relation(identifier_key(base, sub), definition, score, method, doc_id))
     return relations
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, Lines, read_json
 from .errors import EmptyVocabulary, WeightDomainError
 from .extraction import Relation
 from .stemming import definition_tokens
@@ -318,31 +319,38 @@ class DocMatrix:
     @classmethod
     def load(cls, out_dir: str | Path) -> "DocMatrix":
         """The matrix ``save`` wrote, with the same arrays: each value's
-        ``repr`` reads back to the same float."""
+        ``repr`` reads back to the same float.  The entries are read as a
+        stream, and each keeps its line for the errors below."""
         meta_path, path = Path(out_dir) / META_FILE, Path(out_dir) / MATRIX_FILE
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        lines = path.read_text(encoding="utf-8").splitlines()
-        m, n, nnz = (int(x) for x in lines[1].split())
+        meta = read_json(meta_path)
+        rows, cols, line_of, data = array("q"), array("q"), array("q"), array("d")
+        with Lines(path) as lines:
+            entries = iter(lines)
+            next(entries, None)  # the MatrixMarket banner
+            m, n, nnz = map(int, next(entries, "").split())
+            for i, j, v in map(str.split, entries):
+                rows.append(int(i))
+                cols.append(int(j))
+                data.append(float(v))
+                line_of.append(lines.line)
         counts = tuple(len(meta[key]) for key in ("doc_ids", "dims", "df"))
         if counts != (m, n, n):  # labels zip doc_ids with the rows, and would lose the rest
             raise ValueError(f"{meta_path}: {counts[0]} doc_ids, {counts[1]} dims and "
                              f"{counts[2]} df for the {m} x {n} matrix in {path}")
-        if (found := len(lines) - 2) != nnz:  # a file cut short would load as another matrix
-            raise ValueError(f"{path}: the header's {nnz} entries, but {found} entry lines")
-        entries = [line.split() for line in lines[2:]]
-        rows, cols = (np.array([int(entry[k]) for entry in entries], dtype=np.intp) for k in (0, 1))
+        if len(rows) != nnz:  # a file cut short would load as another matrix
+            raise ValueError(f"{path}: the header's {nnz} entries, but {len(rows)} entry lines")
+        rows, cols, line_of = (np.array(a, dtype=np.intp) for a in (rows, cols, line_of))
         outside = (rows < 1) | (rows > m) | (cols < 1) | (cols > n)
         if outside.any():  # it would load as a matrix of another shape, or not at all
             k = int(np.argmax(outside))
-            raise ValueError(f"{path}, line {k + 3}: entry ({rows[k]}, {cols[k]}) outside "
+            raise ValueError(f"{path}, line {line_of[k]}: entry ({rows[k]}, {cols[k]}) outside "
                              f"the header's {m} x {n} shape")
-        data = np.array([float(v) for _, _, v in entries])
-        matrix = _CSR.from_coo(rows - 1, cols - 1, data, (m, n))
+        matrix = _CSR.from_coo(rows - 1, cols - 1, np.array(data), (m, n))
         r, c = matrix.coords()
         repeated = (r[1:] == r[:-1]) & (c[1:] == c[:-1])
         if repeated.any():  # row sums assume unique columns per row
             p = int(np.argmax(repeated))
-            first, later = np.flatnonzero((rows == r[p] + 1) & (cols == c[p] + 1))[:2] + 3
+            first, later = line_of[(rows == r[p] + 1) & (cols == c[p] + 1)][:2]
             raise ValueError(f"{path}, line {later}: entry ({r[p] + 1}, {c[p] + 1}) "
                              f"repeats line {first}")
         df = np.array(meta["df"], dtype=np.int64)

@@ -9,13 +9,12 @@ Raw score sums are squashed to (0, 1) with tanh(x/2).
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import split_key
+from .corpus import read_json, split_key
 from .errors import EmptyScheme, NoRelationsInCluster
 from .evaluate import cluster_purity
 from .extraction import Relation
@@ -279,10 +278,7 @@ class HierarchyScheme:
         """Read a hierarchy file: a non-empty JSON list of objects with string
         ``top`` and ``second`` and an optional list of string ``keywords``.
         A ValueError names the file and what is wrong in it."""
-        try:
-            records = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ValueError(f"{path}: {exc}") from None
+        records = read_json(path)
         if not isinstance(records, list) or not records:
             raise ValueError(f"{path}: expected a non-empty JSON list of categories")
         for n, rec in enumerate(records, start=1):

@@ -4,14 +4,16 @@ Stages run in a fixed order (stats, extract, vectorize, cluster,
 evaluate, namespaces); each consumes the corpus plus prior-stage
 artifacts only, so a run can resume from any stage using cached files.
 Stages hand over only through the one writer and one reader of each
-artifact, kept beside the type it stores: ``write_relations`` and
-``read_relations`` (extraction), ``DocMatrix.save`` and ``load``
-(idspace), and ``write_labels`` and ``load_labels`` (evaluate) for the
-assignment files.  The stats and extract stages hold one document's
-relations at a time: stats keeps only each document's count, and extract
-walks the documents in ``doc_id`` order, so ``write_relations`` writes each
-relation as it is made.  With a fixed seed, repeated runs produce
-byte-identical artifacts.
+artifact: ``write_relations`` and ``read_relations`` (extraction),
+``DocMatrix.save`` and ``load`` (idspace), ``write_labels`` (evaluate) and
+``_read_assignment`` for the assignment files, and ``stage_cluster`` and
+``stage_evaluate`` for ``grid.json``.  Every reader of an input or
+artifact reads through ``corpus.Lines`` or ``corpus.read_json``, which
+name the file, and in a line file the line, of what it refuses.  The stats
+and extract stages hold one document's relations at a time: stats keeps
+only each document's count, and extract walks the documents in ``doc_id``
+order, so ``write_relations`` writes each relation as it is made.  With a
+fixed seed, repeated runs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import cluster as clustering
 from . import decompose, evaluate, idspace, simindex
-from .corpus import Corpus, StopLists, corpus_stats
+from .corpus import Corpus, Lines, StopLists, corpus_stats, read_json, tab_pair
 from .corpus import drop_sparse_documents, load_corpus, load_stop_list
 from .errors import ConfigError, StageError
 from .extraction import NEAREST_NOUN, PATTERN, RANKER, RankerParams, Relation
@@ -390,15 +392,16 @@ def stage_cluster(config: PipelineConfig) -> None:
 
 
 def _read_assignment(path: Path) -> tuple[list[str], clustering.ClusterAssignment]:
-    rows = evaluate.load_labels(path)  # an assignment file has the labels format
-    labels = np.array([int(label) for label in rows.values()], dtype=int)
+    with Lines(path) as lines:  # the labels format, with cluster ids for labels
+        rows = {doc_id: int(label) for doc_id, label in map(tab_pair, lines)}
+    labels = np.array(list(rows.values()), dtype=int)
     return list(rows), clustering.ClusterAssignment(labels=labels, K=int(labels.max()) + 1)
 
 
 def stage_evaluate(config: PipelineConfig) -> None:
     corpus = _load_corpus(config)
     labels = _labels(config, corpus)
-    grid = json.loads((config.output_dir / "grid.json").read_text(encoding="utf-8"))
+    grid = read_json(config.output_dir / "grid.json")
     rows = []
     best = None
     for combo in grid["combos"]:
@@ -430,8 +433,7 @@ def stage_evaluate(config: PipelineConfig) -> None:
         )
         result["baseline"] = summary.to_dict()
     _dump_json(config.output_dir / "purity.json", result)
-    selected = (config.output_dir / best[2]).read_text(encoding="utf-8")
-    (config.output_dir / "assignment.tsv").write_text(selected, encoding="utf-8")
+    shutil.copyfile(config.output_dir / best[2], config.output_dir / "assignment.tsv")
 
 
 def stage_namespaces(config: PipelineConfig) -> None:

@@ -21,7 +21,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Container, NamedTuple, Sequence
 
-from .corpus import PLACEHOLDER_PREFIX, read_lines
+from .corpus import PLACEHOLDER_PREFIX, Lines, tab_pair
 from .errors import UnknownPlaceholder, UnterminatedLink
 
 NN = "NN"
@@ -43,17 +43,12 @@ class TaggedToken(NamedTuple):
     tag: str
 
 
-def _read_pairs(path: str | Path) -> list[tuple[str, str]]:
+def _read_pairs(path: str | Path) -> list[tuple[str, ...]]:
     """The tab-separated pairs of a UTF-8 file, one a line; ``#`` starts a
     comment.  A ValueError names the line that is not a pair."""
-    pairs = []
-    for n, line in enumerate(read_lines(path), start=1):
-        if line := line.split("#", 1)[0].rstrip():
-            pair = tuple(line.split("\t"))
-            if len(pair) != 2:
-                raise ValueError(f"{path}, line {n}: expected two fields split by one tab")
-            pairs.append(pair)
-    return pairs
+    with Lines(path) as lines:
+        uncommented = (line.split("#", 1)[0].rstrip() for line in lines)
+        return [tab_pair(line) for line in uncommented if line]
 
 
 class Lexicon:

@@ -1,8 +1,10 @@
 """The stage artifacts' readers and writers against the hand-written code
-they replaced, kept here as oracles: the same bytes, records and arrays."""
+they replaced, kept here as oracles: the same bytes, records and arrays;
+and what each reader refuses in a corrupted copy of the toy run."""
 
 import json
 import re
+import shutil
 import struct
 import weakref
 from dataclasses import asdict
@@ -12,10 +14,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mathns.corpus import identifier_key
+from mathns.corpus import identifier_key, load_corpus
+from mathns.evaluate import load_labels
 from mathns.extraction import METHODS, Relation, read_relations, write_relations
 from mathns.idspace import DocMatrix, Vocabulary, _CSR
 from mathns.namespaces import HierarchyAssignment
+from mathns.pipeline import PipelineConfig, run_pipeline
+from mathns.pipeline import stage_cluster, stage_evaluate, stage_namespaces, stage_vectorize
+
+from conftest import TOY_CONFIG, TOY_CORPUS
 
 
 def old_write_relations(path, relations) -> None:
@@ -333,6 +340,98 @@ def save_small_matrix(out_dir) -> None:
               vocab=Vocabulary(("u", "v", "w"), "weak", np.ones(3, dtype=np.int64), 2),
               matrix=_CSR.from_coo([0, 0, 1], [0, 2, 1], [0.25, 0.5, 1.0], (2, 3)),
               row_norm=False, weighting="tf").save(out_dir)
+
+
+def at(n, change):
+    """Change line n of a file's lines; the error must name line n."""
+
+    def corrupt(lines):
+        lines[n - 1] = change(lines[n - 1])
+        return n
+
+    return corrupt
+
+
+def not_json(lines):
+    lines[1] = lines[1].replace(b'"', b"'", 1)  # line 2 holds the first key
+
+
+def blank_then_outside(lines):
+    """A blank line among the entries, and a last entry one row past the
+    shape: the error must name the last line, the blank one counted."""
+    lines.insert(5, b"\n")
+    rows = int(lines[1].split()[0])
+    lines[-1] = b"%d %s" % (rows + 1, lines[-1].split(b" ", 1)[1])
+    return len(lines)
+
+
+def two_label_faults(lines):
+    """A U+2028 inside line 1's label, which is no line break in text mode,
+    and a space in place of line 3's tab."""
+    lines[0] = lines[0].replace(b"\t", b"\tcat\xe2\x80\xa8egory", 1)
+    lines[2] = lines[2].replace(b"\t", b" ")
+    return 3
+
+
+def stage(run):
+    return lambda out, path: run(PipelineConfig.load(TOY_CONFIG, out=out))
+
+
+def cut_in_string(line):
+    return line[: line.index(b'"doc_id": "') + 13] + b"\n"
+
+
+# (id, file of the toy run, its corruption, which returns the line the
+# error must name or None for a JSON file, the reader, the error's type,
+# and what its message says after the file and line)
+REFUSALS = [
+    ("relations-bad-byte", "relations.jsonl", at(5, lambda line: b"\xff" + line),
+     stage(stage_vectorize), ValueError, "not UTF-8 (invalid start byte)"),
+    ("relations-cut-in-a-string", "relations.jsonl", at(5, cut_in_string),
+     stage(stage_vectorize), ValueError, "Unterminated string"),
+    ("corpus-cut-in-a-string", "corpus.jsonl", at(3, lambda line: line[:40] + b"\n"),
+     lambda out, path: load_corpus(path), ValueError, "Unterminated string"),
+    ("matrix-x", "matrix.mtx", at(6, lambda line: re.sub(rb" \d+ ", b" x ", line)),
+     stage(stage_cluster), ValueError, "invalid literal for int()"),
+    ("matrix-two-fields", "matrix.mtx", at(6, lambda line: line.rsplit(b" ", 1)[0] + b"\n"),
+     stage(stage_cluster), ValueError, "not enough values to unpack (expected 3, got 2)"),
+    ("matrix-bad-byte", "matrix.mtx", at(6, lambda line: b"\xff" + line),
+     stage(stage_cluster), ValueError, "not UTF-8 (invalid start byte)"),
+    ("matrix-blank-line", "matrix.mtx", blank_then_outside,
+     stage(stage_cluster), ValueError, "outside the header's"),
+    ("meta-not-json", "matrix_meta.json", not_json,
+     stage(stage_cluster), ValueError, "Expecting property name enclosed in double quotes"),
+    ("grid-not-json", "grid.json", not_json,
+     stage(stage_evaluate), ValueError, "Expecting property name enclosed in double quotes"),
+    ("assignment-label-x", "assignment.tsv", at(2, lambda line: line.split(b"\t")[0] + b"\tx\n"),
+     stage(stage_namespaces), ValueError, "invalid literal for int()"),
+    ("labels-u2028", "assignment.tsv", two_label_faults,
+     lambda out, path: load_labels(path), ValueError, "expected two fields split by one tab"),
+]
+
+
+@pytest.fixture(scope="module")
+def toy_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy") / "out"
+    run_pipeline(PipelineConfig.load(TOY_CONFIG, out=out))
+    shutil.copyfile(TOY_CORPUS, out / "corpus.jsonl")
+    return out
+
+
+@pytest.mark.parametrize("name, corrupt, read, error, needle", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_a_refusal_names_the_file_and_line(tmp_path, toy_out, name, corrupt, read, error, needle):
+    out = tmp_path / "out"
+    shutil.copytree(toy_out, out)
+    path = out / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    line = corrupt(lines)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(Exception) as info:
+        read(out, path)
+    assert info.type is error
+    prefix = f"{path}: " if line is None else f"{path}, line {line}: "
+    assert str(info.value).startswith(prefix) and needle in str(info.value)
 
 
 def old_hierarchy_entry(name, cluster_id, hit) -> dict:

@@ -18,6 +18,7 @@ from mathns.corpus import (
     _subscript_text,
     GREEK_COMMANDS,
     PLACEHOLDER_PREFIX,
+    Lines,
     StopLists,
     build_corpus,
     corpus_stats,
@@ -658,3 +659,21 @@ class TestLoadCorpus:
         with pytest.raises(ValueError) as info:
             load_corpus(bad, STOPS)
         assert str(info.value) == f"{bad}, line 3: not UTF-8 (invalid continuation byte)"
+
+
+class TestLines:
+    @given(st.lists(st.tuples(st.text(st.sampled_from("ab \t\x0c\x85\u2028\u2029\x1c\xe9")),
+                              st.sampled_from(["\n", "\r\n", "\r"]))),
+           st.booleans())
+    def test_lines_are_those_of_text_mode(self, tmp_path_factory, lines, last_break):
+        # str.splitlines also broke at \x0c, \x85, \x1c, U+2028 and U+2029,
+        # so a labels line holding one was refused as the wrong line
+        text = "".join(line + newline for line, newline in lines)
+        if lines and not last_break:
+            text = text[: -len(lines[-1][1])]
+        path = tmp_path_factory.mktemp("lines") / "file.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            want = [(n, line.removesuffix("\n")) for n, line in enumerate(fh, 1) if line.strip()]
+        with Lines(path) as reader:
+            assert [(reader.line, line) for line in reader] == want
