@@ -63,10 +63,10 @@ def main():
     )
 
     categories = [labels[d] for d in dm.doc_ids]
-    baseline = random_baseline(len(dm.doc_ids), categories, trials=200, seed=7)
+    baseline = random_baseline(categories, trials=200, seed=7)
     print(
         f"\nrandom baseline over {baseline.trials} trials: "
-        f"min {baseline.minimum}, mean {baseline.mean:.2f}, max {baseline.maximum}"
+        f"min {baseline.min}, mean {baseline.mean:.2f}, max {baseline.max}"
     )
 
 

@@ -42,20 +42,6 @@ class ClusterAssignment:
     def n_clusters(self) -> int:
         return len(set(self.labels.tolist()) - {NOISE})
 
-    def compact(self) -> "ClusterAssignment":
-        """Renumber non-noise labels to 0..C-1 by first appearance."""
-        labels = self.labels.copy()
-        kept = labels != NOISE
-        _, first, inverse = np.unique(labels[kept], return_index=True, return_inverse=True)
-        # a label's new number is the rank of its first appearance
-        labels[kept] = np.argsort(np.argsort(first))[inverse]
-        return ClusterAssignment(
-            labels=labels,
-            K=len(first),
-            inertia=self.inertia,
-            inertia_trace=list(self.inertia_trace),
-        )
-
 
 def _row_sq_norms(X) -> np.ndarray:
     if isinstance(X, _CSR):
@@ -300,20 +286,16 @@ def linkage_merges(
 
 def cut_merges(merges: list[tuple[int, int, float]], n: int, K: int) -> ClusterAssignment:
     """The K clusters left after the first n - K merges of a history over n
-    points: every K cuts the one dendrogram ``linkage_merges`` gives."""
+    points: every K cuts the one dendrogram ``linkage_merges`` gives.  A
+    point's label is the first member of its cluster, as each merge joins
+    two clusters' first members i < j; the clusters are numbered in the
+    order of their first members."""
     if K > n:
         raise KTooLarge(f"K={K} > n={n}")
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    labels = np.arange(n)
     for i, j, _ in merges[: n - K]:
-        parent[find(j)] = find(i)
-    return ClusterAssignment(labels=[find(p) for p in range(n)], K=K).compact()
+        labels[labels == j] = i
+    return ClusterAssignment(labels=np.unique(labels, return_inverse=True)[1], K=K)
 
 
 def agglomerative(X, linkage: str, K: int, max_points: int = 1000) -> ClusterAssignment:

@@ -150,12 +150,23 @@ class Lines:
             raise type(exc)(f"{self.path}, line {self.line}: {exc}") from None
 
 
-def read_json(path: str | Path):
-    """The JSON value of a UTF-8 file; a ValueError names the file."""
+def read_json(path: str | Path, *keys: str):
+    """The JSON value of a UTF-8 file, an object holding ``keys`` if any are
+    given; a ValueError names the file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: {exc}") from None
+    return require_keys(path, value, *keys)
+
+
+def require_keys(path: str | Path, value, *keys: str):
+    """``value``, if it is an object holding every one of ``keys``; else a
+    ValueError names the file ``path`` and the first key it lacks."""
+    for key in keys:
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return value
 
 
 def tab_pair(line: str) -> tuple[str, ...]:

@@ -8,7 +8,7 @@ baseline count to beat.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -46,11 +46,8 @@ class _Table(NamedTuple):
         return (self.top / self.sizes >= purity_threshold) & (self.sizes >= min_size)
 
 
-def _table(clusters: Sequence[int], codes: np.ndarray) -> _Table:
-    """The contingency table of a cluster vector and category codes."""
-    clusters = np.asarray(clusters, dtype=int)
-    if len(clusters) != len(codes):
-        raise ValueError(f"{len(clusters)} cluster labels for {len(codes)} categories")
+def _table(clusters: np.ndarray, codes: np.ndarray) -> _Table:
+    """The contingency table of a cluster vector and category codes of its length."""
     width = int(codes.max(initial=0)) + 1
     ids, cluster = np.unique(clusters, return_inverse=True)
     pairs, counts = np.unique(cluster * width + codes, return_counts=True)
@@ -77,8 +74,10 @@ def _assignment_table(
     assignment: ClusterAssignment, doc_ids: Sequence[str], labels: Mapping[str, str]
 ) -> tuple[_Table, list[str], int]:
     """The table of the non-noise documents, its category names and the
-    noise count."""
-    clusters = assignment.labels[: len(doc_ids)]
+    noise count; a ValueError refuses labels that are not one per document."""
+    clusters = assignment.labels
+    if len(clusters) != len(doc_ids):
+        raise ValueError(f"{len(clusters)} cluster labels for {len(doc_ids)} documents")
     kept = clusters != NOISE
     names, codes = _encode([category_of(d, labels) for d, k in zip(doc_ids, kept) if k])
     return _table(clusters[kept], codes), names, len(kept) - int(kept.sum())
@@ -96,18 +95,10 @@ class ClusterPurity:
 class PurityReport:
     """Size-weighted purity over non-noise clusters plus per-cluster rows."""
 
-    per_cluster: list[ClusterPurity]
+    clusters: list[ClusterPurity]
     overall: float
     n_pure: int
     noise_fraction: float
-
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "n_pure": self.n_pure,
-            "noise_fraction": self.noise_fraction,
-            "clusters": [asdict(row) for row in self.per_cluster],
-        }
 
 
 def purity_report(
@@ -131,7 +122,7 @@ def purity_report(
     # cumsum adds one cluster at a time, in ascending order; np.sum adds pairwise
     weighted = np.cumsum(table.sizes * purity)
     return PurityReport(
-        per_cluster=rows,
+        clusters=rows,
         overall=float(weighted[-1]) / total if total else 0.0,
         n_pure=int(np.count_nonzero(table.pure(purity_threshold, min_size))),
         noise_fraction=noise / len(doc_ids) if len(doc_ids) else 0.0,
@@ -156,18 +147,9 @@ def namespace_defining(
 class BaselineSummary:
     trials: int
     cluster_size: int
-    minimum: int
+    min: int
     mean: float
-    maximum: int
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "cluster_size": self.cluster_size,
-            "min": self.minimum,
-            "mean": self.mean,
-            "max": self.maximum,
-        }
+    max: int
 
 
 def _baseline_assignment(n_docs: int, cluster_size: int, rng) -> np.ndarray:
@@ -178,7 +160,6 @@ def _baseline_assignment(n_docs: int, cluster_size: int, rng) -> np.ndarray:
 
 
 def random_baseline(
-    n_docs: int,
     categories: Sequence[str],
     cluster_size: int = 3,
     trials: int = 200,
@@ -186,7 +167,8 @@ def random_baseline(
     purity_threshold: float = 0.8,
     min_size: int = 3,
 ) -> BaselineSummary:
-    """Shuffled fixed-size cluster assignments, repeated.
+    """Shuffled fixed-size cluster assignments of the documents of
+    ``categories``, repeated.
 
     Each trial shuffles a vector with ``cluster_size`` slots per cluster
     (the last cluster may be smaller) and counts namespace-defining
@@ -196,14 +178,14 @@ def random_baseline(
     counts = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        table = _table(_baseline_assignment(n_docs, cluster_size, rng), codes)
+        table = _table(_baseline_assignment(len(codes), cluster_size, rng), codes)
         counts.append(int(np.count_nonzero(table.pure(purity_threshold, min_size))))
     return BaselineSummary(
         trials=trials,
         cluster_size=cluster_size,
-        minimum=int(min(counts)),
+        min=int(min(counts)),
         mean=float(np.mean(counts)),
-        maximum=int(max(counts)),
+        max=int(max(counts)),
     )
 
 

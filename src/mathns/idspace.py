@@ -322,17 +322,21 @@ class DocMatrix:
         ``repr`` reads back to the same float.  The entries are read as a
         stream, and each keeps its line for the errors below."""
         meta_path, path = Path(out_dir) / META_FILE, Path(out_dir) / MATRIX_FILE
-        meta = read_json(meta_path)
+        meta = read_json(meta_path, "doc_ids", "dims", "df", "n_docs", "mode", "weighting",
+                         "row_norm", "empty_docs")
         rows, cols, line_of, data = array("q"), array("q"), array("q"), array("d")
         with Lines(path) as lines:
             entries = iter(lines)
             next(entries, None)  # the MatrixMarket banner
-            m, n, nnz = map(int, next(entries, "").split())
+            size = next(entries, None)
+            m, n, nnz = map(int, size.split()) if size else (0, 0, 0)
             for i, j, v in map(str.split, entries):
                 rows.append(int(i))
                 cols.append(int(j))
                 data.append(float(v))
                 line_of.append(lines.line)
+        if size is None:
+            raise ValueError(f"{path}: no size line after the MatrixMarket banner")
         counts = tuple(len(meta[key]) for key in ("doc_ids", "dims", "df"))
         if counts != (m, n, n):  # labels zip doc_ids with the rows, and would lose the rest
             raise ValueError(f"{meta_path}: {counts[0]} doc_ids, {counts[1]} dims and "

@@ -122,7 +122,9 @@ def merge_fuzzy(
 
     Definitions connect when their token-set ratio reaches the memo's
     threshold (transitively); a group's score is the member sum and its
-    label the highest-scoring member, ties lexicographic.
+    label the highest-scoring member, ties lexicographic.  Each definition
+    is labelled with the index of its group's first member: a union
+    relabels the later group to the earlier one.
 
     These are the groups of the token-set ratio over all pairs, found
     with less work: ``memo`` (shared by the namespaces stage) tokenizes
@@ -134,23 +136,16 @@ def merge_fuzzy(
     """
     out: dict[str, list[DefinitionGroup]] = {}
     for key, defs in merged.items():
-        n = len(defs)
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        group = list(range(len(defs)))
         for i, (a, _) in enumerate(defs):
-            for j in range(i + 1, n):
-                ri, rj = find(i), find(j)
-                if ri != rj and memo.near(a, defs[j][0]):
-                    parent[max(ri, rj)] = min(ri, rj)
+            for j in range(i + 1, len(defs)):
+                gi, gj = group[i], group[j]
+                if gi != gj and memo.near(a, defs[j][0]):
+                    low, high = min(gi, gj), max(gi, gj)
+                    group = [low if g == high else g for g in group]
         groups: dict[int, list[tuple[str, float]]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(defs[i])
+        for g, definition in zip(group, defs):
+            groups.setdefault(g, []).append(definition)
         built = []
         for members in groups.values():
             score = sum(s for _, s in members)

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import cluster as clustering
 from . import decompose, evaluate, idspace, simindex
-from .corpus import Corpus, Lines, StopLists, corpus_stats, read_json, tab_pair
+from .corpus import Corpus, Lines, StopLists, corpus_stats, read_json, require_keys, tab_pair
 from .corpus import drop_sparse_documents, load_corpus, load_stop_list
-from .errors import ConfigError, StageError
+from .errors import ConfigError, NoRelationsInCluster, StageError
 from .extraction import NEAREST_NOUN, PATTERN, RANKER, RankerParams, Relation
 from .extraction import extract_relations, prepare_corpus, read_relations, write_relations
 from .namespaces import FuzzyMemo, HierarchyScheme, build_namespace, map_to_hierarchy
@@ -378,16 +378,8 @@ def stage_cluster(config: PipelineConfig) -> None:
     for combo, assignment in _assignments(config, dm):
         fname = f"assignment_{combo['id']}.tsv"
         evaluate.write_labels(config.output_dir / fname, dm.doc_ids, assignment.labels.tolist())
-        manifest.append(
-            {
-                "id": combo["id"],
-                "K": combo["K"],
-                "k": combo["k"],
-                "file": fname,
-                "inertia": assignment.inertia,
-                "n_clusters": assignment.n_clusters,
-            }
-        )
+        manifest.append({**combo, "file": fname, "inertia": assignment.inertia,
+                         "n_clusters": assignment.n_clusters})
     _dump_json(config.output_dir / "grid.json", {"combos": manifest})
 
 
@@ -401,21 +393,16 @@ def _read_assignment(path: Path) -> tuple[list[str], clustering.ClusterAssignmen
 def stage_evaluate(config: PipelineConfig) -> None:
     corpus = _load_corpus(config)
     labels = _labels(config, corpus)
-    grid = read_json(config.output_dir / "grid.json")
+    grid_path = config.output_dir / "grid.json"
     rows = []
     best = None
-    for combo in grid["combos"]:
+    for combo in read_json(grid_path, "combos")["combos"]:
+        require_keys(grid_path, combo, "id", "K", "k", "file")
         doc_ids, assignment = _read_assignment(config.output_dir / combo["file"])
         report = evaluate.purity_report(
-            assignment,
-            doc_ids,
-            labels,
-            config.purity_threshold,
-            config.min_cluster_size,
+            assignment, doc_ids, labels, config.purity_threshold, config.min_cluster_size
         )
-        row = {"combo": combo["id"], "K": combo["K"], "k": combo["k"]}
-        row.update(report.to_dict())
-        rows.append(row)
+        rows.append({"combo": combo["id"], "K": combo["K"], "k": combo["k"], **asdict(report)})
         key = (report.n_pure, report.overall)
         if best is None or key > best[0]:
             best = (key, combo["id"], combo["file"])
@@ -423,7 +410,6 @@ def stage_evaluate(config: PipelineConfig) -> None:
     if config.baseline:
         categories = [evaluate.category_of(d, labels) for d in doc_ids]
         summary = evaluate.random_baseline(
-            len(doc_ids),
             categories,
             cluster_size=config.baseline["cluster_size"],
             trials=config.baseline["trials"],
@@ -431,7 +417,7 @@ def stage_evaluate(config: PipelineConfig) -> None:
             purity_threshold=config.purity_threshold,
             min_size=config.min_cluster_size,
         )
-        result["baseline"] = summary.to_dict()
+        result["baseline"] = asdict(summary)
     _dump_json(config.output_dir / "purity.json", result)
     shutil.copyfile(config.output_dir / best[2], config.output_dir / "assignment.tsv")
 
@@ -445,19 +431,17 @@ def stage_namespaces(config: PipelineConfig) -> None:
     chosen = evaluate.namespace_defining(
         assignment, doc_ids, labels, config.purity_threshold, config.min_cluster_size
     )
-    doc_ids_arr = np.array(doc_ids)
-    docs_with_relations = {r.doc_id for r in relations}
     namespaces = []
     skipped = []
     memo = FuzzyMemo(config.fuzzy_threshold)  # the clusters share definitions
     for cluster_id in chosen:
-        members = [str(d) for d in doc_ids_arr[assignment.labels == cluster_id]]
-        if docs_with_relations.isdisjoint(members):
+        members = [d for d, c in zip(doc_ids, assignment.labels.tolist()) if c == cluster_id]
+        try:
+            namespaces.append(
+                build_namespace(members, relations, labels, memo, cluster_id=cluster_id)
+            )
+        except NoRelationsInCluster:
             skipped.append(cluster_id)
-            continue
-        namespaces.append(
-            build_namespace(members, relations, labels, memo, cluster_id=cluster_id)
-        )
     _dump_json(
         config.output_dir / "namespaces.json",
         {

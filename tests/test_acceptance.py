@@ -342,7 +342,7 @@ def test_baseline_criteria():
         assignment = ClusterAssignment(labels=vector, K=2)
         counts.append(purity_report(assignment, doc_ids, labels).n_pure)
     exact_mean = sum(counts) / len(counts)
-    simulated = random_baseline(6, categories, trials=10_000, seed=0)
+    simulated = random_baseline(categories, trials=10_000, seed=0)
     assert simulated.mean == pytest.approx(exact_mean, rel=0.02)
 
 

@@ -365,6 +365,19 @@ def blank_then_outside(lines):
     return len(lines)
 
 
+def keep(n, *then):
+    """Keep a file's first n lines and add ``then``: there is no line to name."""
+
+    def corrupt(lines):
+        lines[n:] = then
+
+    return corrupt
+
+
+def drop_file_keys(lines):
+    lines[:] = [line for line in lines if b'"file":' not in line]
+
+
 def two_label_faults(lines):
     """A U+2028 inside line 1's label, which is no line break in text mode,
     and a space in place of line 3's tab."""
@@ -382,8 +395,8 @@ def cut_in_string(line):
 
 
 # (id, file of the toy run, its corruption, which returns the line the
-# error must name or None for a JSON file, the reader, the error's type,
-# and what its message says after the file and line)
+# error must name or None where there is none, the reader, the error's
+# type, and what its message says after the file and line)
 REFUSALS = [
     ("relations-bad-byte", "relations.jsonl", at(5, lambda line: b"\xff" + line),
      stage(stage_vectorize), ValueError, "not UTF-8 (invalid start byte)"),
@@ -399,6 +412,16 @@ REFUSALS = [
      stage(stage_cluster), ValueError, "not UTF-8 (invalid start byte)"),
     ("matrix-blank-line", "matrix.mtx", blank_then_outside,
      stage(stage_cluster), ValueError, "outside the header's"),
+    ("matrix-empty", "matrix.mtx", keep(0),
+     stage(stage_cluster), ValueError, "no size line after the MatrixMarket banner"),
+    ("matrix-banner-only", "matrix.mtx", keep(1),
+     stage(stage_cluster), ValueError, "no size line after the MatrixMarket banner"),
+    ("meta-no-doc-ids", "matrix_meta.json", keep(0, b"{}\n"),
+     stage(stage_cluster), ValueError, "missing key 'doc_ids'"),
+    ("grid-no-combos", "grid.json", keep(0, b'{"runs": []}\n'),
+     stage(stage_evaluate), ValueError, "missing key 'combos'"),
+    ("grid-combo-no-file", "grid.json", drop_file_keys,
+     stage(stage_evaluate), ValueError, "missing key 'file'"),
     ("meta-not-json", "matrix_meta.json", not_json,
      stage(stage_cluster), ValueError, "Expecting property name enclosed in double quotes"),
     ("grid-not-json", "grid.json", not_json,

@@ -19,6 +19,7 @@ from mathns.cluster import (
     WARD,
     ClusterAssignment,
     agglomerative,
+    cut_merges,
     dbscan,
     kmeans,
     linkage_merges,
@@ -164,37 +165,6 @@ class TestKmeans:
         np.testing.assert_array_equal(
             np.argmin(d2, axis=1), np.argmax(cos - 1e-12 * d2, axis=1)
         )
-
-
-def loop_compact(labels: np.ndarray) -> tuple[list[int], int]:
-    """The dict renumbering loop that ``compact`` replaced; the exact reference."""
-    mapping: dict[int, int] = {}
-    out = labels.copy()
-    for i, lab in enumerate(labels.tolist()):
-        if lab == NOISE:
-            continue
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
-    return out.tolist(), len(mapping)
-
-
-class TestCompaction:
-    def test_compact_removes_gaps(self):
-        assignment = ClusterAssignment(labels=np.array([5, -1, 5, 9, 2]), K=10)
-        compacted = assignment.compact()
-        assert compacted.labels.tolist() == [0, -1, 0, 1, 2]
-        assert compacted.K == 3
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_matches_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(0, 30))
-        labels = rng.integers(-1, int(rng.integers(1, 12)), size=n) * int(rng.integers(1, 4))
-        labels[labels < 0] = NOISE
-        compacted = ClusterAssignment(labels=labels, K=0, inertia=1.5).compact()
-        assert (compacted.labels.tolist(), compacted.K) == loop_compact(labels)
-        assert compacted.inertia == 1.5
 
 
 class TestMiniBatch:
@@ -409,10 +379,10 @@ class TestAgglomerative:
         assert got == expected
 
 
-def loop_agglomerative_labels(X, linkage: str, K: int) -> list[int]:
-    """Union-find over the first n - K merges, relabelled by the loop that
-    ``agglomerative`` replaced with ``ClusterAssignment.compact``."""
-    n = len(X)
+def loop_cut(merges, n: int, K: int) -> list[int]:
+    """Union-find over the first n - K merges, each cluster numbered in the
+    order of its first point by the dict loop that ``ClusterAssignment.compact``
+    replaced: the cut ``cut_merges`` replaced with relabelling."""
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -421,13 +391,49 @@ def loop_agglomerative_labels(X, linkage: str, K: int) -> list[int]:
             a = parent[a]
         return a
 
-    for i, j, _ in linkage_merges(X, linkage)[: n - K]:
+    for i, j, _ in merges[: n - K]:
         parent[find(j)] = find(i)
     roots: dict[int, int] = {}
     labels = []
     for p in range(n):
         labels.append(roots.setdefault(find(p), len(roots)))
     return labels
+
+
+def loop_agglomerative_labels(X, linkage: str, K: int) -> list[int]:
+    return loop_cut(linkage_merges(X, linkage), len(X), K)
+
+
+def random_merges(rng, n: int) -> list[tuple[int, int, float]]:
+    """A merge history in the form ``linkage_merges`` gives, in any order:
+    each merge joins two current representatives i < j, j's cluster into i's."""
+    live = list(range(n))
+    merges = []
+    for step in range(n - 1):
+        a, b = sorted(rng.choice(len(live), size=2, replace=False).tolist())
+        merges.append((live[a], live[b], float(step)))
+        del live[b]
+    return merges
+
+
+class TestCompaction:
+    """``cut_merges`` numbers its clusters 0..K-1 in the order of their first points."""
+
+    def test_compact_removes_gaps(self):
+        # 1 and 4 join, then 0 and 2: clusters {0, 2}, {1, 4} and {3}
+        assignment = cut_merges([(1, 4, 0.1), (0, 2, 0.2), (0, 1, 0.3)], 5, 3)
+        assert assignment.labels.tolist() == [0, 1, 0, 2, 1]
+        assert assignment.K == 3
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        K = int(rng.integers(1, n + 1))
+        merges = random_merges(rng, n)
+        assignment = cut_merges(merges, n, K)
+        assert assignment.labels.tolist() == loop_cut(merges, n, K)
+        assert assignment.K == K == assignment.n_clusters
 
 
 class TestAgglomerativeMatchesLoop:

@@ -3,6 +3,7 @@
 import itertools
 import json
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -58,7 +59,19 @@ class TestPurityReport:
         labels = {f"d{i}": "a" for i in range(9)}
         assignment = ClusterAssignment(labels=np.repeat([0, 1, 2], 3), K=3)
         report = purity_report(assignment, list(labels), labels)
-        assert report.n_pure == 3 <= len(report.per_cluster)
+        assert report.n_pure == 3 <= len(report.clusters)
+
+    @pytest.mark.parametrize("clusters", [[0, 0], [0, 0, 0, 0]])
+    def test_labels_not_one_per_document_are_refused(self, clusters):
+        # two labels for three documents once reported purity 1.0 without "c";
+        # four lost the last label
+        labels = {"a": "x", "b": "x", "c": "y"}
+        assignment = ClusterAssignment(labels=clusters, K=1)
+        message = f"{len(clusters)} cluster labels for 3 documents"
+        with pytest.raises(ValueError, match=message):
+            purity_report(assignment, list(labels), labels)
+        with pytest.raises(ValueError, match=message):
+            namespace_defining(assignment, list(labels), labels)
 
     @given(st.integers(0, 2**32 - 1))
     def test_split_never_decreases_overall(self, seed):
@@ -144,8 +157,8 @@ class TestRandomBaseline:
 
     def test_all_same_category(self):
         n = 9
-        summary = random_baseline(n, ["a"] * n, trials=20, seed=0)
-        assert summary.minimum == summary.maximum == n // 3
+        summary = random_baseline(["a"] * n, trials=20, seed=0)
+        assert summary.min == summary.max == n // 3
 
     def test_exhaustive_enumeration_n6(self):
         """Mean pure-cluster count over all 20 assignments is exactly 0.2."""
@@ -159,19 +172,19 @@ class TestRandomBaseline:
             counts.append(purity_report(assignment, doc_ids, labels).n_pure)
         exact_mean = sum(counts) / len(counts)
         assert exact_mean == pytest.approx(0.2)
-        simulated = random_baseline(6, categories, trials=10_000, seed=0)
+        simulated = random_baseline(categories, trials=10_000, seed=0)
         assert simulated.mean == pytest.approx(exact_mean, rel=0.02)
 
     def test_same_seed_identical(self):
         categories = ["a", "b", "c"] * 4
-        a = random_baseline(12, categories, trials=50, seed=9)
-        b = random_baseline(12, categories, trials=50, seed=9)
+        a = random_baseline(categories, trials=50, seed=9)
+        b = random_baseline(categories, trials=50, seed=9)
         assert a == b
 
     def test_last_cluster_smaller_excluded_by_min_size(self):
         # n=7 gives clusters of sizes 3,3,1; the singleton can never count
-        summary = random_baseline(7, ["a"] * 7, trials=10, seed=1)
-        assert summary.maximum == 2
+        summary = random_baseline(["a"] * 7, trials=10, seed=1)
+        assert summary.max == 2
 
 
 def counter_cluster_purity(members, labels) -> tuple[float, str]:
@@ -186,7 +199,7 @@ def counter_cluster_purity(members, labels) -> tuple[float, str]:
 
 def loop_purity_report(assignment, doc_ids, labels, purity_threshold=0.8, min_size=3) -> dict:
     """The per-cluster dict loop that ``purity_report`` replaced, as
-    ``to_dict()`` plus the namespace-defining ids it selected."""
+    ``asdict`` of the report plus the namespace-defining ids it selected."""
     by_cluster: dict[int, list[str]] = {}
     noise = 0
     for doc_id, label in zip(doc_ids, assignment.labels.tolist()):
@@ -250,13 +263,13 @@ class TestTableMatchesLoops:
         expected = loop_purity_report(assignment, doc_ids, labels, threshold, min_size)
         chosen = expected.pop("chosen")
         report = purity_report(assignment, doc_ids, labels, threshold, min_size)
-        assert bits(report.to_dict()) == bits(expected)
+        assert bits(asdict(report)) == bits(expected)
         assert namespace_defining(assignment, doc_ids, labels, threshold, min_size) == chosen
 
     def test_tied_majority_goes_to_the_smallest_category(self):
         labels = {"d0": "é", "d1": "b", "d2": "a\x00", "d3": "a", "d4": "a\x00", "d5": "a"}
         assignment = ClusterAssignment(labels=np.array([0, 0, 1, 1, 1, 1]), K=2)
-        rows = purity_report(assignment, list(labels), labels).per_cluster
+        rows = purity_report(assignment, list(labels), labels).clusters
         assert [(r.category, r.purity) for r in rows] == [("b", 0.5), ("a", 0.5)]
 
     @pytest.mark.parametrize("clusters", [[], [NOISE], [NOISE] * 4])
@@ -265,16 +278,9 @@ class TestTableMatchesLoops:
         assignment = ClusterAssignment(labels=np.array(clusters, dtype=int), K=0)
         report = purity_report(assignment, doc_ids, {})
         expected = loop_purity_report(assignment, doc_ids, {})
-        assert bits(report.to_dict()) == bits({k: v for k, v in expected.items() if k != "chosen"})
+        assert bits(asdict(report)) == bits({k: v for k, v in expected.items() if k != "chosen"})
         assert report.noise_fraction == (1.0 if clusters else 0.0)
         assert namespace_defining(assignment, doc_ids, {}) == []
-
-    @given(st.integers(0, 6), st.integers(0, 6))
-    def test_random_baseline_raises_on_unequal_lengths(self, n, m):
-        if n == m:
-            m += 1
-        with pytest.raises(ValueError):
-            random_baseline(n, ["a"] * m)
 
     @given(st.lists(CATEGORIES, max_size=20), st.integers(1, 4), st.integers(0, 2**16),
            THRESHOLDS, st.integers(1, 4))
@@ -285,10 +291,8 @@ class TestTableMatchesLoops:
             rng = np.random.default_rng([seed, trial])
             vector = _baseline_assignment(len(categories), cluster_size, rng)
             counts.append(loop_count_pure_clusters(vector, categories, threshold, min_size))
-        summary = random_baseline(
-            len(categories), categories, cluster_size, 5, seed, threshold, min_size
-        )
-        assert (summary.minimum, summary.mean, summary.maximum) == (
+        summary = random_baseline(categories, cluster_size, 5, seed, threshold, min_size)
+        assert (summary.min, summary.mean, summary.max) == (
             min(counts), float(np.mean(counts)), max(counts)
         )
 

@@ -3,8 +3,8 @@ embedding, and no assignment file unless every combo ran.
 
 ``old_stage_cluster`` is the per-combo loop the stage replaced: every
 combo embeds again, runs its algorithm from scratch (agglomerative with
-its own merge history and union-find cut) and writes as it goes.  The
-stage must write the same bytes."""
+its own merge history and union-find cut, numbered by first appearance)
+and writes as it goes.  The stage must write the same bytes."""
 
 import json
 import shutil
@@ -47,7 +47,9 @@ def old_agglomerative(X, linkage, K, max_points):
 
     for i, j, _ in clustering.linkage_merges(X, linkage)[: n - K]:
         parent[find(j)] = find(i)
-    return clustering.ClusterAssignment(labels=[find(p) for p in range(n)], K=K).compact()
+    roots: dict[int, int] = {}  # each root numbered at its first appearance
+    labels = [roots.setdefault(find(p), len(roots)) for p in range(n)]
+    return clustering.ClusterAssignment(labels=labels, K=K)
 
 
 def old_stage_cluster(config: PipelineConfig) -> None:

@@ -100,10 +100,28 @@ class TestPipelineArtifacts:
         corpus = data / "toy_corpus.jsonl"
         lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
         corpus.write_text("".join(lines[::-1]), encoding="utf-8")
-        config = PipelineConfig.load(data / "toy_config.json", out=tmp_path / "out")
+        config = PipelineConfig.load(data / "toy_config.json", out=tmp_path / "reversed-out")
         run_pipeline(config)
         for name in ("relations.jsonl", "stats.json"):
             assert (config.output_dir / name).read_bytes() == (toy_run / name).read_bytes(), name
+
+    def test_a_doc_id_ending_in_nul_keeps_its_relations(self, toy_run, tmp_path):
+        """Regression: the namespaces stage took a cluster's members from a
+        numpy string array, which drops trailing NULs, so the namespace of
+        "doc01\\x00" lost that document's relations."""
+        data = tmp_path / "nul"
+        shutil.copytree(REPO / "demos" / "data", data, ignore=shutil.ignore_patterns("out"))
+        corpus = data / "toy_corpus.jsonl"
+        records = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+        records[0]["doc_id"] += "\x00"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        config = PipelineConfig.load(data / "toy_config.json", out=tmp_path / "nul-out")
+        run_pipeline(config)
+        before, after = (json.loads((out / "namespaces.json").read_text())["namespaces"]
+                         for out in (toy_run, config.output_dir))
+        assert [ns["entries"] for ns in after] == [ns["entries"] for ns in before]
+        assert [d for ns in after for d in ns["docs"] if d.startswith(records[0]["doc_id"][:-1])] \
+            == [records[0]["doc_id"]]
 
     def test_relations_jsonl_schema(self, toy_run):
         for line in (toy_run / "relations.jsonl").read_text().splitlines()[:5]:
@@ -136,6 +154,17 @@ class TestPipelineArtifacts:
         config = PipelineConfig.load(toy_config_path, out=toy_run)
         run_pipeline(config, from_stage="cluster")
         assert (toy_run / "namespaces.json").read_bytes() == before
+
+    def test_a_cluster_without_relations_is_skipped(self, toy_run, toy_config_path):
+        before = json.loads((toy_run / "namespaces.json").read_text())
+        first = before["namespaces"][0]
+        path = toy_run / "relations.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(x for x in lines if json.loads(x)["doc_id"] not in first["docs"]))
+        run_pipeline(PipelineConfig.load(toy_config_path, out=toy_run), from_stage="namespaces")
+        after = json.loads((toy_run / "namespaces.json").read_text())
+        assert after["skipped_clusters"] == [first["cluster_id"]]
+        assert after["namespaces"] == before["namespaces"][1:]
 
 
     def test_assignment_is_read_back_through_the_labels_reader(self, tmp_path):
