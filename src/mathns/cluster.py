@@ -25,6 +25,11 @@ AVERAGE = "average"
 WARD = "ward"
 LINKAGES = (SINGLE, COMPLETE, AVERAGE, WARD)
 
+# the most points agglomerative clustering takes: its distance matrix is quadratic
+MAX_LINKAGE_POINTS = 1000
+# the rows a minibatch k-means iteration samples, at most
+MINIBATCH_SIZE = 1024
+
 
 @dataclass
 class ClusterAssignment:
@@ -126,7 +131,7 @@ def kmeans(
 def minibatch_kmeans(
     X,
     K: int,
-    batch_size: int = 1024,
+    batch_size: int = MINIBATCH_SIZE,
     iters: int = 100,
     seed: int = 0,
 ) -> ClusterAssignment:
@@ -298,7 +303,9 @@ def cut_merges(merges: list[tuple[int, int, float]], n: int, K: int) -> ClusterA
     return ClusterAssignment(labels=np.unique(labels, return_inverse=True)[1], K=K)
 
 
-def agglomerative(X, linkage: str, K: int, max_points: int = 1000) -> ClusterAssignment:
+def agglomerative(
+    X, linkage: str, K: int, max_points: int = MAX_LINKAGE_POINTS
+) -> ClusterAssignment:
     """Merge clusters bottom-up until K remain: the merge history cut at K."""
     X = _unwrap(X)
     return cut_merges(linkage_merges(X, linkage, max_points), X.shape[0], K)

@@ -260,7 +260,8 @@ def normalize_identifier(symbol: str, stops: StopLists | None = None) -> str:
     Mathematical Alphanumeric Symbols and Letterlike Symbols fold to
     Basic Latin / Greek; bar/hat/vec diacritics are stripped; characters
     from excluded blocks and stop-listed symbols raise
-    :class:`ExcludedSymbol`.
+    :class:`ExcludedSymbol`.  ``stops`` None means no stop list, not the
+    packaged lists that ``build_corpus`` and ``load_corpus`` take for None.
     """
     if not symbol:
         raise ExcludedSymbol("empty symbol")
@@ -340,7 +341,8 @@ def scan_formula(formula: str, stops: StopLists | None = None) -> tuple[list[str
 
     Returns ``(keys, skipped)``: the ``identifier_key`` of each identifier
     in order, and the count of unknown commands, stop-listed letter runs
-    and excluded symbols.
+    and excluded symbols.  ``stops`` None means no stop list, not the
+    packaged lists that ``build_corpus`` and ``load_corpus`` take for None.
     """
     if stops is None:
         stops = StopLists()
@@ -417,7 +419,8 @@ def build_corpus(records: Iterable[dict], stops: StopLists | None = None) -> Cor
     same short formulas, and ``scan_formula`` depends only on the formula
     and ``stops``.  Every occurrence shares the formula's one tuple of
     identifiers and adds its skipped fragments.  The memo lives for this
-    call only, since another call may use other stop lists.
+    call only, since another call may use other stop lists.  ``stops``
+    None means the packaged lists.
     """
     if stops is None:
         stops = default_stop_lists()

@@ -57,12 +57,12 @@ _SECTIONS = {
     "reduction": ("kind", "none", {
         "none": {},
         "svd": {"k": _REQUIRED},
-        "nmf": {"k": _REQUIRED, "max_iters": 200, "tol": 1e-4},
+        "nmf": {"k": _REQUIRED},
     }),
     "clustering": ("algorithm", "kmeans", {
-        "kmeans": {"K": 5, "max_iter": 300, "n_restarts": 1},
-        "minibatch_kmeans": {"K": 5, "batch_size": 1024, "iters": 100},
-        "agglomerative": {"K": 5, "linkage": clustering.WARD, "max_points": 1000},
+        "kmeans": {"K": 5, "n_restarts": 1},
+        "minibatch_kmeans": {"K": 5},
+        "agglomerative": {"K": 5, "linkage": clustering.WARD},
         "snn_dbscan": {"neighbors": 10, "measure": simindex.COSINE, "eps": 3, "minpts": 3},
         "dbscan": {"measure": simindex.COSINE, "eps": 0.5, "minpts": 3},
         "nmf_direct": {},
@@ -70,8 +70,7 @@ _SECTIONS = {
     "baseline": (None, None, {None: {"cluster_size": 3, "trials": 200}}),
 }
 # options whose value must be at least 1; a grid axis needs one value or more, each at least 1
-_COUNTS = {"K", "k", "neighbors", "cluster_size", "trials",
-           "max_iter", "n_restarts", "batch_size", "max_points"}
+_COUNTS = {"K", "k", "neighbors", "cluster_size", "trials", "n_restarts"}
 # options whose value must be one of a fixed set
 _CHOICES = {"measure": simindex.MEASURES, "linkage": clustering.LINKAGES}
 # path keys of the JSON file and the fields they set
@@ -154,14 +153,11 @@ class PipelineConfig:
     association: str = idspace.WEAK
     weighting: str = idspace.TFIDF
     min_df: int = 2
-    min_identifier_occurrences: int = 2
     reduction: dict = field(default_factory=dict)
     clustering: dict = field(default_factory=dict)
     purity_threshold: float = 0.8
     min_cluster_size: int = 3
     fuzzy_threshold: float = 0.85
-    hierarchy_min_cos: float = 0.2
-    hierarchy_min_matches: int = 2
     baseline: Optional[dict] = None  # empty or absent: no random baseline
     ranker_params: Optional[RankerParams] = field(init=False, default=None)
     # read from the files above, or the packaged ones, at construction
@@ -183,12 +179,11 @@ class PipelineConfig:
         self.reduction = _check_section("reduction", self.reduction)
         self.clustering = _check_section("clustering", self.clustering)
         self.baseline = _check_section("baseline", self.baseline) if self.baseline else None
-        for key in ("purity_threshold", "fuzzy_threshold", "hierarchy_min_cos"):
+        for key in ("purity_threshold", "fuzzy_threshold"):
             if not 0.0 <= getattr(self, key) <= 1.0:  # NaN fails too
                 raise ConfigError(f"{key}: must be in [0, 1], got {getattr(self, key)!r}")
-        for key in ("seed", "hierarchy_min_matches"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key}: must be at least 0, got {getattr(self, key)!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be at least 0, got {self.seed!r}")
         algorithm, opts = self.clustering["algorithm"], self.clustering
         if algorithm == "nmf_direct" and self.reduction["kind"] != "nmf":
             raise ConfigError("clustering: algorithm 'nmf_direct' needs reduction kind 'nmf'")
@@ -262,8 +257,7 @@ def _dump_json(path: Path, obj) -> None:
 
 
 def _load_corpus(config: PipelineConfig) -> Corpus:
-    corpus = load_corpus(config.corpus_path, config.stops)
-    return drop_sparse_documents(corpus, config.min_identifier_occurrences)
+    return drop_sparse_documents(load_corpus(config.corpus_path, config.stops))
 
 
 def _labels(config: PipelineConfig, corpus: Corpus) -> dict[str, str]:
@@ -315,14 +309,12 @@ def _grid(config: PipelineConfig) -> list[dict]:
 
 
 def _embed(config: PipelineConfig, dm: idspace.DocMatrix, rank: Optional[int]):
-    opts = config.reduction
-    if opts["kind"] == "none":
+    kind = config.reduction["kind"]
+    if kind == "none":
         return dm.matrix, None
-    if opts["kind"] == "svd":
+    if kind == "svd":
         return decompose.lsa_embed(dm.matrix, rank, seed=config.seed), None
-    factors = decompose.nmf(
-        dm.matrix.T, rank, max_iters=opts["max_iters"], tol=opts["tol"], seed=config.seed
-    )
+    factors = decompose.nmf(dm.matrix.T, rank, seed=config.seed)
     return factors.V, factors
 
 
@@ -330,17 +322,10 @@ def _run_clustering(config: PipelineConfig, X, factors, K: Optional[int]):
     opts = config.clustering
     algorithm = opts["algorithm"]
     if algorithm == "kmeans":
-        return clustering.kmeans(
-            X, int(K), seed=config.seed, max_iter=opts["max_iter"], n_restarts=opts["n_restarts"]
-        )
+        return clustering.kmeans(X, int(K), seed=config.seed, n_restarts=opts["n_restarts"])
     if algorithm == "minibatch_kmeans":
-        return clustering.minibatch_kmeans(
-            X,
-            int(K),
-            batch_size=min(opts["batch_size"], X.shape[0]),
-            iters=opts["iters"],
-            seed=config.seed,
-        )
+        batch_size = min(clustering.MINIBATCH_SIZE, X.shape[0])
+        return clustering.minibatch_kmeans(X, int(K), batch_size=batch_size, seed=config.seed)
     if algorithm == "snn_dbscan":
         return clustering.snn_dbscan(
             X, K=opts["neighbors"], measure=opts["measure"], eps=opts["eps"], minpts=opts["minpts"]
@@ -358,7 +343,9 @@ def _assignments(config: PipelineConfig, dm: idspace.DocMatrix) -> list[tuple]:
     opts = config.clustering
     embed = functools.cache(lambda k: _embed(config, dm, k))
     merges = functools.cache(
-        lambda k: clustering.linkage_merges(embed(k)[0], opts["linkage"], opts["max_points"])
+        lambda k: clustering.linkage_merges(
+            embed(k)[0], opts["linkage"], clustering.MAX_LINKAGE_POINTS
+        )
     )
     out = []
     for combo in _grid(config):
@@ -386,6 +373,8 @@ def stage_cluster(config: PipelineConfig) -> None:
 def _read_assignment(path: Path) -> tuple[list[str], clustering.ClusterAssignment]:
     with Lines(path) as lines:  # the labels format, with cluster ids for labels
         rows = {doc_id: int(label) for doc_id, label in map(tab_pair, lines)}
+    if not rows:
+        raise ValueError(f"{path}: no assignment rows")
     labels = np.array(list(rows.values()), dtype=int)
     return list(rows), clustering.ClusterAssignment(labels=labels, K=int(labels.max()) + 1)
 
@@ -396,7 +385,10 @@ def stage_evaluate(config: PipelineConfig) -> None:
     grid_path = config.output_dir / "grid.json"
     rows = []
     best = None
-    for combo in read_json(grid_path, "combos")["combos"]:
+    combos = read_json(grid_path, "combos")["combos"]
+    if not isinstance(combos, list) or not combos:
+        raise ValueError(f"{grid_path}: 'combos' must be a non-empty list, got {combos!r}")
+    for combo in combos:
         require_keys(grid_path, combo, "id", "K", "k", "file")
         doc_ids, assignment = _read_assignment(config.output_dir / combo["file"])
         report = evaluate.purity_report(
@@ -452,14 +444,7 @@ def stage_namespaces(config: PipelineConfig) -> None:
     mapping = []
     if config.hierarchy is not None:
         for ns in namespaces:
-            hit = map_to_hierarchy(
-                ns,
-                config.hierarchy,
-                labels,
-                titles,
-                min_cos=config.hierarchy_min_cos,
-                min_matches=config.hierarchy_min_matches,
-            )
+            hit = map_to_hierarchy(ns, config.hierarchy, labels, titles)
             mapping.append({"namespace": ns.name, "cluster_id": ns.cluster_id, **asdict(hit)})
     _dump_json(
         config.output_dir / "hierarchy_map.json",

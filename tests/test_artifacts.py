@@ -420,6 +420,11 @@ REFUSALS = [
      stage(stage_cluster), ValueError, "missing key 'doc_ids'"),
     ("grid-no-combos", "grid.json", keep(0, b'{"runs": []}\n'),
      stage(stage_evaluate), ValueError, "missing key 'combos'"),
+    # an empty list stopped on best, still None, and a number on iterating it
+    ("grid-combos-empty", "grid.json", keep(0, b'{"combos": []}\n'),
+     stage(stage_evaluate), ValueError, "'combos' must be a non-empty list, got []"),
+    ("grid-combos-a-number", "grid.json", keep(0, b'{"combos": 3}\n'),
+     stage(stage_evaluate), ValueError, "'combos' must be a non-empty list, got 3"),
     ("grid-combo-no-file", "grid.json", drop_file_keys,
      stage(stage_evaluate), ValueError, "missing key 'file'"),
     ("meta-not-json", "matrix_meta.json", not_json,
@@ -428,6 +433,9 @@ REFUSALS = [
      stage(stage_evaluate), ValueError, "Expecting property name enclosed in double quotes"),
     ("assignment-label-x", "assignment.tsv", at(2, lambda line: line.split(b"\t")[0] + b"\tx\n"),
      stage(stage_namespaces), ValueError, "invalid literal for int()"),
+    # no rows stopped on the largest of no labels
+    ("assignment-empty", "assignment.tsv", keep(0),
+     stage(stage_namespaces), ValueError, "no assignment rows"),
     ("labels-u2028", "assignment.tsv", two_label_faults,
      lambda out, path: load_labels(path), ValueError, "expected two fields split by one tab"),
 ]

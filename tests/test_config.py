@@ -1,16 +1,22 @@
 """Pipeline config: every option's default, and the keys a config may not carry."""
 
+import inspect
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mathns import cluster, decompose
 from mathns.cli import main
-from mathns.errors import ConfigError
+from mathns.errors import ConfigError, TooManyDocuments
 from mathns.namespaces import HierarchyScheme
 from mathns.pipeline import (
+    _PATH_KEYS,
+    _SECTIONS,
     PipelineConfig,
     _assignments,
     _extract_all,
@@ -19,22 +25,17 @@ from mathns.pipeline import (
     run_stage,
 )
 
-from conftest import TOY_CONFIG, TOY_CORPUS, TOY_HIERARCHY
+from conftest import REPO, TOY_CONFIG, TOY_CORPUS, TOY_HIERARCHY
 
 # The defaults the README documents, restated here on purpose: a test
 # that omits an option compares against these literal values.
 CLUSTERING_DEFAULTS = {
-    "kmeans": {"K": 5, "max_iter": 300, "n_restarts": 1},
-    "minibatch_kmeans": {"K": 5, "batch_size": 1024, "iters": 100},
-    "agglomerative": {"K": 5, "linkage": "ward", "max_points": 1000},
+    "kmeans": {"K": 5, "n_restarts": 1},
+    "minibatch_kmeans": {"K": 5},
+    "agglomerative": {"K": 5, "linkage": "ward"},
     "snn_dbscan": {"neighbors": 10, "measure": "cosine", "eps": 3, "minpts": 3},
     "dbscan": {"measure": "cosine", "eps": 0.5, "minpts": 3},
     "nmf_direct": {},
-}
-REDUCTION_DEFAULTS = {
-    "none": {},
-    "svd": {},
-    "nmf": {"max_iters": 200, "tol": 1e-4},
 }
 RANKER_DEFAULTS = {
     "alpha": 1.0, "beta": 1.0, "gamma": 0.1,
@@ -80,32 +81,66 @@ def _omissions():
             cases.append((f"{algorithm}-{key}", {"kind": "none"}, full, "clustering", short))
     svd = {"kind": "svd", "k": [3, 4]}
     kmeans = {"algorithm": "kmeans", **CLUSTERING_DEFAULTS["kmeans"]}
-    cases.append(("svd-kmeans-max_iter", svd, kmeans, "clustering",
-                  {"algorithm": "kmeans", "K": 5, "n_restarts": 1}))
-    nmf = {"kind": "nmf", "k": 3, **REDUCTION_DEFAULTS["nmf"]}
-    for key in sorted(REDUCTION_DEFAULTS["nmf"]):
-        short = {k: v for k, v in nmf.items() if k != key}
-        cases.append((f"nmf-{key}", nmf, {"algorithm": "nmf_direct"}, "reduction", short))
+    cases.append(("svd-kmeans-n_restarts", svd, kmeans, "clustering",
+                  {"algorithm": "kmeans", "K": 5}))
     cases.append(("kmeans-algorithm", {"kind": "none"}, kmeans, "clustering",
                   {k: v for k, v in kmeans.items() if k != "algorithm"}))
-    return cases
+    return [(case_id, reduction, clustering, section, short, None)
+            for case_id, reduction, clustering, section, short in cases]
+
+
+def _fixed():
+    """(id, reduction, clustering, None, None, (module, solver, argument, value)):
+    the options that are no longer config keys, each with the value README
+    documents, restated here as a literal, that the stage passes its solver."""
+    raw, nmf = {"kind": "none"}, {"kind": "nmf", "k": 3}
+    kmeans, minibatch = {"algorithm": "kmeans"}, {"algorithm": "minibatch_kmeans"}
+    cases = [
+        ("agglomerative-max_points", raw, {"algorithm": "agglomerative"},
+         (cluster, "linkage_merges", "max_points", 1000)),
+        ("kmeans-max_iter", raw, kmeans, (cluster, "kmeans", "max_iter", 300)),
+        # min(1024, n) on the 40 documents of the toy matrix
+        ("minibatch_kmeans-batch_size", raw, minibatch,
+         (cluster, "minibatch_kmeans", "batch_size", 40)),
+        ("minibatch_kmeans-iters", raw, minibatch, (cluster, "minibatch_kmeans", "iters", 100)),
+        ("nmf-max_iters", nmf, {"algorithm": "nmf_direct"}, (decompose, "nmf", "max_iters", 200)),
+        ("nmf-tol", nmf, {"algorithm": "nmf_direct"}, (decompose, "nmf", "tol", 1e-4)),
+    ]
+    return [(case_id, reduction, clustering, None, None, solver)
+            for case_id, reduction, clustering, solver in cases]
 
 
 class TestDefaults:
     @pytest.mark.parametrize(
-        "reduction,clustering,section,short",
-        [case[1:] for case in _omissions()],
-        ids=[case[0] for case in _omissions()],
+        "reduction,clustering,section,short,solver",
+        [case[1:] for case in _omissions() + _fixed()],
+        ids=[case[0] for case in _omissions() + _fixed()],
     )
     def test_omitted_option_gives_documented_default(
-        self, reduction, clustering, section, short
+        self, monkeypatch, reduction, clustering, section, short, solver
     ):
+        """A config option left out gives the labels of the config that sets
+        it; an option no config may set reaches the solver as a literal."""
         full = _config(reduction=dict(reduction), clustering=dict(clustering))
-        omitted = _config(
-            reduction=dict(short if section == "reduction" else reduction),
-            clustering=dict(short if section == "clustering" else clustering),
-        )
-        assert _labels_per_combo(omitted) == _labels_per_combo(full)
+        if solver is None:
+            omitted = _config(
+                reduction=dict(short if section == "reduction" else reduction),
+                clustering=dict(short if section == "clustering" else clustering),
+            )
+            assert _labels_per_combo(omitted) == _labels_per_combo(full)
+            return
+        owner, name, argument, value = solver
+        real, calls = getattr(owner, name), []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments[argument])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        _labels_per_combo(full)
+        assert calls and all(got == value for got in calls)
 
     def test_omitted_sections_are_kmeans_on_the_raw_matrix(self):
         full = _config(
@@ -128,7 +163,7 @@ class TestDefaults:
             clustering={"algorithm": "nmf_direct"},
             baseline={"trials": 9},
         )
-        assert config.reduction == {"kind": "nmf", "k": 2, **REDUCTION_DEFAULTS["nmf"]}
+        assert config.reduction == {"kind": "nmf", "k": 2}
         assert config.clustering == {"algorithm": "nmf_direct"}
         assert config.extraction == {"method": "ranker", **RANKER_DEFAULTS}
         assert config.baseline == {**BASELINE_DEFAULTS, "trials": 9}
@@ -137,6 +172,33 @@ class TestDefaults:
                 continue
             got = _config(clustering={"algorithm": algorithm}).clustering
             assert got == {"algorithm": algorithm, **defaults}
+
+    def test_agglomerative_refuses_1001_documents(self):
+        config = _config(clustering={"algorithm": "agglomerative"})
+        with pytest.raises(TooManyDocuments, match="n=1001 exceeds the cap of 1000"):
+            _assignments(config, _doc_matrix(n=1001))
+
+    def test_readme_table_names_every_key_the_loader_accepts(self):
+        """The option table of README.md, with its ``.key`` shorthand for
+        another key of the row's section, against the loader's keys."""
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        table = text.split("| key | default | read by |\n", 1)[1].split("\n\n", 1)[0]
+        documented = set()
+        for first_cell in re.findall(r"^\| (.*?) \|", table, re.M):
+            section = None
+            for key in re.findall(r"`([\w.]+)`", first_cell):
+                key = section + key if key.startswith(".") else key
+                section = key.split(".")[0] if "." in key else None
+                documented.add(key)
+        settable = {f.name for f in fields(PipelineConfig) if f.init}
+        top = settable - set(_PATH_KEYS.values()) - _SECTIONS.keys() | _PATH_KEYS.keys()
+        dotted = {
+            f"{name}.{key}"
+            for name, (selector, _, option_sets) in _SECTIONS.items()
+            for key in {selector} - {None} | set().union(*option_sets.values())
+        }
+        # a section's own row, as for baseline, says what its absence means
+        assert documented - _SECTIONS.keys() == top | dotted
 
     def test_omitted_extraction_options_give_the_same_relations(self):
         explicit = _config(extraction={"method": "ranker", **RANKER_DEFAULTS})
@@ -187,13 +249,14 @@ BAD_SECTIONS = [
     ("misspelt-linkage", "clustering",
      {"algorithm": "agglomerative", "linkage": "wards"}, "linkage 'wards'"),
     ("nmf_direct-without-nmf", "clustering", {"algorithm": "nmf_direct"}, "'nmf_direct'"),
-    ("not-a-number", "clustering", {"algorithm": "kmeans", "max_iter": "many"}, "'max_iter'"),
+    ("not-a-number", "clustering", {"algorithm": "kmeans", "n_restarts": "many"}, "'n_restarts'"),
     ("not-an-object", "clustering", "kmeans", "object"),
     ("svd-without-k", "reduction", {"kind": "svd"}, "'k'"),
-    ("nmf-without-k", "reduction", {"kind": "nmf", "tol": 1e-3}, "'k'"),
+    ("nmf-without-k", "reduction", {"kind": "nmf"}, "'k'"),
     ("svd-null-k", "reduction", {"kind": "svd", "k": None}, "'k'"),
     ("k-under-none", "reduction", {"kind": "none", "k": 5}, "'k'"),
-    ("nmf-key-under-svd", "reduction", {"kind": "svd", "k": 3, "max_iters": 50}, "'max_iters'"),
+    ("nmf-key-under-svd", "reduction", {"kind": "svd", "k": 3, "max_iters": 50},
+     "unknown key 'max_iters'"),
     ("unknown-reduction-key", "reduction", {"kind": "svd", "rank": 3}, "'rank'"),
     ("unknown-kind", "reduction", {"kind": "pca", "k": 3}, "'pca'"),
     ("unknown-method", "extraction", {"method": "regex"}, "'regex'"),
@@ -235,13 +298,18 @@ BAD_SECTIONS = [
      "got eps 12 and neighbors 10"),
     ("kmeans-n_restarts-0", "clustering", {"algorithm": "kmeans", "n_restarts": 0},
      "'n_restarts' must be at least 1, got 0"),
+    # the solver settings that left the config are unknown keys, even at their old defaults
     ("kmeans-max_iter-0", "clustering", {"algorithm": "kmeans", "max_iter": 0},
-     "'max_iter' must be at least 1, got 0"),
+     "unknown key 'max_iter'"),
     ("minibatch-batch_size-negative", "clustering",
-     {"algorithm": "minibatch_kmeans", "batch_size": -3},
-     "'batch_size' must be at least 1, got -3"),
+     {"algorithm": "minibatch_kmeans", "batch_size": -3}, "unknown key 'batch_size'"),
     ("agglomerative-max_points-0", "clustering", {"algorithm": "agglomerative", "max_points": 0},
-     "'max_points' must be at least 1, got 0"),
+     "unknown key 'max_points'"),
+    ("removed-minibatch-iters", "clustering", {"algorithm": "minibatch_kmeans", "iters": 100},
+     "unknown key 'iters'"),
+    ("removed-nmf-max_iters", "reduction", {"kind": "nmf", "k": 3, "max_iters": 200},
+     "unknown key 'max_iters'"),
+    ("removed-nmf-tol", "reduction", {"kind": "nmf", "k": 3, "tol": 1e-4}, "unknown key 'tol'"),
     # each of these ran to exit 0: a NaN purity threshold gave no namespace,
     # and a NaN fuzzy threshold merged no definition
     ("purity-threshold-negative", "purity_threshold", -1, "must be in [0, 1], got -1.0"),
@@ -251,11 +319,14 @@ BAD_SECTIONS = [
     ("fuzzy-threshold-infinite", "fuzzy_threshold", float("-inf"), "must be in [0, 1], got -inf"),
     ("cluster_size-0", "baseline", {"cluster_size": 0}, "'cluster_size' must be at least 1, got 0"),
     ("trials-0", "baseline", {"trials": 0}, "'trials' must be at least 1, got 0"),
-    # these ran to exit 0 as well: a cosine cut above 1 mapped every namespace to OTHERS,
-    # and with NaN the cut never applied
-    ("hierarchy-min-cos-above-1", "hierarchy_min_cos", 2.0, "must be in [0, 1], got 2.0"),
-    ("hierarchy-min-cos-nan", "hierarchy_min_cos", float("nan"), "must be in [0, 1], got nan"),
-    ("hierarchy-min-matches-negative", "hierarchy_min_matches", -3, "must be at least 0, got -3"),
+    # top-level keys that left the config (see REMOVED_TOP_LEVEL)
+    ("hierarchy-min-cos-above-1", "hierarchy_min_cos", 2.0, "unknown key 'hierarchy_min_cos'"),
+    ("hierarchy-min-cos-nan", "hierarchy_min_cos", float("nan"),
+     "unknown key 'hierarchy_min_cos'"),
+    ("hierarchy-min-matches-negative", "hierarchy_min_matches", -3,
+     "unknown key 'hierarchy_min_matches'"),
+    ("removed-min_identifier_occurrences", "min_identifier_occurrences", 2,
+     "unknown key 'min_identifier_occurrences'"),
     # weights summing to inf made every ranker score nan: exit 0, no relations
     ("ranker-weights-overflow", "extraction", {"alpha": 1e308, "beta": 1e308},
      "alpha + beta + gamma must be finite, got inf"),
@@ -271,9 +342,9 @@ BAD_SECTIONS = [
     ("snn-eps-fractional", "clustering", {"algorithm": "snn_dbscan", "eps": 2.5},
      "'eps' must be an integer, got 2.5"),
     ("kmeans-max_iter-fraction-below-1", "clustering", {"algorithm": "kmeans", "max_iter": 0.5},
-     "'max_iter' must be at least 1, got 0.5"),
+     "unknown key 'max_iter'"),
     ("kmeans-max_iter-fractional", "clustering", {"algorithm": "kmeans", "max_iter": 1.5},
-     "'max_iter' must be an integer, got 1.5"),
+     "unknown key 'max_iter'"),
     ("minpts-string", "clustering", {"algorithm": "dbscan", "minpts": "3"},
      "'minpts' must be an integer, got '3'"),
     ("trials-fractional", "baseline", {"trials": 2.5}, "'trials' must be an integer, got 2.5"),
@@ -294,6 +365,12 @@ BAD_SECTIONS = [
 ]
 
 
+# top-level keys that the stages now take from their functions' defaults: the
+# loader refuses them as unknown, in an error that starts "config:", and the
+# constructor has no such argument
+REMOVED_TOP_LEVEL = {"min_identifier_occurrences", "hierarchy_min_cos", "hierarchy_min_matches"}
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "section,value,needle", [c[1:] for c in BAD_SECTIONS], ids=[c[0] for c in BAD_SECTIONS]
@@ -301,12 +378,17 @@ class TestConfigErrors:
     def test_load_rejects(self, tmp_path, section, value, needle):
         with pytest.raises(ConfigError) as info:
             PipelineConfig.load(_toy_config(tmp_path, **{section: value}))
-        assert f"{section}:" in str(info.value) and needle in str(info.value)
+        where = "config" if section in REMOVED_TOP_LEVEL else section
+        assert f"{where}:" in str(info.value) and needle in str(info.value)
 
     @pytest.mark.parametrize(
         "section,value,needle", [c[1:] for c in BAD_SECTIONS], ids=[c[0] for c in BAD_SECTIONS]
     )
     def test_construction_rejects(self, section, value, needle):
+        if section in REMOVED_TOP_LEVEL:
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{section}'"):
+                _config(**{section: value})
+            return
         with pytest.raises(ConfigError) as info:
             _config(**{section: value})
         assert f"{section}:" in str(info.value) and needle in str(info.value)
@@ -376,16 +458,12 @@ class TestConfigErrors:
         _config(clustering={"algorithm": "snn_dbscan", "neighbors": 1, "eps": 0})
         _config(purity_threshold=0, fuzzy_threshold=1)
         _config(purity_threshold=1, fuzzy_threshold=0.0)
-        _config(hierarchy_min_cos=0, hierarchy_min_matches=0)
-        _config(hierarchy_min_cos=1.0)
-        _config(clustering={"algorithm": "kmeans", "max_iter": 1, "n_restarts": 1})
-        _config(clustering={"algorithm": "minibatch_kmeans", "batch_size": 1})
-        _config(clustering={"algorithm": "agglomerative", "max_points": 1})
-        integral = _config(clustering={"K": [3.0, 4], "max_iter": 3.0}, min_df=3.0,
+        _config(clustering={"algorithm": "kmeans", "n_restarts": 1})
+        integral = _config(clustering={"K": [3.0, 4], "n_restarts": 3.0}, min_df=3.0,
                            reduction={"kind": "svd", "k": 3.0}, baseline={"trials": 3.0})
         assert integral.clustering["K"] == [3, 4] and integral.reduction["k"] == 3
         assert all(type(v) is int for v in (*integral.clustering["K"], integral.reduction["k"],
-                                            integral.clustering["max_iter"], integral.min_df,
+                                            integral.clustering["n_restarts"], integral.min_df,
                                             integral.baseline["trials"]))
 
 

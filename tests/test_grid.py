@@ -60,7 +60,9 @@ def old_stage_cluster(config: PipelineConfig) -> None:
         X, factors = _embed(config, dm, combo["k"])
         if opts["algorithm"] == "agglomerative":
             X = idspace._unwrap(X)
-            assignment = old_agglomerative(X, opts["linkage"], int(combo["K"]), opts["max_points"])
+            assignment = old_agglomerative(
+                X, opts["linkage"], int(combo["K"]), clustering.MAX_LINKAGE_POINTS
+            )
         else:
             assignment = _run_clustering(config, X, factors, combo["K"])
         fname = f"assignment_{combo['id']}.tsv"

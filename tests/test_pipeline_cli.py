@@ -253,7 +253,7 @@ NO_SCIPY_RUNS = {
     "kmeans": {"reduction": {"kind": "none"}, "clustering": {"algorithm": "kmeans", "K": 4}},
     "minibatch": {
         "reduction": {"kind": "none"},
-        "clustering": {"algorithm": "minibatch_kmeans", "K": 4, "batch_size": 12, "iters": 20},
+        "clustering": {"algorithm": "minibatch_kmeans", "K": 4},
     },
     "svd-agglomerative": {
         "reduction": {"kind": "svd", "k": 5},
